@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 separated / success, 1 not separated (or a failed check),
-2 undecided within budget, 3 usage errors, 4 malformed inputs.
+2 undecided within budget, 3 usage errors, 4 malformed inputs, 5 internal
+error.
 """
 
 from __future__ import annotations
@@ -14,13 +15,7 @@ from typing import Sequence
 from . import formats
 from .classify import classify_type
 from .core import SspKitError, type_name
-from .engine import (
-    AtomStatus,
-    Decision,
-    decide_ssp,
-    default_worker_count,
-    solve_atom,
-)
+from .engine import AtomStatus, Decision, decide_ssp, solve_atom
 from .reductions import (
     ExtensionKind,
     cm_oracle,
@@ -38,6 +33,7 @@ EXIT_NOT_SEPARATED = 1
 EXIT_UNDECIDED = 2
 EXIT_USAGE = 3
 EXIT_INVALID = 4
+EXIT_INTERNAL = 5
 
 
 class _UsageError(Exception):
@@ -62,7 +58,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--type", required=True, dest="type_spec")
     p.add_argument("--budget", type=int, default=None,
                    help="node budget per pair")
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("solve-atom", help="separate one pair of states")
@@ -149,8 +144,7 @@ def _cmd_classify(args) -> int:
 def _cmd_check_ssp(args) -> int:
     ts = formats.parse_ts_text(_read_text(args.file))
     tau = formats.parse_type_spec(args.type_spec)
-    workers = args.threads if args.threads else default_worker_count()
-    report = decide_ssp(ts, tau, budget=args.budget, max_workers=workers)
+    report = decide_ssp(ts, tau, budget=args.budget)
     if args.json:
         sys.stdout.write(formats.report_to_json(report))
     else:
@@ -316,6 +310,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (SspKitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except Exception as exc:
+        # a crash is not an answer: keep it off the decision exit codes
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -12,9 +12,7 @@ alone.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import product
@@ -82,7 +80,6 @@ class SearchStats:
 class SeparationReport:
     decision: Decision
     witness_atom: tuple[str, str] | None
-    verdicts: dict[tuple[str, str], AtomVerdict] = field(default_factory=dict)
     regions: list[Region] = field(default_factory=list)
     stats: SearchStats = field(default_factory=SearchStats)
 
@@ -394,74 +391,39 @@ def decide_ssp(
     ts: TransitionSystem,
     tau: frozenset[Interaction],
     budget: SearchBudget | int | None = None,
-    *,
-    reuse: bool = True,
-    max_workers: int = 1,
 ) -> SeparationReport:
     """Decide whether every pair of distinct states is separable.
 
-    Atoms are visited in sorted order; a region found for one atom is
-    reused for later atoms it happens to separate (``reuse``).  The sweep
-    stops at the first provably unsolvable atom.  With ``max_workers`` > 1
-    atoms are searched in worker threads and reuse is disabled so that the
-    outcome does not depend on scheduling; the decision and witness atom
-    are identical either way.
+    Atoms are visited in sorted order.  An atom that a region found earlier
+    already separates needs no search; any other atom gets a ``solve_atom``
+    search, and the region it finds joins ``report.regions``.  The sweep
+    stops at the first provably unsolvable atom, the witness.  If a search
+    ran out of budget and no atom was unsolvable, the decision is UNKNOWN
+    and no regions are reported.
     """
     t0 = time.perf_counter()
     max_nodes = _coerce_budget(budget)
-    atoms = list(ts.atoms())
     report = SeparationReport(decision=Decision.HAS_SSP, witness_atom=None)
-    seen_regions: dict[tuple, Region] = {}
-
-    def remember(region: Region) -> Region:
-        key = region.key()
-        if key not in seen_regions:
-            seen_regions[key] = region
-            report.regions.append(region)
-        return seen_regions[key]
-
-    if max_workers > 1 and len(atoms) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            verdicts = list(
-                pool.map(lambda at: solve_atom(ts, tau, at, max_nodes), atoms)
-            )
-        pairs = list(zip(atoms, verdicts))
-    else:
-        pairs = []
-        pool_regions: list[Region] = []
-        for atom in atoms:
-            ready = None
-            if reuse:
-                ready = next(
-                    (r for r in pool_regions if r.solves(atom)), None
-                )
-            if ready is not None:
-                verdict = AtomVerdict(AtomStatus.SOLVED, ready, 0)
-            else:
-                verdict = solve_atom(ts, tau, atom, max_nodes)
-                if verdict.region is not None:
-                    pool_regions.append(verdict.region)
-            pairs.append((atom, verdict))
-            if verdict.status is AtomStatus.UNSOLVABLE:
-                break
-
+    stats = report.stats
     exhausted_any = False
-    for atom, verdict in pairs:
-        report.verdicts[atom] = verdict
-        report.stats.atoms_checked += 1
-        report.stats.nodes_expanded += verdict.nodes
-        if verdict.region is not None:
-            remember(verdict.region)
-        if verdict.status is AtomStatus.EXHAUSTED:
+    for atom in ts.atoms():
+        stats.atoms_checked += 1
+        if any(r.solves(atom) for r in report.regions):
+            continue
+        verdict = solve_atom(ts, tau, atom, max_nodes)
+        stats.nodes_expanded += verdict.nodes
+        if verdict.status is AtomStatus.SOLVED:
+            report.regions.append(verdict.region)
+        elif verdict.status is AtomStatus.EXHAUSTED:
             exhausted_any = True
-        if verdict.status is AtomStatus.UNSOLVABLE:
+        else:
             report.decision = Decision.LACKS_SSP
             report.witness_atom = atom
             break
     if report.decision is not Decision.LACKS_SSP and exhausted_any:
         report.decision = Decision.UNKNOWN
         report.regions.clear()
-    report.stats.wall_ms = (time.perf_counter() - t0) * 1000.0
+    stats.wall_ms = (time.perf_counter() - t0) * 1000.0
     return report
 
 
@@ -587,19 +549,17 @@ def brute_force_decide(
         )
         for atom in hit:
             solved[atom] = region
-    seen: set[tuple] = set()
+    # one region object per support mask, so identity is enough to dedupe
+    seen: set[int] = set()
     for atom in atoms:
+        report.stats.atoms_checked += 1
         region = solved.get(atom)
         if region is None:
-            report.verdicts[atom] = AtomVerdict(AtomStatus.UNSOLVABLE, None, 0)
-            report.stats.atoms_checked += 1
             report.decision = Decision.LACKS_SSP
             report.witness_atom = atom
             break
-        report.verdicts[atom] = AtomVerdict(AtomStatus.SOLVED, region, 0)
-        report.stats.atoms_checked += 1
-        if region.key() not in seen:
-            seen.add(region.key())
+        if id(region) not in seen:
+            seen.add(id(region))
             report.regions.append(region)
     report.stats.nodes_expanded = scanned
     report.stats.wall_ms = (time.perf_counter() - t0) * 1000.0
@@ -637,7 +597,6 @@ def fast_path_swap_core(
     if not ts.loop_free:
         first = next(ts.atoms())
         report = SeparationReport(decision=Decision.LACKS_SSP, witness_atom=first)
-        report.verdicts[first] = AtomVerdict(AtomStatus.UNSOLVABLE, None, 0)
         report.stats.atoms_checked = 1
         return report
     if n > 2:
@@ -656,9 +615,6 @@ def fast_path_swap_core(
         report = SeparationReport(
             decision=Decision.LACKS_SSP,
             witness_atom=(witness[0], witness[1]),
-        )
-        report.verdicts[report.witness_atom] = AtomVerdict(
-            AtomStatus.UNSOLVABLE, None, 0
         )
         report.stats.atoms_checked = 1
         return report
@@ -689,14 +645,3 @@ def embedding_certificate(
     }
     injective = len(set(vectors.values())) == len(ts.states)
     return EmbeddingCertificate(vectors=vectors, injective=injective)
-
-
-def default_worker_count() -> int:
-    """Thread count for parallel sweeps, from SSP_KIT_THREADS or the CPU."""
-    raw = os.environ.get("SSP_KIT_THREADS", "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            return 1
-    return max(1, os.cpu_count() or 1)

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from ssp_kit import cli
 from ssp_kit.cli import (
+    EXIT_INTERNAL,
     EXIT_INVALID,
     EXIT_NOT_SEPARATED,
     EXIT_SEPARATED,
@@ -134,11 +136,17 @@ class TestCheckSspCommand:
             == EXIT_INVALID
         )
 
-    def test_threads_flag(self, ts_file, capsys):
-        code = main(
-            ["check-ssp", "--type", "nop,inp,out", "--threads", "2", ts_file(FORK)]
-        )
-        assert code == EXIT_SEPARATED
+    def test_crash_is_an_internal_error(self, ts_file, capsys, monkeypatch):
+        def crash(*args, **kwargs):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "decide_ssp", crash)
+        code = main(["check-ssp", "--type", "nop,inp", ts_file(FORK)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INTERNAL
+        assert captured.out == ""
+        assert captured.err.startswith("internal error: RecursionError")
+        assert captured.err.count("\n") == 1
 
 
 class TestSolveAtomCommand:

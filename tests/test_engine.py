@@ -1,7 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ssp_kit.classify import enumerate_types
 from ssp_kit.core import Interaction, Region, is_region, type_of, validate_ts
 from ssp_kit.engine import (
     AtomStatus,
@@ -95,20 +97,11 @@ class TestDecideSsp:
         ts = validate_ts(
             [("a", "x", "b"), ("b", "y", "c"), ("c", "z", "d")], "a"
         )
-        with_reuse = decide_ssp(ts, type_of(I.NOP, I.INP, I.OUT), reuse=True)
-        without = decide_ssp(ts, type_of(I.NOP, I.INP, I.OUT), reuse=False)
-        assert with_reuse.decision is without.decision is Decision.HAS_SSP
-        assert with_reuse.stats.nodes_expanded < without.stats.nodes_expanded
-
-    def test_parallel_matches_sequential(self):
-        rng = random.Random(99)
-        for _ in range(25):
-            ts = random_ts(rng, max_states=5, max_events=3)
-            tau = random_type(rng)
-            seq = decide_ssp(ts, tau)
-            par = decide_ssp(ts, tau, max_workers=4)
-            assert seq.decision is par.decision
-            assert seq.witness_atom == par.witness_atom
+        tau = type_of(I.NOP, I.INP, I.OUT)
+        report = decide_ssp(ts, tau)
+        every_atom = sum(solve_atom(ts, tau, atom).nodes for atom in ts.atoms())
+        assert report.decision is Decision.HAS_SSP
+        assert report.stats.nodes_expanded < every_atom
 
     def test_report_region_vectors_separate_all_atoms(self):
         ts = validate_ts(
@@ -162,6 +155,23 @@ class TestBruteForce:
             want = brute_force_decide(ts, tau)
             assert got.decision is want.decision
             assert got.witness_atom == want.witness_atom
+
+
+small_systems = st.randoms(use_true_random=False).map(
+    lambda rng: random_ts(rng, max_states=5, max_events=3)
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(small_systems, st.integers(0, 255))
+def test_sweep_matches_oracle(ts, mask):
+    tau = enumerate_types()[mask]
+    got = decide_ssp(ts, tau)
+    want = brute_force_decide(ts, tau)
+    assert got.decision is want.decision
+    assert got.witness_atom == want.witness_atom
+    assert all(is_region(ts, tau, r) for r in got.regions)
+    assert len({r.key() for r in got.regions}) == len(got.regions)
 
 
 class TestFastPath:
