@@ -20,6 +20,7 @@ from ssp_kit.engine import (
     fast_path_swap_core,
     solve_atom,
 )
+from ssp_kit.reductions import example_formula, gen_nop_inp, unsat_formula_m4
 from ssp_kit.verify import (
     fixture_event_cycle,
     fixture_parallel_pair,
@@ -102,6 +103,28 @@ class TestDecideSsp:
         every_atom = sum(solve_atom(ts, tau, atom).nodes for atom in ts.atoms())
         assert report.decision is Decision.HAS_SSP
         assert report.stats.nodes_expanded < every_atom
+
+    @pytest.mark.parametrize(
+        "formula, expected",
+        [
+            (example_formula, (Decision.HAS_SSP, None, 990, 207, 18)),
+            (
+                unsat_formula_m4,
+                (Decision.LACKS_SSP, ("g_0_1", "g_0_2"), 60, 88, 9),
+            ),
+        ],
+    )
+    def test_search_is_pinned(self, formula, expected):
+        # exact counts: a change to the search order or the propagation
+        # shows here before it shows anywhere else
+        report = decide_ssp(gen_nop_inp(formula()).ts, NOP_INP)
+        assert (
+            report.decision,
+            report.witness_atom,
+            report.stats.atoms_checked,
+            report.stats.nodes_expanded,
+            len(report.regions),
+        ) == expected
 
     def test_report_region_vectors_separate_all_atoms(self):
         ts = validate_ts(
