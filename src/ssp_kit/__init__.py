@@ -36,7 +36,6 @@ from .engine import (
     AtomStatus,
     AtomVerdict,
     Decision,
-    SearchBudget,
     SeparationReport,
     brute_force_decide,
     brute_force_regions,
@@ -78,7 +77,6 @@ __all__ = [
     "FLIP",
     "Interaction",
     "Region",
-    "SearchBudget",
     "SeparationReport",
     "SspKitError",
     "TransitionSystem",

@@ -15,7 +15,13 @@ from typing import Sequence
 from . import formats
 from .classify import classify_type
 from .core import SspKitError, type_name
-from .engine import AtomStatus, Decision, decide_ssp, solve_atom
+from .engine import (
+    DEFAULT_MAX_NODES,
+    AtomStatus,
+    Decision,
+    decide_ssp,
+    solve_atom,
+)
 from .reductions import (
     ExtensionKind,
     cm_oracle,
@@ -56,7 +62,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("check-ssp", help="decide separation for a system file")
     p.add_argument("file")
     p.add_argument("--type", required=True, dest="type_spec")
-    p.add_argument("--budget", type=int, default=None,
+    p.add_argument("--budget", type=int, default=DEFAULT_MAX_NODES,
                    help="node budget per pair")
     p.add_argument("--json", action="store_true")
 
@@ -64,7 +70,7 @@ def _build_parser() -> _Parser:
     p.add_argument("file")
     p.add_argument("--type", required=True, dest="type_spec")
     p.add_argument("--atom", required=True, help="'<state>,<state>'")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=DEFAULT_MAX_NODES)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("gen", help="generate a hardness instance")

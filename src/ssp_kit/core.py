@@ -136,10 +136,6 @@ INTERACTION_ORDER: tuple[Interaction, ...] = (
 
 INTERACTION_BY_NAME: dict[str, Interaction] = {i.value: i for i in Interaction}
 
-#: A Boolean type is a set of interactions; frozenset keeps it hashable.
-BooleanType = frozenset
-
-
 def type_of(*interactions: Interaction) -> frozenset[Interaction]:
     return frozenset(interactions)
 
@@ -147,13 +143,6 @@ def type_of(*interactions: Interaction) -> frozenset[Interaction]:
 def type_name(tau: frozenset[Interaction]) -> str:
     """Canonical comma-separated rendering, empty string for the empty type."""
     return ",".join(i.value for i in INTERACTION_ORDER if i in tau)
-
-
-def type_delta(tau: frozenset[Interaction], x: int, i: Interaction) -> int | None:
-    """Transition function of the one-state-per-value system induced by tau."""
-    if i not in tau:
-        return None
-    return i.apply(x)
 
 
 # ---------------------------------------------------------------------------

@@ -56,13 +56,6 @@ class AtomStatus(Enum):
 
 
 @dataclass(frozen=True)
-class SearchBudget:
-    """Node-expansion allowance for one atom search; None means unlimited."""
-
-    max_nodes: int | None = DEFAULT_MAX_NODES
-
-
-@dataclass(frozen=True)
 class AtomVerdict:
     status: AtomStatus
     region: Region | None
@@ -82,14 +75,6 @@ class SeparationReport:
     witness_atom: tuple[str, str] | None
     regions: list[Region] = field(default_factory=list)
     stats: SearchStats = field(default_factory=SearchStats)
-
-
-def _coerce_budget(budget: SearchBudget | int | None) -> int | None:
-    if budget is None:
-        return DEFAULT_MAX_NODES
-    if isinstance(budget, SearchBudget):
-        return budget.max_nodes
-    return int(budget)
 
 
 # ---------------------------------------------------------------------------
@@ -193,13 +178,6 @@ class _AtomSearch:
                 self._enqueue(k)
         return True
 
-    def _value(self, x: int) -> int | None:
-        r, p = self._find(x)
-        rz, pz = self._find(self.zero)
-        if r != rz:
-            return None
-        return p ^ pz
-
     def _set_dom(self, ei: int, mask: int) -> None:
         self.trail.append(("dom", ei, self.dom[ei]))
         self.dom[ei] = mask
@@ -233,10 +211,11 @@ class _AtomSearch:
         mask = self.dom[ei]
         if mask == 0:
             return False
-        va = self._value(si)
-        vb = self._value(ti)
         ra, pa = self._find(si)
         rb, pb = self._find(ti)
+        rz, pz = self._find(self.zero)
+        va = (pa ^ pz) if ra == rz else None
+        vb = (pb ^ pz) if rb == rz else None
         rel = (pa ^ pb) if ra == rb else None
         new_mask = 0
         xs = 0  # feasible source-support values, as a 2-bit set
@@ -295,16 +274,17 @@ class _AtomSearch:
 
     def _build_region(self) -> Region:
         support: dict[str, int] = {}
+        rz, pz = self._find(self.zero)
         for k, name in enumerate(self.ts.states):
-            v = self._value(k)
-            if v is None:
+            r, p = self._find(k)
+            if r != rz:
                 # cannot happen: the initial state is pinned and every other
                 # state has an incoming edge whose singleton interaction
                 # forces its value or its parity to the source
                 raise InternalCheckFailed(
                     f"state {name!r} left unvalued at a search leaf"
                 )
-            support[name] = v
+            support[name] = p ^ pz
         signature: dict[str, Interaction] = {}
         for ei, name in enumerate(self.ts.events):
             mask = self.dom[ei]
@@ -313,31 +293,43 @@ class _AtomSearch:
         return Region(support=support, signature=signature)
 
     def _expand(self) -> Region | None:
-        if self.max_nodes is not None and self.expanded >= self.max_nodes:
-            raise _Exhausted
-        self.expanded += 1
-        branch_ei = -1
-        for ei in self.order:
-            if self.dom[ei] & (self.dom[ei] - 1):
-                branch_ei = ei
-                break
-        if branch_ei < 0:
-            return self._build_region()
-        dom = self.dom[branch_ei]
-        for bit in self.tau_bits:
-            low = 1 << bit
-            if not dom & low:
-                continue
-            mark = len(self.trail)
-            self._set_dom(branch_ei, low)
-            for k in self.event_edges[branch_ei]:
-                self._enqueue(k)
-            if self._propagate():
-                found = self._expand()
-                if found is not None:
-                    return found
-            self._rollback(mark)
-        return None
+        """Depth-first search from the current, propagated state.
+
+        The stack holds one frame per open node: the event it branches on,
+        the interaction bits not yet tried there, and the trail mark taken
+        on entering it.  Children are tried in ascending bit order, and the
+        trail is rolled back to the mark before each child and before the
+        frame is dropped, so depth costs heap, not Python frames.
+        """
+        stack: list[tuple[int, int, int]] = []
+        while True:
+            # entering a node
+            if self.max_nodes is not None and self.expanded >= self.max_nodes:
+                raise _Exhausted
+            self.expanded += 1
+            branch_ei = -1
+            for ei in self.order:
+                if self.dom[ei] & (self.dom[ei] - 1):
+                    branch_ei = ei
+                    break
+            if branch_ei < 0:
+                return self._build_region()
+            stack.append((branch_ei, self.dom[branch_ei], len(self.trail)))
+            # find the next child that propagates, backtracking as needed
+            while stack:
+                ei, untried, mark = stack.pop()
+                self._rollback(mark)
+                if not untried:
+                    continue
+                low = untried & -untried
+                stack.append((ei, untried ^ low, mark))
+                self._set_dom(ei, low)
+                for k in self.event_edges[ei]:
+                    self._enqueue(k)
+                if self._propagate():
+                    break
+            else:
+                return None
 
     def run(self) -> tuple[Region | None, bool]:
         """Returns (region-or-None, exhausted-flag)."""
@@ -365,10 +357,11 @@ def solve_atom(
     ts: TransitionSystem,
     tau: frozenset[Interaction],
     atom: tuple[str, str],
-    budget: SearchBudget | int | None = None,
+    budget: int | None = DEFAULT_MAX_NODES,
 ) -> AtomVerdict:
     """Search for a tau-region separating ``atom``.
 
+    ``budget`` caps the search nodes expanded; None means unlimited.
     Returns SOLVED with a validated region, UNSOLVABLE after exhausting the
     search space, or EXHAUSTED when the node budget ran out first; ``nodes``
     reports expansions spent either way.
@@ -376,7 +369,7 @@ def solve_atom(
     a, b = atom
     if a == b or a not in ts.states or b not in ts.states:
         raise InvalidAtom(f"atom must be two distinct states: {atom!r}")
-    search = _AtomSearch(ts, tau, atom, _coerce_budget(budget))
+    search = _AtomSearch(ts, tau, atom, budget)
     region, exhausted = search.run()
     if region is not None:
         if not is_region(ts, tau, region) or not region.solves(atom):
@@ -390,19 +383,19 @@ def solve_atom(
 def decide_ssp(
     ts: TransitionSystem,
     tau: frozenset[Interaction],
-    budget: SearchBudget | int | None = None,
+    budget: int | None = DEFAULT_MAX_NODES,
 ) -> SeparationReport:
     """Decide whether every pair of distinct states is separable.
 
     Atoms are visited in sorted order.  An atom that a region found earlier
     already separates needs no search; any other atom gets a ``solve_atom``
-    search, and the region it finds joins ``report.regions``.  The sweep
+    search under the node cap ``budget`` (None: unlimited), and the region
+    it finds joins ``report.regions``.  The sweep
     stops at the first provably unsolvable atom, the witness.  If a search
     ran out of budget and no atom was unsolvable, the decision is UNKNOWN
     and no regions are reported.
     """
     t0 = time.perf_counter()
-    max_nodes = _coerce_budget(budget)
     report = SeparationReport(decision=Decision.HAS_SSP, witness_atom=None)
     stats = report.stats
     exhausted_any = False
@@ -410,7 +403,7 @@ def decide_ssp(
         stats.atoms_checked += 1
         if any(r.solves(atom) for r in report.regions):
             continue
-        verdict = solve_atom(ts, tau, atom, max_nodes)
+        verdict = solve_atom(ts, tau, atom, budget)
         stats.nodes_expanded += verdict.nodes
         if verdict.status is AtomStatus.SOLVED:
             report.regions.append(verdict.region)
@@ -481,40 +474,11 @@ def brute_force_supports(
     ts: TransitionSystem,
     tau: frozenset[Interaction],
     cap: int = 16,
-    normalized: bool = False,
 ) -> set[tuple[int, ...]]:
-    """Supports (as bit tuples over sorted states) admitting a tau-region.
-
-    With ``normalized`` the signature is restricted to normalized form:
-    events whose edges all preserve the support must take ``nop`` (so the
-    type must contain it), every other event some value-changing member.
-    """
-    if normalized and Interaction.NOP not in tau:
-        from .core import NopNotInType
-
-        raise NopNotInType("normalized supports need the identity available")
+    """Supports (as bit tuples over sorted states) admitting a tau-region."""
     found: set[tuple[int, ...]] = set()
     for bit_of in _support_masks(ts, cap):
-        ok = True
-        for e in ts.events:
-            choices = _feasible_interactions(ts, tau, e, bit_of)
-            if normalized:
-                preserving = all(
-                    bit_of[s] == bit_of[t] for s, _, t in ts.edges_of_event(e)
-                )
-                if preserving:
-                    choices = [i for i in choices if i is Interaction.NOP]
-                else:
-                    choices = [
-                        i
-                        for i in choices
-                        if i
-                        not in (Interaction.NOP, Interaction.USED, Interaction.FREE)
-                    ]
-            if not choices:
-                ok = False
-                break
-        if ok:
+        if all(_feasible_interactions(ts, tau, e, bit_of) for e in ts.events):
             found.add(tuple(bit_of[s] for s in ts.states))
     return found
 

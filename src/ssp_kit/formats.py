@@ -9,19 +9,16 @@ round-trips are identities on the canonical form.
 from __future__ import annotations
 
 import json
-from typing import Mapping
 
 from .core import (
     INTERACTION_BY_NAME,
-    INTERACTION_ORDER,
     Interaction,
     Region,
     SspKitError,
     TransitionSystem,
-    type_name,
     validate_ts,
 )
-from .engine import Decision, SeparationReport
+from .engine import SeparationReport
 from .reductions import CmFormula, cm_validate
 
 
@@ -89,10 +86,6 @@ def parse_type_spec(spec: str) -> frozenset[Interaction]:
     return frozenset(out)
 
 
-def format_type_spec(tau: frozenset[Interaction]) -> str:
-    return type_name(tau)
-
-
 def parse_formula_text(text: str) -> CmFormula:
     clauses: list[tuple[str, ...]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -126,16 +119,6 @@ def region_to_dict(region: Region) -> dict:
             e: i.value for e, i in sorted(region.signature.items())
         },
     }
-
-
-def region_from_dict(payload: Mapping) -> Region:
-    support = {str(s): int(v) for s, v in payload["support"].items()}
-    signature = {}
-    for e, name in payload["signature"].items():
-        if name not in INTERACTION_BY_NAME:
-            raise UnknownInteractionName(f"unknown interaction {name!r}")
-        signature[str(e)] = INTERACTION_BY_NAME[name]
-    return Region(support=support, signature=signature)
 
 
 def report_to_dict(report: SeparationReport) -> dict:

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .core import (
     InternalCheckFailed,

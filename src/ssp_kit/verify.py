@@ -11,11 +11,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import permutations, product
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .classify import (
     ROW_SIZES,
-    Complexity,
     classify_type,
     enumerate_types,
     flip_type,
@@ -23,7 +22,6 @@ from .classify import (
 )
 from .core import (
     Interaction,
-    Region,
     TransitionSystem,
     is_normalized,
     is_region,
@@ -34,16 +32,13 @@ from .core import (
 from .engine import (
     Decision,
     brute_force_decide,
-    brute_force_regions,
     decide_ssp,
     embedding_certificate,
     fast_path_swap_core,
 )
 from .reductions import (
-    ExtensionKind,
     cm_oracle,
     example_formula,
-    extend,
     gen_nop_inp,
     gen_nop_inp_witness,
     unsat_formula_m4,

@@ -29,7 +29,6 @@ from ssp_kit.core import (
 from ssp_kit.engine import (
     AtomStatus,
     Decision,
-    SearchBudget,
     brute_force_decide,
     brute_force_supports,
     decide_ssp,
@@ -197,7 +196,6 @@ def test_criterion_4_engine_matches_oracle():
     """Search engine agrees with the exhaustive oracle on small systems."""
     gate = Gate(4, 120.0)
     rng = random.Random(SEED)
-    unlimited = SearchBudget(max_nodes=None)
 
     family = enumerate_small_ts(4, 3, table_budget=5000)
     gate.check(len(family) == 536, f"family size {len(family)}")
@@ -205,7 +203,7 @@ def test_criterion_4_engine_matches_oracle():
     checked = 0
     for ts in family:
         for tau in sampled:
-            got = decide_ssp(ts, tau, unlimited).decision
+            got = decide_ssp(ts, tau, budget=None).decision
             want = brute_force_decide(ts, tau).decision
             checked += 1
             if got is not want:
@@ -219,7 +217,7 @@ def test_criterion_4_engine_matches_oracle():
     for _ in range(200):
         ts = random_ts(rng, max_states=6, max_events=3)
         for tau in rand_types:
-            got = decide_ssp(ts, tau, unlimited).decision
+            got = decide_ssp(ts, tau, budget=None).decision
             want = brute_force_decide(ts, tau).decision
             checked += 1
             if got is not want:
@@ -304,18 +302,18 @@ def test_criterion_6_extension_equivalences():
         back = extend(ts, ExtensionKind.BACKWARD)
         full = extend(ts, ExtensionKind.LOOP)
         oneway = extend(ts, ExtensionKind.ONEWAY_LOOP)
-        sa = set(brute_force_supports(ts, a_type, normalized=True))
+        sa = set(brute_force_supports(ts, a_type))
         gate.check(
-            sa == set(brute_force_supports(back, b_type, normalized=True)),
+            sa == set(brute_force_supports(back, b_type)),
             f"backward support sets differ on instance {idx}",
         )
         gate.check(
-            sa == set(brute_force_supports(full, d_type, normalized=True)),
+            sa == set(brute_force_supports(full, d_type)),
             f"loop support sets differ on instance {idx}",
         )
-        sa2 = set(brute_force_supports(ts, a2_type, normalized=True))
+        sa2 = set(brute_force_supports(ts, a2_type))
         gate.check(
-            sa2 == set(brute_force_supports(oneway, c_type, normalized=True)),
+            sa2 == set(brute_force_supports(oneway, c_type)),
             f"oneway-loop support sets differ on instance {idx}",
         )
     gate.finish("100 decision trials, 20 support-level trials")

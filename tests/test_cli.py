@@ -12,7 +12,6 @@ from ssp_kit.cli import (
     EXIT_USAGE,
     main,
 )
-from ssp_kit.core import validate_ts
 from ssp_kit.formats import (
     TsParseError,
     TypeSpecError,
@@ -164,6 +163,21 @@ class TestSolveAtomCommand:
         out = capsys.readouterr().out
         assert code == EXIT_SEPARATED
         assert "solved" in out
+
+    def test_deep_star(self, ts_file, capsys):
+        star = "initial c\n" + "".join(f"c e{i} l{i}\n" for i in range(1500))
+        code = main(
+            [
+                "solve-atom",
+                "--type",
+                "nop,inp,out,res,set,swap,used,free",
+                "--atom",
+                "c,l0",
+                ts_file(star),
+            ]
+        )
+        assert code == EXIT_SEPARATED
+        assert "solved" in capsys.readouterr().out
 
     def test_unknown_atom_state(self, ts_file):
         code = main(

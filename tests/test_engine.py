@@ -10,11 +10,9 @@ from ssp_kit.engine import (
     Decision,
     InvalidAtom,
     OracleCapExceeded,
-    SearchBudget,
     WrongTypeFamily,
     brute_force_decide,
     brute_force_regions,
-    brute_force_supports,
     decide_ssp,
     embedding_certificate,
     fast_path_swap_core,
@@ -54,12 +52,11 @@ class TestSolveAtom:
         assert verdict.status is AtomStatus.EXHAUSTED
         assert verdict.nodes == 0
 
-    def test_budget_object(self):
+    def test_unlimited_budget(self):
         ts = fixture_parallel_pair()
-        verdict = solve_atom(
-            ts, NOP_INP, ("r0", "r1"), budget=SearchBudget(max_nodes=None)
-        )
+        verdict = solve_atom(ts, NOP_INP, ("r0", "r1"), budget=None)
         assert verdict.status is AtomStatus.SOLVED
+        assert verdict.nodes > 0
 
     def test_invalid_atom(self):
         ts = fixture_parallel_pair()
@@ -72,6 +69,17 @@ class TestSolveAtom:
         ts = fixture_parallel_pair()
         verdict = solve_atom(ts, frozenset(), ("r0", "r1"))
         assert verdict.status is AtomStatus.UNSOLVABLE
+
+    @pytest.mark.parametrize("leaves", [1500, 5000])
+    def test_deep_star(self, leaves):
+        # each leaf event is branched on at its own level, so the search
+        # runs far deeper than Python's default recursion limit
+        star = validate_ts(
+            [("c", f"e{i}", f"l{i}") for i in range(leaves)], "c"
+        )
+        verdict = solve_atom(star, frozenset(Interaction), ("c", "l0"))
+        assert verdict.status is AtomStatus.SOLVED
+        assert verdict.nodes == leaves + 1
 
 
 class TestDecideSsp:
@@ -158,17 +166,6 @@ class TestBruteForce:
         with pytest.raises(OracleCapExceeded):
             brute_force_regions(big, NOP_INP)
 
-    def test_supports_plain_and_normalized_agree_with_identity(self):
-        # with the identity present, a support admits a region exactly when
-        # it admits a normalized one
-        rng = random.Random(7)
-        for _ in range(40):
-            ts = random_ts(rng, max_states=5, max_events=3)
-            tau = random_type(rng) | {I.NOP}
-            assert brute_force_supports(ts, tau) == brute_force_supports(
-                ts, tau, normalized=True
-            )
-
     def test_decide_agrees_with_engine(self):
         rng = random.Random(31337)
         for _ in range(60):
@@ -195,6 +192,23 @@ def test_sweep_matches_oracle(ts, mask):
     assert got.witness_atom == want.witness_atom
     assert all(is_region(ts, tau, r) for r in got.regions)
     assert len({r.key() for r in got.regions}) == len(got.regions)
+
+
+SWAP_FAMILY = [
+    type_of(I.SWAP, *extra) for extra in ((), (I.INP,), (I.OUT,), (I.INP, I.OUT))
+]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(small_systems)
+def test_swap_fast_path_matches_oracle(ts):
+    for tau in SWAP_FAMILY:
+        got = fast_path_swap_core(ts, tau)
+        want = brute_force_decide(ts, tau)
+        assert got.decision is want.decision
+        if got.witness_atom is not None:
+            verdict = solve_atom(ts, tau, got.witness_atom)
+            assert verdict.status is AtomStatus.UNSOLVABLE
 
 
 class TestFastPath:

@@ -11,7 +11,6 @@ from ssp_kit.core import (
 )
 from ssp_kit.engine import (
     AtomStatus,
-    Decision,
     decide_ssp,
     embedding_certificate,
     solve_atom,
@@ -42,7 +41,6 @@ from ssp_kit.reductions import (
     nop_free_gadget_facts,
     prime_formula,
     substitute_free_res,
-    unsat_formula_m4,
 )
 from ssp_kit.verify import random_loopfree_safe_ts
 
