@@ -18,6 +18,7 @@ from .core import (
     InternalCheckFailed,
     Interaction,
     Region,
+    type_mask,  # re-exported; it lives in core
     type_name,
 )
 
@@ -78,22 +79,10 @@ class Classification:
 
 def enumerate_types() -> tuple[frozenset[Interaction], ...]:
     """All 256 Boolean types, ordered by bitmask over the canonical order."""
-    out = []
-    for mask in range(256):
-        out.append(
-            frozenset(
-                INTERACTION_ORDER[b] for b in range(8) if mask & (1 << b)
-            )
-        )
-    return tuple(out)
-
-
-def type_mask(tau: frozenset[Interaction]) -> int:
-    mask = 0
-    for b, i in enumerate(INTERACTION_ORDER):
-        if i in tau:
-            mask |= 1 << b
-    return mask
+    return tuple(
+        frozenset(i for b, i in enumerate(INTERACTION_ORDER) if mask >> b & 1)
+        for mask in range(256)
+    )
 
 
 # ---------------------------------------------------------------------------

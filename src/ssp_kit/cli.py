@@ -51,6 +51,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _budget(text: str) -> int:
+    """A node budget: an integer >= 0, in decimal digits."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"not an integer >= 0: {text!r}")
+    return int(text)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ssp-kit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -62,7 +69,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("check-ssp", help="decide separation for a system file")
     p.add_argument("file")
     p.add_argument("--type", required=True, dest="type_spec")
-    p.add_argument("--budget", type=int, default=DEFAULT_MAX_NODES,
+    p.add_argument("--budget", type=_budget, default=DEFAULT_MAX_NODES,
                    help="node budget per pair")
     p.add_argument("--json", action="store_true")
 
@@ -70,7 +77,7 @@ def _build_parser() -> _Parser:
     p.add_argument("file")
     p.add_argument("--type", required=True, dest="type_spec")
     p.add_argument("--atom", required=True, help="'<state>,<state>'")
-    p.add_argument("--budget", type=int, default=DEFAULT_MAX_NODES)
+    p.add_argument("--budget", type=_budget, default=DEFAULT_MAX_NODES)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("gen", help="generate a hardness instance")

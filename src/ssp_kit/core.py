@@ -136,6 +136,12 @@ INTERACTION_ORDER: tuple[Interaction, ...] = (
 
 INTERACTION_BY_NAME: dict[str, Interaction] = {i.value: i for i in Interaction}
 
+
+def type_mask(tau: frozenset[Interaction]) -> int:
+    """The type as 8 bits: bit b set iff ``INTERACTION_ORDER[b]`` is in it."""
+    return sum(1 << b for b, i in enumerate(INTERACTION_ORDER) if i in tau)
+
+
 def type_of(*interactions: Interaction) -> frozenset[Interaction]:
     return frozenset(interactions)
 

@@ -26,6 +26,7 @@ from .core import (
     SspKitError,
     TransitionSystem,
     is_region,
+    type_mask,
 )
 
 DEFAULT_MAX_NODES = 10_000_000
@@ -80,9 +81,36 @@ class SeparationReport:
 # ---------------------------------------------------------------------------
 # the backtracking search
 
-_APPLY_ID: tuple[tuple[int | None, int | None], ...] = tuple(
-    (i.apply(0), i.apply(1)) for i in INTERACTION_ORDER
-)
+# Propagation tables.  The support pair (x, y) of an edge, source value x
+# and target value y, is one of four cells, bit 2x+y; interaction bit b of a
+# type mask can carry the edge iff its step x -> apply(x) is an allowed cell.
+
+#: The cells with a known source value, target value or parity, by value.
+_SOURCE_IS = (0b0011, 0b1100)
+_TARGET_IS = (0b0101, 0b1010)
+_PARITY_IS = (0b1001, 0b0110)
+
+_CELLS = [
+    sum(1 << (2 * x + i.apply(x)) for x in (0, 1) if i.defined_at(x))
+    for i in INTERACTION_ORDER
+]
+#: _STEPS[mask]: the cells some interaction in ``mask`` steps through.
+_STEPS = [0]
+for _cells in _CELLS:  # the masks with the next bit set add its cells
+    _STEPS += [steps | _cells for steps in _STEPS]
+#: _KEEPS[cells]: the interactions with a step in ``cells``.
+_KEEPS = [
+    sum(1 << b for b, c in enumerate(_CELLS) if c & cells) for cells in range(16)
+]
+#: _PROJ[cells]: the source values, target values and parities source^target
+#: of ``cells``, each as a 2-bit set.
+_PROJ = [
+    tuple(
+        sum(1 << v for v in (0, 1) if cells & is_value[v])
+        for is_value in (_SOURCE_IS, _TARGET_IS, _PARITY_IS)
+    )
+    for cells in range(16)
+]
 
 
 class _Exhausted(Exception):
@@ -95,7 +123,9 @@ class _AtomSearch:
     States are variables over {0,1} kept in a parity union-find against a
     virtual constant-0 node; events are variables over subsets of the type,
     kept as bitmasks.  Arc consistency per edge plus chronological
-    backtracking over event signatures.
+    backtracking over event signatures.  Propagating an edge reads the step
+    tables above: the cells its known values and parity allow select the
+    interactions kept and the values and parity forced.
     """
 
     def __init__(
@@ -122,10 +152,7 @@ class _AtomSearch:
             self.state_edges[si].append(k)
             if ti != si:
                 self.state_edges[ti].append(k)
-        self.tau_bits = [
-            b for b, i in enumerate(INTERACTION_ORDER) if i in tau
-        ]
-        self.full_mask = sum(1 << b for b in self.tau_bits)
+        self.full_mask = type_mask(tau)
         # branch on busy events first; ties broken by name for determinism
         self.order = sorted(
             range(ne),
@@ -142,7 +169,6 @@ class _AtomSearch:
         n1 = self.n + 1
         self.parent = list(range(n1))
         self.par = [0] * n1
-        self.size = [1] * n1
         self.members: list[list[int]] = [[k] for k in range(n1)]
         self.dom = [self.full_mask] * len(self.event_edges)
         self.trail: list[tuple] = []
@@ -164,12 +190,11 @@ class _AtomSearch:
         want = parity ^ px ^ py
         if rx == ry:
             return want == 0
-        if self.size[rx] < self.size[ry]:
+        if len(self.members[rx]) < len(self.members[ry]):
             rx, ry = ry, rx
         self.trail.append(("uf", ry, rx))
         self.parent[ry] = rx
         self.par[ry] = want
-        self.size[rx] += self.size[ry]
         self.members[rx].extend(self.members[ry])
         # edges touching the smaller class may now see a value or a parity;
         # the virtual zero node has no incident edges
@@ -191,7 +216,6 @@ class _AtomSearch:
             else:
                 _, ry, rx = entry
                 self.parent[ry] = ry
-                self.size[rx] -= self.size[ry]
                 del self.members[rx][-len(self.members[ry]):]
 
     # -- propagation
@@ -209,40 +233,15 @@ class _AtomSearch:
     def _revise(self, k: int) -> bool:
         si, ei, ti = self.edges[k]
         mask = self.dom[ei]
-        if mask == 0:
-            return False
         ra, pa = self._find(si)
         rb, pb = self._find(ti)
         rz, pz = self._find(self.zero)
-        va = (pa ^ pz) if ra == rz else None
-        vb = (pb ^ pz) if rb == rz else None
-        rel = (pa ^ pb) if ra == rb else None
-        new_mask = 0
-        xs = 0  # feasible source-support values, as a 2-bit set
-        ys = 0
-        ps = 0  # feasible parities source^target
-        m = mask
-        while m:
-            low = m & -m
-            m ^= low
-            bit = low.bit_length() - 1
-            on0, on1 = _APPLY_ID[bit]
-            ok = False
-            for x, y in ((0, on0), (1, on1)):
-                if y is None:
-                    continue
-                if va is not None and x != va:
-                    continue
-                if vb is not None and y != vb:
-                    continue
-                if rel is not None and (x ^ y) != rel:
-                    continue
-                ok = True
-                xs |= 1 << x
-                ys |= 1 << y
-                ps |= 1 << (x ^ y)
-            if ok:
-                new_mask |= low
+        allowed = (
+            (_SOURCE_IS[pa ^ pz] if ra == rz else 15)
+            & (_TARGET_IS[pb ^ pz] if rb == rz else 15)
+            & (_PARITY_IS[pa ^ pb] if ra == rb else 15)
+        )
+        new_mask = mask & _KEEPS[allowed]
         if new_mask == 0:
             return False
         if new_mask != mask:
@@ -250,15 +249,14 @@ class _AtomSearch:
             for k2 in self.event_edges[ei]:
                 if k2 != k:
                     self._enqueue(k2)
-        if va is None and xs in (1, 2):
-            if not self._union(si, self.zero, xs >> 1):
-                return False
-        if vb is None and ys in (1, 2):
-            if not self._union(ti, self.zero, ys >> 1):
-                return False
-        if rel is None and ps in (1, 2):
-            if not self._union(si, ti, ps >> 1):
-                return False
+        # the source values, target values and parities still feasible
+        xs, ys, ps = _PROJ[_STEPS[new_mask] & allowed]
+        if ra != rz and xs in (1, 2) and not self._union(si, self.zero, xs >> 1):
+            return False
+        if rb != rz and ys in (1, 2) and not self._union(ti, self.zero, ys >> 1):
+            return False
+        if ra != rb and ps in (1, 2) and not self._union(si, ti, ps >> 1):
+            return False
         return True
 
     def _propagate(self) -> bool:
@@ -430,13 +428,11 @@ def _feasible_interactions(
     event: str,
     bit_of: Mapping[str, int],
 ) -> list[Interaction]:
-    out = []
-    for i in INTERACTION_ORDER:
-        if i not in tau:
-            continue
-        if all(i.apply(bit_of[s]) == bit_of[t] for s, _, t in ts.edges_of_event(event)):
-            out.append(i)
-    return out
+    edges = ts.edges_of_event(event)
+    return [
+        i for i in INTERACTION_ORDER
+        if i in tau and all(i.apply(bit_of[s]) == bit_of[t] for s, _, t in edges)
+    ]
 
 
 def _support_masks(ts: TransitionSystem, cap: int) -> Iterable[dict[str, int]]:

@@ -289,3 +289,16 @@ class TestUsageErrors:
 
     def test_check_ssp_requires_type(self, ts_file):
         assert main(["check-ssp", ts_file(CYCLE)]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("budget", ["-1", "ten"])
+    @pytest.mark.parametrize(
+        "command", [["check-ssp"], ["solve-atom", "--atom", "r0,r1"]]
+    )
+    def test_budget_must_be_a_count(self, ts_file, capsys, command, budget):
+        code = main(
+            [*command, "--type", "nop,inp", "--budget", budget, ts_file(FORK)]
+        )
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: argument --budget")

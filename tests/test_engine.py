@@ -1,10 +1,18 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ssp_kit.classify import enumerate_types
-from ssp_kit.core import Interaction, Region, is_region, type_of, validate_ts
+from ssp_kit.core import (
+    INTERACTION_ORDER,
+    Interaction,
+    Region,
+    is_region,
+    type_of,
+    validate_ts,
+)
 from ssp_kit.engine import (
     AtomStatus,
     Decision,
@@ -17,6 +25,16 @@ from ssp_kit.engine import (
     embedding_certificate,
     fast_path_swap_core,
     solve_atom,
+)
+# the propagation tables and the search, for the white-box tests at the end
+from ssp_kit.engine import (
+    _KEEPS,
+    _PARITY_IS,
+    _PROJ,
+    _SOURCE_IS,
+    _STEPS,
+    _TARGET_IS,
+    _AtomSearch,
 )
 from ssp_kit.reductions import example_formula, gen_nop_inp, unsat_formula_m4
 from ssp_kit.verify import (
@@ -261,3 +279,77 @@ class TestEmbeddingCertificate:
         cert = embedding_certificate(ts, [same])
         assert not cert.injective
         assert cert.vectors["r0"] == cert.vectors["r1"] == (1,)
+
+
+def reference_revise(mask, source, target, parity):
+    """The per-interaction loop that the propagation tables replace.
+
+    Keeps the interactions of ``mask`` with a step x -> apply(x) that fits
+    the known source value, target value and parity (None: unknown), and
+    collects the values and parities of those steps as 2-bit sets.
+    """
+    kept = xs = ys = ps = 0
+    for bit, interaction in enumerate(INTERACTION_ORDER):
+        if not mask >> bit & 1:
+            continue
+        for x in (0, 1):
+            y = interaction.apply(x)
+            if y is None or source not in (None, x) or target not in (None, y):
+                continue
+            if parity not in (None, x ^ y):
+                continue
+            kept |= 1 << bit
+            xs |= 1 << x
+            ys |= 1 << y
+            ps |= 1 << (x ^ y)
+    return kept, xs, ys, ps
+
+
+KNOWLEDGE = list(product((0, 1, None), repeat=3))
+
+
+class TestPropagationTables:
+    def test_tables_match_the_reference_loop(self):
+        for mask, (source, target, parity) in product(range(256), KNOWLEDGE):
+            allowed = 15
+            for value, is_value in (
+                (source, _SOURCE_IS), (target, _TARGET_IS), (parity, _PARITY_IS)
+            ):
+                if value is not None:
+                    allowed &= is_value[value]
+            kept = mask & _KEEPS[allowed]
+            got = (kept, *_PROJ[_STEPS[kept] & allowed])
+            assert got == reference_revise(mask, source, target, parity), (
+                mask, source, target, parity
+            )
+
+    def test_revise_matches_the_reference_loop(self):
+        # one edge a -e-> b; the union-find can know the source value, the
+        # target value, the parity, or all three at once
+        edge = validate_ts([("a", "e", "b")], "a")
+        types = enumerate_types()
+        for mask, (source, target, parity) in product(range(256), KNOWLEDGE):
+            known = 3 - (source, target, parity).count(None)
+            if known == 2 or (known == 3 and source ^ target != parity):
+                continue
+            search = _AtomSearch(edge, types[mask], ("a", "b"), None)
+            search._reset()
+            zero = search.zero
+            if source is not None:
+                search._union(0, zero, source)
+            if target is not None:
+                search._union(1, zero, target)
+            if known == 1 and parity is not None:
+                search._union(0, 1, parity)
+
+            def value(u, v):
+                ru, pu = search._find(u)
+                rv, pv = search._find(v)
+                return pu ^ pv if ru == rv else None
+
+            kept, xs, ys, ps = reference_revise(mask, source, target, parity)
+            assert search._revise(0) == (kept != 0)
+            if kept:
+                forced = [s >> 1 if s in (1, 2) else None for s in (xs, ys, ps)]
+                assert search.dom[0] == kept
+                assert [value(0, zero), value(1, zero), value(0, 1)] == forced
