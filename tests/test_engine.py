@@ -36,7 +36,12 @@ from ssp_kit.engine import (
     _TARGET_IS,
     _AtomSearch,
 )
-from ssp_kit.reductions import example_formula, gen_nop_inp, unsat_formula_m4
+from ssp_kit.reductions import (
+    example_formula,
+    gen_nop_free,
+    gen_nop_inp,
+    unsat_formula_m4,
+)
 from ssp_kit.verify import (
     fixture_event_cycle,
     fixture_parallel_pair,
@@ -151,6 +156,37 @@ class TestDecideSsp:
             report.stats.nodes_expanded,
             len(report.regions),
         ) == expected
+
+    @pytest.mark.parametrize(
+        "budget, nodes", [(5, 1439), (10, 662)]
+    )
+    def test_budget_accounting_is_pinned(self, budget, nodes):
+        # some atoms exhaust the cap and others are solved within it, so
+        # the nodes spent show how _expand counts against the budget
+        report = decide_ssp(
+            gen_nop_inp(example_formula()).ts, NOP_INP, budget=budget
+        )
+        assert (
+            report.decision,
+            report.witness_atom,
+            report.stats.atoms_checked,
+            report.stats.nodes_expanded,
+            len(report.regions),
+        ) == (Decision.UNKNOWN, None, 990, nodes, 0)
+
+    @pytest.mark.slow
+    def test_nop_free_sweep_is_pinned(self):
+        # the 753-state {swap, free} sweep: 47489 atoms, 194 of them searched
+        report = decide_ssp(
+            gen_nop_free(unsat_formula_m4()).ts, type_of(I.SWAP, I.FREE)
+        )
+        assert (
+            report.decision,
+            report.witness_atom,
+            report.stats.atoms_checked,
+            report.stats.nodes_expanded,
+            len(report.regions),
+        ) == (Decision.LACKS_SSP, ("f_0_2", "f_0_4"), 47489, 57426, 193)
 
     def test_report_region_vectors_separate_all_atoms(self):
         ts = validate_ts(
