@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 
 class SspKitError(Exception):
@@ -159,12 +159,61 @@ _IDENT_RE = re.compile(r"[A-Za-z0-9_.'-]+\Z")
 Edge = tuple[str, str, str]
 
 
+class SystemIndex(NamedTuple):
+    """The integer form of a system that the separation search works on.
+
+    States and events are numbered by their position in the sorted
+    ``states`` and ``events``.  Nothing in it depends on a type, so one
+    index serves every search on the system.
+    """
+
+    #: state name -> state id
+    sidx: dict[str, int]
+    #: (source id, event id, target id) per edge, grouped by event
+    edges: tuple[tuple[int, int, int], ...]
+    #: edge ids per event id
+    event_edges: tuple[tuple[int, ...], ...]
+    #: edge ids per state id (a loop once), plus one empty entry for the
+    #: extra node the search adds after the states
+    state_edges: tuple[tuple[int, ...], ...]
+    #: event ids in branching order: busiest first, ties by name
+    order: tuple[int, ...]
+
+
+def _build_index(ts: TransitionSystem) -> SystemIndex:
+    sidx = {s: k for k, s in enumerate(ts.states)}
+    edges = tuple(
+        (sidx[s], ei, sidx[t])
+        for ei, e in enumerate(ts.events)
+        for (s, _, t) in ts.edges_of_event(e)
+    )
+    event_edges: list[list[int]] = [[] for _ in ts.events]
+    state_edges: list[list[int]] = [[] for _ in range(len(ts.states) + 1)]
+    for k, (si, ei, ti) in enumerate(edges):
+        event_edges[ei].append(k)
+        state_edges[si].append(k)
+        if ti != si:
+            state_edges[ti].append(k)
+    order = sorted(
+        range(len(ts.events)),
+        key=lambda ei: (-len(event_edges[ei]), ts.events[ei]),
+    )
+    return SystemIndex(
+        sidx=sidx,
+        edges=edges,
+        event_edges=tuple(map(tuple, event_edges)),
+        state_edges=tuple(map(tuple, state_edges)),
+        order=tuple(order),
+    )
+
+
 class TransitionSystem:
     """A finite, deterministic, initialized, fully reachable labeled system.
 
     Instances are produced by :func:`validate_ts`; state and event names are
     plain strings, edges are (source, event, target) triples.  Equality and
-    hashing go by content, so regenerating a system yields an equal one.
+    hashing go by content, so regenerating a system yields an equal one; the
+    cached :meth:`index` takes no part in either.
     """
 
     __slots__ = (
@@ -177,6 +226,7 @@ class TransitionSystem:
         "_delta",
         "_out",
         "_by_event",
+        "_index",
     )
 
     def __init__(
@@ -200,6 +250,7 @@ class TransitionSystem:
         self._delta = delta
         self._out = out
         self._by_event = by_event
+        self._index: SystemIndex | None = None
 
     def delta(self, state: str, event: str) -> str | None:
         """Target of the ``event``-edge out of ``state``, or None."""
@@ -210,6 +261,12 @@ class TransitionSystem:
 
     def edges_of_event(self, event: str) -> tuple[Edge, ...]:
         return self._by_event.get(event, ())
+
+    def index(self) -> SystemIndex:
+        """The integer form of the system, built on first use and kept."""
+        if self._index is None:
+            self._index = _build_index(self)
+        return self._index
 
     def atoms(self) -> Iterator[tuple[str, str]]:
         """All unordered state pairs, each as a sorted tuple, in sorted order."""

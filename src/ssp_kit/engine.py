@@ -15,7 +15,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import product
+from itertools import combinations, product
 from typing import Iterable, Mapping, Sequence
 
 from .core import (
@@ -66,6 +66,7 @@ class AtomVerdict:
 @dataclass
 class SearchStats:
     atoms_checked: int = 0
+    atoms_searched: int = 0
     nodes_expanded: int = 0
     wall_ms: float = 0.0
 
@@ -118,14 +119,17 @@ class _Exhausted(Exception):
 
 
 class _AtomSearch:
-    """One atom, one system, one type; integer-indexed working state.
+    """One search for a region separating an atom under one type.
 
-    States are variables over {0,1} kept in a parity union-find against a
-    virtual constant-0 node; events are variables over subsets of the type,
-    kept as bitmasks.  Arc consistency per edge plus chronological
-    backtracking over event signatures.  Propagating an edge reads the step
-    tables above: the cells its known values and parity allow select the
-    interactions kept and the values and parity forced.
+    The system's integer index (:meth:`TransitionSystem.index`) is built
+    once per system and shared by every search on it; the working state
+    below is the search's own.  States are variables over {0,1} kept in a
+    parity union-find against a virtual constant-0 node; events are
+    variables over subsets of the type, kept as bitmasks.  Arc consistency
+    per edge plus chronological backtracking over event signatures.
+    Propagating an edge reads the step tables above: the cells its known
+    values and parity allow select the interactions kept and the values and
+    parity forced.
     """
 
     def __init__(
@@ -135,29 +139,16 @@ class _AtomSearch:
         atom: tuple[str, str],
         max_nodes: int | None,
     ):
+        index = ts.index()
         self.ts = ts
         self.n = len(ts.states)
         self.zero = self.n  # virtual node carrying the constant 0
-        self.sidx = {s: k for k, s in enumerate(ts.states)}
-        self.edges = [
-            (self.sidx[s], eik, self.sidx[t])
-            for eik, e in enumerate(ts.events)
-            for (s, _, t) in ts.edges_of_event(e)
-        ]
-        ne = len(ts.events)
-        self.event_edges: list[list[int]] = [[] for _ in range(ne)]
-        self.state_edges: list[list[int]] = [[] for _ in range(self.n + 1)]
-        for k, (si, ei, ti) in enumerate(self.edges):
-            self.event_edges[ei].append(k)
-            self.state_edges[si].append(k)
-            if ti != si:
-                self.state_edges[ti].append(k)
+        self.sidx = index.sidx
+        self.edges = index.edges
+        self.event_edges = index.event_edges
+        self.state_edges = index.state_edges
+        self.order = index.order
         self.full_mask = type_mask(tau)
-        # branch on busy events first; ties broken by name for determinism
-        self.order = sorted(
-            range(ne),
-            key=lambda ei: (-len(self.event_edges[ei]), ts.events[ei]),
-        )
         self.a = self.sidx[atom[0]]
         self.b = self.sidx[atom[1]]
         self.max_nodes = max_nodes
@@ -190,17 +181,29 @@ class _AtomSearch:
         want = parity ^ px ^ py
         if rx == ry:
             return want == 0
-        if len(self.members[rx]) < len(self.members[ry]):
+        members = self.members
+        if len(members[rx]) < len(members[ry]):
             rx, ry = ry, rx
         self.trail.append(("uf", ry, rx))
         self.parent[ry] = rx
         self.par[ry] = want
-        self.members[rx].extend(self.members[ry])
-        # edges touching the smaller class may now see a value or a parity;
-        # the virtual zero node has no incident edges
-        for member in self.members[ry]:
-            for k in self.state_edges[member]:
-                self._enqueue(k)
+        moved = members[ry]
+        members[rx].extend(moved)
+        # Only the edges of the smaller class are enqueued.  That is not a
+        # full closure: when the zero node's class is the smaller one, the
+        # larger class's states gain values too, and their edges may now be
+        # revisable without being revised.  So the fixpoint propagation
+        # reaches depends on the order of operations (a cached root fixpoint
+        # reached in another order changes node counts, never a decision).
+        # The virtual zero node has no incident edges.
+        inq = self.inq
+        queue = self.queue
+        state_edges = self.state_edges
+        for member in moved:
+            for k in state_edges[member]:
+                if not inq[k]:
+                    inq[k] = 1
+                    queue.append(k)
         return True
 
     def _set_dom(self, ei: int, mask: int) -> None:
@@ -220,10 +223,13 @@ class _AtomSearch:
 
     # -- propagation
 
-    def _enqueue(self, k: int) -> None:
-        if not self.inq[k]:
-            self.inq[k] = 1
-            self.queue.append(k)
+    def _enqueue_all(self, edges: Iterable[int]) -> None:
+        inq = self.inq
+        queue = self.queue
+        for k in edges:
+            if not inq[k]:
+                inq[k] = 1
+                queue.append(k)
 
     def _drain(self) -> None:
         for k in self.queue:
@@ -232,23 +238,37 @@ class _AtomSearch:
 
     def _revise(self, k: int) -> bool:
         si, ei, ti = self.edges[k]
-        mask = self.dom[ei]
-        ra, pa = self._find(si)
-        rb, pb = self._find(ti)
-        rz, pz = self._find(self.zero)
+        parent = self.parent
+        par = self.par
+        ra, pa = si, 0
+        while parent[ra] != ra:
+            pa ^= par[ra]
+            ra = parent[ra]
+        rb, pb = ti, 0
+        while parent[rb] != rb:
+            pb ^= par[rb]
+            rb = parent[rb]
+        rz, pz = self.zero, 0
+        while parent[rz] != rz:
+            pz ^= par[rz]
+            rz = parent[rz]
         allowed = (
             (_SOURCE_IS[pa ^ pz] if ra == rz else 15)
             & (_TARGET_IS[pb ^ pz] if rb == rz else 15)
             & (_PARITY_IS[pa ^ pb] if ra == rb else 15)
         )
+        mask = self.dom[ei]
         new_mask = mask & _KEEPS[allowed]
         if new_mask == 0:
             return False
         if new_mask != mask:
             self._set_dom(ei, new_mask)
+            inq = self.inq
+            queue = self.queue
             for k2 in self.event_edges[ei]:
-                if k2 != k:
-                    self._enqueue(k2)
+                if k2 != k and not inq[k2]:
+                    inq[k2] = 1
+                    queue.append(k2)
         # the source values, target values and parities still feasible
         xs, ys, ps = _PROJ[_STEPS[new_mask] & allowed]
         if ra != rz and xs in (1, 2) and not self._union(si, self.zero, xs >> 1):
@@ -260,10 +280,13 @@ class _AtomSearch:
         return True
 
     def _propagate(self) -> bool:
-        while self.queue:
-            k = self.queue.pop()
-            self.inq[k] = 0
-            if not self._revise(k):
+        queue = self.queue
+        inq = self.inq
+        revise = self._revise
+        while queue:
+            k = queue.pop()
+            inq[k] = 0
+            if not revise(k):
                 self._drain()
                 return False
         return True
@@ -293,37 +316,40 @@ class _AtomSearch:
     def _expand(self) -> Region | None:
         """Depth-first search from the current, propagated state.
 
-        The stack holds one frame per open node: the event it branches on,
-        the interaction bits not yet tried there, and the trail mark taken
-        on entering it.  Children are tried in ascending bit order, and the
-        trail is rolled back to the mark before each child and before the
-        frame is dropped, so depth costs heap, not Python frames.
+        The stack holds one frame per open node: the position in ``order``
+        of the event it branches on, the interaction bits not yet tried
+        there, and the trail mark taken on entering it.  Children are tried
+        in ascending bit order, and the trail is rolled back to the mark
+        before each child and before the frame is dropped, so depth costs
+        heap, not Python frames.  Every event before a node's position is a
+        singleton there and stays one below it, so a child looks for its
+        branch event from its parent's position on.
         """
+        order = self.order
+        dom = self.dom
         stack: list[tuple[int, int, int]] = []
+        pos = 0
         while True:
             # entering a node
             if self.max_nodes is not None and self.expanded >= self.max_nodes:
                 raise _Exhausted
             self.expanded += 1
-            branch_ei = -1
-            for ei in self.order:
-                if self.dom[ei] & (self.dom[ei] - 1):
-                    branch_ei = ei
-                    break
-            if branch_ei < 0:
+            while pos < len(order) and not dom[order[pos]] & (dom[order[pos]] - 1):
+                pos += 1
+            if pos == len(order):
                 return self._build_region()
-            stack.append((branch_ei, self.dom[branch_ei], len(self.trail)))
+            stack.append((pos, dom[order[pos]], len(self.trail)))
             # find the next child that propagates, backtracking as needed
             while stack:
-                ei, untried, mark = stack.pop()
+                pos, untried, mark = stack.pop()
                 self._rollback(mark)
                 if not untried:
                     continue
                 low = untried & -untried
-                stack.append((ei, untried ^ low, mark))
+                stack.append((pos, untried ^ low, mark))
+                ei = order[pos]
                 self._set_dom(ei, low)
-                for k in self.event_edges[ei]:
-                    self._enqueue(k)
+                self._enqueue_all(self.event_edges[ei])
                 if self._propagate():
                     break
             else:
@@ -339,8 +365,7 @@ class _AtomSearch:
             ok = self._union(self.a, self.b, 1)
             ok = ok and self._union(init, self.zero, init_value)
             if ok:
-                for k in range(len(self.edges)):
-                    self._enqueue(k)
+                self._enqueue_all(range(len(self.edges)))
                 if self._propagate():
                     try:
                         region = self._expand()
@@ -397,14 +422,26 @@ def decide_ssp(
     report = SeparationReport(decision=Decision.HAS_SSP, witness_atom=None)
     stats = report.stats
     exhausted_any = False
-    for atom in ts.atoms():
+    states = ts.states
+    # two states share a class iff every region found so far gives them the
+    # same support, i.e. iff no found region separates them
+    cls = [0] * len(states)
+    for i, j in combinations(range(len(states)), 2):
         stats.atoms_checked += 1
-        if any(r.solves(atom) for r in report.regions):
+        if cls[i] != cls[j]:
             continue
+        atom = (states[i], states[j])
         verdict = solve_atom(ts, tau, atom, budget)
+        stats.atoms_searched += 1
         stats.nodes_expanded += verdict.nodes
         if verdict.status is AtomStatus.SOLVED:
             report.regions.append(verdict.region)
+            support = verdict.region.support
+            ids: dict[tuple[int, int], int] = {}
+            cls = [
+                ids.setdefault((c, support[s]), len(ids))
+                for c, s in zip(cls, states)
+            ]
         elif verdict.status is AtomStatus.EXHAUSTED:
             exhausted_any = True
         else:

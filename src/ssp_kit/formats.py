@@ -130,6 +130,7 @@ def report_to_dict(report: SeparationReport) -> dict:
         "regions": [region_to_dict(r) for r in report.regions],
         "stats": {
             "atoms_checked": report.stats.atoms_checked,
+            "atoms_searched": report.stats.atoms_searched,
             "nodes_expanded": report.stats.nodes_expanded,
             "wall_ms": round(report.stats.wall_ms, 3),
         },

@@ -119,6 +119,8 @@ class TestCheckSspCommand:
         assert data["decision"] == "has-ssp"
         assert data["witness_atom"] is None
         assert data["stats"]["atoms_checked"] >= 1
+        # every searched atom of a sweep that has the property was solved
+        assert data["stats"]["atoms_searched"] == len(data["regions"])
         for entry in data["regions"]:
             assert set(entry) == {"support", "signature"}
 

@@ -97,6 +97,28 @@ class TestValidateTs:
         assert list(ts.atoms()) == [("a", "b"), ("a", "c"), ("b", "c")]
 
 
+class TestSystemIndex:
+    EDGES = [("a", "y", "b"), ("b", "x", "c"), ("c", "x", "c"), ("a", "x", "b")]
+
+    def test_integer_form(self):
+        index = validate_ts(self.EDGES, "a").index()
+        assert index.sidx == {"a": 0, "b": 1, "c": 2}
+        # events x = 0, y = 1; edges grouped by event in sorted edge order
+        assert index.edges == ((0, 0, 1), (1, 0, 2), (2, 0, 2), (0, 1, 1))
+        assert index.event_edges == ((0, 1, 2), (3,))
+        # the loop on c is listed once; the last entry is the empty extra node
+        assert index.state_edges == ((0, 3), (0, 1, 3), (1, 2), ())
+        assert index.order == (0, 1)
+
+    def test_equality_and_hash_ignore_the_index(self):
+        first = validate_ts(self.EDGES, "a")
+        second = validate_ts(self.EDGES, "a")
+        first.index()
+        assert first == second and hash(first) == hash(second)
+        second.index()
+        assert first == second and hash(first) == hash(second)
+
+
 class TestRegions:
     def setup_method(self):
         self.ts = validate_ts(

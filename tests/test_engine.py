@@ -93,6 +93,13 @@ class TestSolveAtom:
         verdict = solve_atom(ts, frozenset(), ("r0", "r1"))
         assert verdict.status is AtomStatus.UNSOLVABLE
 
+    def test_searches_share_the_system_index(self):
+        ts = fixture_parallel_pair()
+        solve_atom(ts, NOP_INP, ("r0", "r1"))
+        index = ts.index()
+        solve_atom(ts, type_of(I.SWAP), ("r0", "r1"))
+        assert ts.index() is index
+
     @pytest.mark.parametrize("leaves", [1500, 5000])
     def test_deep_star(self, leaves):
         # each leaf event is branched on at its own level, so the search
@@ -246,6 +253,43 @@ def test_sweep_matches_oracle(ts, mask):
     assert got.witness_atom == want.witness_atom
     assert all(is_region(ts, tau, r) for r in got.regions)
     assert len({r.key() for r in got.regions}) == len(got.regions)
+
+
+def sweep_by_region_scan(ts, tau):
+    """The sweep with its skip rule spelled out, as a reference.
+
+    An atom is skipped when some region found so far separates it; any
+    other atom gets a ``solve_atom`` search on a freshly validated copy of
+    the system, so nothing is shared between searches.
+    """
+    regions, witness = [], None
+    checked = searched = nodes = 0
+    for atom in ts.atoms():
+        checked += 1
+        if any(r.solves(atom) for r in regions):
+            continue
+        verdict = solve_atom(validate_ts(ts.edges, ts.initial), tau, atom)
+        searched += 1
+        nodes += verdict.nodes
+        if verdict.status is AtomStatus.UNSOLVABLE:
+            witness = atom
+            break
+        regions.append(verdict.region)
+    return [r.key() for r in regions], witness, checked, searched, nodes
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(small_systems, st.integers(0, 255))
+def test_state_classes_skip_what_the_region_scan_skips(ts, mask):
+    tau = enumerate_types()[mask]
+    got = decide_ssp(ts, tau)
+    assert sweep_by_region_scan(ts, tau) == (
+        [r.key() for r in got.regions],
+        got.witness_atom,
+        got.stats.atoms_checked,
+        got.stats.atoms_searched,
+        got.stats.nodes_expanded,
+    )
 
 
 SWAP_FAMILY = [
