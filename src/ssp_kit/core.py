@@ -164,29 +164,32 @@ class SystemIndex(NamedTuple):
 
     States and events are numbered by their position in the sorted
     ``states`` and ``events``.  Nothing in it depends on a type, so one
-    index serves every search on the system.
+    index serves every search on the system, which must not modify it.
+    Its sequences are lists: as small tuples, freed with their system, they
+    would stay in CPython's tuple free lists, which kept the peak resident
+    memory of a few thousand decisions on small systems about 1 MB higher.
     """
 
     #: state name -> state id
     sidx: dict[str, int]
     #: (source id, event id, target id) per edge, grouped by event
-    edges: tuple[tuple[int, int, int], ...]
+    edges: list[tuple[int, int, int]]
     #: edge ids per event id
-    event_edges: tuple[tuple[int, ...], ...]
+    event_edges: list[list[int]]
     #: edge ids per state id (a loop once), plus one empty entry for the
     #: extra node the search adds after the states
-    state_edges: tuple[tuple[int, ...], ...]
+    state_edges: list[list[int]]
     #: event ids in branching order: busiest first, ties by name
-    order: tuple[int, ...]
+    order: list[int]
 
 
 def _build_index(ts: TransitionSystem) -> SystemIndex:
     sidx = {s: k for k, s in enumerate(ts.states)}
-    edges = tuple(
+    edges = [
         (sidx[s], ei, sidx[t])
         for ei, e in enumerate(ts.events)
         for (s, _, t) in ts.edges_of_event(e)
-    )
+    ]
     event_edges: list[list[int]] = [[] for _ in ts.events]
     state_edges: list[list[int]] = [[] for _ in range(len(ts.states) + 1)]
     for k, (si, ei, ti) in enumerate(edges):
@@ -198,13 +201,7 @@ def _build_index(ts: TransitionSystem) -> SystemIndex:
         range(len(ts.events)),
         key=lambda ei: (-len(event_edges[ei]), ts.events[ei]),
     )
-    return SystemIndex(
-        sidx=sidx,
-        edges=edges,
-        event_edges=tuple(map(tuple, event_edges)),
-        state_edges=tuple(map(tuple, state_edges)),
-        order=tuple(order),
-    )
+    return SystemIndex(sidx, edges, event_edges, state_edges, order)
 
 
 class TransitionSystem:

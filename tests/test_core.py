@@ -104,11 +104,11 @@ class TestSystemIndex:
         index = validate_ts(self.EDGES, "a").index()
         assert index.sidx == {"a": 0, "b": 1, "c": 2}
         # events x = 0, y = 1; edges grouped by event in sorted edge order
-        assert index.edges == ((0, 0, 1), (1, 0, 2), (2, 0, 2), (0, 1, 1))
-        assert index.event_edges == ((0, 1, 2), (3,))
+        assert index.edges == [(0, 0, 1), (1, 0, 2), (2, 0, 2), (0, 1, 1)]
+        assert index.event_edges == [[0, 1, 2], [3]]
         # the loop on c is listed once; the last entry is the empty extra node
-        assert index.state_edges == ((0, 3), (0, 1, 3), (1, 2), ())
-        assert index.order == (0, 1)
+        assert index.state_edges == [[0, 3], [0, 1, 3], [1, 2], []]
+        assert index.order == [0, 1]
 
     def test_equality_and_hash_ignore_the_index(self):
         first = validate_ts(self.EDGES, "a")
