@@ -163,11 +163,14 @@ class SystemIndex(NamedTuple):
     """The integer form of a system that the separation search works on.
 
     States and events are numbered by their position in the sorted
-    ``states`` and ``events``.  Nothing in it depends on a type, so one
-    index serves every search on the system, which must not modify it.
-    Its sequences are lists: as small tuples, freed with their system, they
-    would stay in CPython's tuple free lists, which kept the peak resident
-    memory of a few thousand decisions on small systems about 1 MB higher.
+    ``states`` and ``events``.  All but ``roots`` is independent of a type
+    and serves every search on the system, which must not modify it.
+    ``roots`` starts empty; the search fills in, per type, the propagated
+    states every search under that type starts from, so they live exactly
+    as long as the system.  Its sequences are lists: as small tuples,
+    freed with their system, they would stay in CPython's tuple free lists,
+    which kept the peak resident memory of a few thousand decisions on
+    small systems about 1 MB higher.
     """
 
     #: state name -> state id
@@ -181,6 +184,9 @@ class SystemIndex(NamedTuple):
     state_edges: list[list[int]]
     #: event ids in branching order: busiest first, ties by name
     order: list[int]
+    #: type mask -> the search's root fixpoint for initial value 0 and for
+    #: 1, each None where propagating that value alone fails
+    roots: dict[int, list]
 
 
 def _build_index(ts: TransitionSystem) -> SystemIndex:
@@ -201,7 +207,7 @@ def _build_index(ts: TransitionSystem) -> SystemIndex:
         range(len(ts.events)),
         key=lambda ei: (-len(event_edges[ei]), ts.events[ei]),
     )
-    return SystemIndex(sidx, edges, event_edges, state_edges, order)
+    return SystemIndex(sidx, edges, event_edges, state_edges, order, {})
 
 
 class TransitionSystem:

@@ -61,6 +61,9 @@ class AtomVerdict:
     status: AtomStatus
     region: Region | None
     nodes: int
+    #: edges revised by propagation, the type's root fixpoints included
+    #: when this search computed them
+    revisions: int = 0
 
 
 @dataclass
@@ -68,6 +71,7 @@ class SearchStats:
     atoms_checked: int = 0
     atoms_searched: int = 0
     nodes_expanded: int = 0
+    revisions: int = 0
     wall_ms: float = 0.0
 
 
@@ -114,6 +118,11 @@ _PROJ = [
 ]
 
 
+#: A root fixpoint of the search: its union-find's parent and parity
+#: arrays, its class member lists and its event domains.
+_Root = tuple[list[int], list[int], list[list[int]], list[int]]
+
+
 class _Exhausted(Exception):
     pass
 
@@ -121,26 +130,33 @@ class _Exhausted(Exception):
 class _AtomSearch:
     """One search for a region separating an atom under one type.
 
-    The system's integer index (:meth:`TransitionSystem.index`) is built
-    once per system and shared by every search on it; the working state
-    below is the search's own.  States are variables over {0,1} kept in a
-    parity union-find against a virtual constant-0 node; events are
-    variables over subsets of the type, kept as bitmasks.  Arc consistency
-    per edge plus chronological backtracking over event signatures.
-    Propagating an edge reads the step tables above: the cells its known
-    values and parity allow select the interactions kept and the values and
-    parity forced.
+    States are variables over {0,1} kept in a parity union-find against a
+    virtual constant-0 node; events are variables over subsets of the type,
+    kept as bitmasks.  Arc consistency per edge plus chronological
+    backtracking over event signatures.  Propagating an edge reads the step
+    tables above: the cells its known values and parity allow select the
+    interactions kept and the values and parity forced.
+
+    Propagation is a closure: when it succeeds, revising any edge again
+    changes nothing.  Its fixpoint is therefore the same whatever the order
+    of the unions and revisions that reached it, and so is everything the
+    search derives from it.  That makes the start of every search under a
+    type the same: the root fixpoint, with the initial state's value
+    propagated alone, computed once per initial value and kept in the
+    system's index (:attr:`SystemIndex.roots`) next to the integer form the
+    search works on.  A search copies a root, adds its atom's disequality
+    and propagates that.
     """
 
     def __init__(
         self,
         ts: TransitionSystem,
-        tau: frozenset[Interaction],
-        atom: tuple[str, str],
+        mask: int,
         max_nodes: int | None,
     ):
         index = ts.index()
         self.ts = ts
+        self.index = index
         self.n = len(ts.states)
         self.zero = self.n  # virtual node carrying the constant 0
         self.sidx = index.sidx
@@ -148,11 +164,12 @@ class _AtomSearch:
         self.event_edges = index.event_edges
         self.state_edges = index.state_edges
         self.order = index.order
-        self.full_mask = type_mask(tau)
-        self.a = self.sidx[atom[0]]
-        self.b = self.sidx[atom[1]]
+        self.full_mask = mask
         self.max_nodes = max_nodes
         self.expanded = 0
+        self.revisions = 0
+        self.queue: list[int] = []
+        self.inq = bytearray(len(self.edges))
 
     # -- union-find with parity, trail-based undo
 
@@ -163,8 +180,14 @@ class _AtomSearch:
         self.members: list[list[int]] = [[k] for k in range(n1)]
         self.dom = [self.full_mask] * len(self.event_edges)
         self.trail: list[tuple] = []
-        self.queue: list[int] = []
-        self.inq = bytearray(len(self.edges))
+
+    def _load(self, root: _Root) -> None:
+        parent, par, members, dom = root
+        self.parent = parent[:]
+        self.par = par[:]
+        self.members = [m[:] for m in members]
+        self.dom = dom[:]
+        self.trail = []
 
     def _find(self, x: int) -> tuple[int, int]:
         p = self.parent
@@ -182,28 +205,45 @@ class _AtomSearch:
         if rx == ry:
             return want == 0
         members = self.members
-        if len(members[rx]) < len(members[ry]):
+        zero = self.zero
+        # ry's class moves under rx.  The zero node stays a root, so the
+        # moved class is always the one whose states learn something; other
+        # classes unite by size, which keeps every path within log2(n) + 1.
+        if ry == zero or (rx != zero and len(members[rx]) < len(members[ry])):
             rx, ry = ry, rx
-        self.trail.append(("uf", ry, rx))
-        self.parent[ry] = rx
-        self.par[ry] = want
         moved = members[ry]
-        members[rx].extend(moved)
-        # Only the edges of the smaller class are enqueued.  That is not a
-        # full closure: when the zero node's class is the smaller one, the
-        # larger class's states gain values too, and their edges may now be
-        # revisable without being revised.  So the fixpoint propagation
-        # reaches depends on the order of operations (a cached root fixpoint
-        # reached in another order changes node counts, never a decision).
-        # The virtual zero node has no incident edges.
         inq = self.inq
         queue = self.queue
         state_edges = self.state_edges
-        for member in moved:
-            for k in state_edges[member]:
-                if not inq[k]:
-                    inq[k] = 1
-                    queue.append(k)
+        if rx == zero:
+            # every moved state learns its value
+            for member in moved:
+                for k in state_edges[member]:
+                    if not inq[k]:
+                        inq[k] = 1
+                        queue.append(k)
+        else:
+            # only the pairs across the two classes learn a parity, so only
+            # the edges into the surviving class can be revised further;
+            # loops and edges within the class or to a third one cannot
+            parent = self.parent
+            edges = self.edges
+            for member in moved:
+                for k in state_edges[member]:
+                    if inq[k]:
+                        continue
+                    si, _, other = edges[k]
+                    if other == member:
+                        other = si
+                    while parent[other] != other:
+                        other = parent[other]
+                    if other == rx:
+                        inq[k] = 1
+                        queue.append(k)
+        self.trail.append(("uf", ry, rx))
+        self.parent[ry] = rx
+        self.par[ry] = want
+        members[rx].extend(moved)
         return True
 
     def _set_dom(self, ei: int, mask: int) -> None:
@@ -248,13 +288,10 @@ class _AtomSearch:
         while parent[rb] != rb:
             pb ^= par[rb]
             rb = parent[rb]
-        rz, pz = self.zero, 0
-        while parent[rz] != rz:
-            pz ^= par[rz]
-            rz = parent[rz]
+        zero = self.zero  # a root, so a valued state's parity is its value
         allowed = (
-            (_SOURCE_IS[pa ^ pz] if ra == rz else 15)
-            & (_TARGET_IS[pb ^ pz] if rb == rz else 15)
+            (_SOURCE_IS[pa] if ra == zero else 15)
+            & (_TARGET_IS[pb] if rb == zero else 15)
             & (_PARITY_IS[pa ^ pb] if ra == rb else 15)
         )
         mask = self.dom[ei]
@@ -271,9 +308,9 @@ class _AtomSearch:
                     queue.append(k2)
         # the source values, target values and parities still feasible
         xs, ys, ps = _PROJ[_STEPS[new_mask] & allowed]
-        if ra != rz and xs in (1, 2) and not self._union(si, self.zero, xs >> 1):
+        if ra != zero and xs in (1, 2) and not self._union(si, zero, xs >> 1):
             return False
-        if rb != rz and ys in (1, 2) and not self._union(ti, self.zero, ys >> 1):
+        if rb != zero and ys in (1, 2) and not self._union(ti, zero, ys >> 1):
             return False
         if ra != rb and ps in (1, 2) and not self._union(si, ti, ps >> 1):
             return False
@@ -283,29 +320,41 @@ class _AtomSearch:
         queue = self.queue
         inq = self.inq
         revise = self._revise
+        popped = 0
         while queue:
             k = queue.pop()
             inq[k] = 0
+            popped += 1
             if not revise(k):
+                self.revisions += popped
                 self._drain()
                 return False
+        self.revisions += popped
         return True
+
+    def _root(self, init_value: int) -> _Root | None:
+        """The fixpoint of the initial state's value alone, or None."""
+        self._reset()
+        self._union(self.sidx[self.ts.initial], self.zero, init_value)
+        self._enqueue_all(range(len(self.edges)))
+        if not self._propagate():
+            return None
+        return self.parent, self.par, self.members, self.dom
 
     # -- search
 
     def _build_region(self) -> Region:
         support: dict[str, int] = {}
-        rz, pz = self._find(self.zero)
         for k, name in enumerate(self.ts.states):
             r, p = self._find(k)
-            if r != rz:
+            if r != self.zero:
                 # cannot happen: the initial state is pinned and every other
                 # state has an incoming edge whose singleton interaction
                 # forces its value or its parity to the source
                 raise InternalCheckFailed(
                     f"state {name!r} left unvalued at a search leaf"
                 )
-            support[name] = p ^ pz
+            support[name] = p
         signature: dict[str, Interaction] = {}
         for ei, name in enumerate(self.ts.events):
             mask = self.dom[ei]
@@ -355,24 +404,27 @@ class _AtomSearch:
             else:
                 return None
 
-    def run(self) -> tuple[Region | None, bool]:
+    def run(self, atom: tuple[str, str]) -> tuple[Region | None, bool]:
         """Returns (region-or-None, exhausted-flag)."""
         if self.max_nodes is not None and self.max_nodes <= 0:
             return None, True
-        init = self.sidx[self.ts.initial]
-        for init_value in (0, 1):
-            self._reset()
-            ok = self._union(self.a, self.b, 1)
-            ok = ok and self._union(init, self.zero, init_value)
-            if ok:
-                self._enqueue_all(range(len(self.edges)))
-                if self._propagate():
-                    try:
-                        region = self._expand()
-                    except _Exhausted:
-                        return None, True
-                    if region is not None:
-                        return region, False
+        roots = self.index.roots.get(self.full_mask)
+        if roots is None:
+            roots = [self._root(init_value) for init_value in (0, 1)]
+            self.index.roots[self.full_mask] = roots
+        a = self.sidx[atom[0]]
+        b = self.sidx[atom[1]]
+        for root in roots:
+            if root is None:
+                continue
+            self._load(root)
+            if self._union(a, b, 1) and self._propagate():
+                try:
+                    region = self._expand()
+                except _Exhausted:
+                    return None, True
+                if region is not None:
+                    return region, False
         return None, False
 
 
@@ -387,20 +439,24 @@ def solve_atom(
     ``budget`` caps the search nodes expanded; None means unlimited.
     Returns SOLVED with a validated region, UNSOLVABLE after exhausting the
     search space, or EXHAUSTED when the node budget ran out first; ``nodes``
-    reports expansions spent either way.
+    reports expansions spent either way.  The first search on a system
+    under a type also computes the type's root fixpoints, which every later
+    one starts from.
     """
     a, b = atom
     if a == b or a not in ts.states or b not in ts.states:
         raise InvalidAtom(f"atom must be two distinct states: {atom!r}")
-    search = _AtomSearch(ts, tau, atom, budget)
-    region, exhausted = search.run()
+    search = _AtomSearch(ts, type_mask(tau), budget)
+    region, exhausted = search.run(atom)
     if region is not None:
         if not is_region(ts, tau, region) or not region.solves(atom):
             raise InternalCheckFailed("search produced an invalid region")
-        return AtomVerdict(AtomStatus.SOLVED, region, search.expanded)
-    if exhausted:
-        return AtomVerdict(AtomStatus.EXHAUSTED, None, search.expanded)
-    return AtomVerdict(AtomStatus.UNSOLVABLE, None, search.expanded)
+        status = AtomStatus.SOLVED
+    elif exhausted:
+        status = AtomStatus.EXHAUSTED
+    else:
+        status = AtomStatus.UNSOLVABLE
+    return AtomVerdict(status, region, search.expanded, search.revisions)
 
 
 def decide_ssp(
@@ -434,6 +490,7 @@ def decide_ssp(
         verdict = solve_atom(ts, tau, atom, budget)
         stats.atoms_searched += 1
         stats.nodes_expanded += verdict.nodes
+        stats.revisions += verdict.revisions
         if verdict.status is AtomStatus.SOLVED:
             report.regions.append(verdict.region)
             support = verdict.region.support
