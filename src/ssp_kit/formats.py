@@ -132,6 +132,7 @@ def report_to_dict(report: SeparationReport) -> dict:
             "atoms_checked": report.stats.atoms_checked,
             "atoms_searched": report.stats.atoms_searched,
             "nodes_expanded": report.stats.nodes_expanded,
+            "revisions": report.stats.revisions,
             "wall_ms": round(report.stats.wall_ms, 3),
         },
     }

@@ -121,6 +121,7 @@ class TestCheckSspCommand:
         assert data["stats"]["atoms_checked"] >= 1
         # every searched atom of a sweep that has the property was solved
         assert data["stats"]["atoms_searched"] == len(data["regions"])
+        assert data["stats"]["revisions"] > 0
         for entry in data["regions"]:
             assert set(entry) == {"support", "signature"}
 

@@ -194,6 +194,7 @@ class TestDecideSsp:
             report.stats.nodes_expanded,
             len(report.regions),
         ) == (Decision.LACKS_SSP, ("f_0_2", "f_0_4"), 47489, 57082, 193)
+        assert report.stats.revisions == 733854
 
     def test_report_region_vectors_separate_all_atoms(self):
         ts = validate_ts(
