@@ -10,6 +10,7 @@ from ssp_kit.core import (
     Interaction,
     Region,
     is_region,
+    type_mask,
     type_of,
     validate_ts,
 )
@@ -95,10 +96,22 @@ class TestSolveAtom:
 
     def test_searches_share_the_system_index(self):
         ts = fixture_parallel_pair()
-        solve_atom(ts, NOP_INP, ("r0", "r1"))
+        first = solve_atom(ts, NOP_INP, ("r0", "r1"))
         index = ts.index()
+        roots = index.roots[type_mask(NOP_INP)]
+        again = solve_atom(ts, NOP_INP, ("r0", "r1"))
+        # the second search under the type starts from the stored roots
+        assert index.roots[type_mask(NOP_INP)] is roots
+        assert again.revisions < first.revisions
         solve_atom(ts, type_of(I.SWAP), ("r0", "r1"))
         assert ts.index() is index
+        assert index.roots.keys() == {type_mask(NOP_INP), type_mask(type_of(I.SWAP))}
+        assert index.roots[type_mask(type_of(I.SWAP))] is not roots
+        fresh = solve_atom(validate_ts(ts.edges, ts.initial), NOP_INP, ("r0", "r1"))
+        for verdict in (first, again):
+            assert (verdict.status, verdict.nodes, verdict.region) == (
+                fresh.status, fresh.nodes, fresh.region
+            )
 
     @pytest.mark.parametrize("leaves", [1500, 5000])
     def test_deep_star(self, leaves):
@@ -254,6 +267,37 @@ def test_sweep_matches_oracle(ts, mask):
     assert got.witness_atom == want.witness_atom
     assert all(is_region(ts, tau, r) for r in got.regions)
     assert len({r.key() for r in got.regions}) == len(got.regions)
+
+
+class ClosureCheckingSearch(_AtomSearch):
+    """A search that re-revises every edge after each successful propagation.
+
+    Propagation is a closure iff that changes nothing: each revision
+    succeeds, and no union, domain change or enqueue follows.
+    """
+
+    def _propagate(self):
+        if not super()._propagate():
+            return False
+        mark = len(self.trail)
+        for k in range(len(self.edges)):
+            assert self._revise(k)
+            assert len(self.trail) == mark and not self.queue, k
+        return True
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.randoms(use_true_random=False).map(
+        lambda rng: random_ts(rng, max_states=6, max_events=3)
+    ),
+    st.integers(0, 255),
+)
+def test_propagation_is_a_closure(ts, mask):
+    # the first search checks the type's roots as it computes them; every
+    # search checks its root with the atom added and each branch it tries
+    for atom in ts.atoms():
+        ClosureCheckingSearch(ts, mask, None).run(atom)
 
 
 def sweep_by_region_scan(ts, tau):
