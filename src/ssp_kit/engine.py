@@ -469,10 +469,12 @@ def decide_ssp(
     Atoms are visited in sorted order.  An atom that a region found earlier
     already separates needs no search; any other atom gets a ``solve_atom``
     search under the node cap ``budget`` (None: unlimited), and the region
-    it finds joins ``report.regions``.  The sweep
-    stops at the first provably unsolvable atom, the witness.  If a search
-    ran out of budget and no atom was unsolvable, the decision is UNKNOWN
-    and no regions are reported.
+    it finds joins ``report.regions``.  The first search computes the
+    type's root fixpoints and the others start from them, so each search
+    propagates only what its atom adds.  The sweep stops at the first
+    provably unsolvable atom, the witness.  If a search ran out of budget
+    and no atom was unsolvable, the decision is UNKNOWN and no regions are
+    reported.
     """
     t0 = time.perf_counter()
     report = SeparationReport(decision=Decision.HAS_SSP, witness_atom=None)
