@@ -184,9 +184,10 @@ class SystemIndex(NamedTuple):
     state_edges: list[list[int]]
     #: event ids in branching order: busiest first, ties by name
     order: list[int]
-    #: type mask -> the search's root fixpoint for initial value 0 and for
-    #: 1, each None where propagating that value alone fails
-    roots: dict[int, list]
+    #: type mask -> initial value -> the search's root fixpoint, None where
+    #: propagating that value alone fails; each is computed when a search
+    #: first needs it
+    roots: dict[int, dict]
 
 
 def _build_index(ts: TransitionSystem) -> SystemIndex:

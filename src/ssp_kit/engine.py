@@ -408,13 +408,13 @@ class _AtomSearch:
         """Returns (region-or-None, exhausted-flag)."""
         if self.max_nodes is not None and self.max_nodes <= 0:
             return None, True
-        roots = self.index.roots.get(self.full_mask)
-        if roots is None:
-            roots = [self._root(init_value) for init_value in (0, 1)]
-            self.index.roots[self.full_mask] = roots
+        roots = self.index.roots.setdefault(self.full_mask, {})
         a = self.sidx[atom[0]]
         b = self.sidx[atom[1]]
-        for root in roots:
+        for init_value in (0, 1):
+            if init_value not in roots:
+                roots[init_value] = self._root(init_value)
+            root = roots[init_value]
             if root is None:
                 continue
             self._load(root)
