@@ -439,9 +439,9 @@ def solve_atom(
     ``budget`` caps the search nodes expanded; None means unlimited.
     Returns SOLVED with a validated region, UNSOLVABLE after exhausting the
     search space, or EXHAUSTED when the node budget ran out first; ``nodes``
-    reports expansions spent either way.  The first search on a system
-    under a type also computes the type's root fixpoints, which every later
-    one starts from.
+    reports expansions spent either way.  A search starts from the type's
+    root fixpoints kept with the system, and computes the ones it needs
+    that no earlier search on the system did.
     """
     a, b = atom
     if a == b or a not in ts.states or b not in ts.states:
@@ -469,9 +469,9 @@ def decide_ssp(
     Atoms are visited in sorted order.  An atom that a region found earlier
     already separates needs no search; any other atom gets a ``solve_atom``
     search under the node cap ``budget`` (None: unlimited), and the region
-    it finds joins ``report.regions``.  The first search computes the
-    type's root fixpoints and the others start from them, so each search
-    propagates only what its atom adds.  The sweep stops at the first
+    it finds joins ``report.regions``.  Every search starts from the type's
+    root fixpoints, computed once, so it propagates only what its atom
+    adds.  The sweep stops at the first
     provably unsolvable atom, the witness.  If a search ran out of budget
     and no atom was unsolvable, the decision is UNKNOWN and no regions are
     reported.

@@ -103,11 +103,13 @@ class TestSolveAtom:
         # the second search under the type starts from the stored roots
         assert index.roots[type_mask(NOP_INP)] is roots
         assert again.revisions < first.revisions
+        swap = type_mask(type_of(I.SWAP))
         solve_atom(ts, type_of(I.SWAP), ("r0", "r1"))
         assert ts.index() is index
-        assert index.roots.keys() == {type_mask(NOP_INP), type_mask(type_of(I.SWAP))}
-        assert index.roots[type_mask(type_of(I.SWAP))] is not roots
-        fresh = solve_atom(validate_ts(ts.edges, ts.initial), NOP_INP, ("r0", "r1"))
+        assert index.roots.keys() == {type_mask(NOP_INP), swap}
+        assert index.roots[swap] is not roots
+        copy = validate_ts(ts.edges, ts.initial)
+        fresh = solve_atom(copy, NOP_INP, ("r0", "r1"))
         for verdict in (first, again):
             assert (verdict.status, verdict.nodes, verdict.region) == (
                 fresh.status, fresh.nodes, fresh.region
