@@ -4,10 +4,14 @@
 backtracking over event signatures with constraint propagation: event
 domains are pruned per edge, and state supports live in a union-find with
 parity so equalities/disequalities between supports propagate before any
-value is known.  ``decide_ssp`` sweeps all pairs.  ``brute_force_regions``
-and friends enumerate everything on small systems and act as oracles, and
-``fast_path_swap_core`` settles the swap-plus-inp/out family by structure
-alone.
+value is known.
+
+"No region splits s and t" is an equivalence relation, and a system has
+the SSP iff its partition is discrete.  ``decide_ssp`` refines it by one
+search per class it cannot yet split, the oracle ``brute_force_decide`` by
+every feasible support, and ``fast_path_swap_core`` (swap plus inp/out)
+computes it as a two-colouring.  All three name as witness the first atom
+in sorted order whose states share a class.
 """
 
 from __future__ import annotations
@@ -459,6 +463,27 @@ def solve_atom(
     return AtomVerdict(status, region, search.expanded, search.revisions)
 
 
+def _refine(cls: list[int], bits: Iterable[int]) -> list[int]:
+    """Split the classes ``cls`` by the support ``bits``, in state order.
+    Ids count up by first appearance: a support splitting none returns cls."""
+    ids: dict[tuple[int, int], int] = {}
+    return [ids.setdefault(key, len(ids)) for key in zip(cls, bits)]
+
+
+def _partition_report(ts: TransitionSystem, cls: list[int]) -> SeparationReport:
+    """The decision of a final partition: its first same-class atom in
+    sorted order is the witness, and the atoms up to it are checked."""
+    report = SeparationReport(decision=Decision.HAS_SSP, witness_atom=None)
+    states = ts.states
+    for i, j in combinations(range(len(states)), 2):
+        report.stats.atoms_checked += 1
+        if cls[i] == cls[j]:
+            report.decision = Decision.LACKS_SSP
+            report.witness_atom = (states[i], states[j])
+            break
+    return report
+
+
 def decide_ssp(
     ts: TransitionSystem,
     tau: frozenset[Interaction],
@@ -495,12 +520,7 @@ def decide_ssp(
         stats.revisions += verdict.revisions
         if verdict.status is AtomStatus.SOLVED:
             report.regions.append(verdict.region)
-            support = verdict.region.support
-            ids: dict[tuple[int, int], int] = {}
-            cls = [
-                ids.setdefault((c, support[s]), len(ids))
-                for c, s in zip(cls, states)
-            ]
+            cls = _refine(cls, [verdict.region.support[s] for s in states])
         elif verdict.status is AtomStatus.EXHAUSTED:
             exhausted_any = True
         else:
@@ -518,17 +538,24 @@ def decide_ssp(
 # exhaustive oracles for small systems
 
 
-def _feasible_interactions(
+def _carriers(
     ts: TransitionSystem,
     tau: frozenset[Interaction],
-    event: str,
     bit_of: Mapping[str, int],
-) -> list[Interaction]:
-    edges = ts.edges_of_event(event)
-    return [
-        i for i in INTERACTION_ORDER
-        if i in tau and all(i.apply(bit_of[s]) == bit_of[t] for s, _, t in edges)
-    ]
+) -> list[list[Interaction]] | None:
+    """Per event, the members of ``tau`` carrying its edges under ``bit_of``;
+    None at the first event with none.  No events give ``[]``, not None."""
+    per_event = []
+    for e in ts.events:
+        edges = ts.edges_of_event(e)
+        choices = [
+            i for i in INTERACTION_ORDER
+            if i in tau and all(i.apply(bit_of[s]) == bit_of[t] for s, _, t in edges)
+        ]
+        if not choices:
+            return None
+        per_event.append(choices)
+    return per_event
 
 
 def _support_masks(ts: TransitionSystem, cap: int) -> Iterable[dict[str, int]]:
@@ -547,18 +574,11 @@ def brute_force_regions(
     """Every tau-region of ``ts``, by brute enumeration; small systems only."""
     regions: list[Region] = []
     for bit_of in _support_masks(ts, cap):
-        per_event = [
-            _feasible_interactions(ts, tau, e, bit_of) for e in ts.events
-        ]
-        if any(not choices for choices in per_event):
+        per_event = _carriers(ts, tau, bit_of)
+        if per_event is None:
             continue
         for combo in product(*per_event):
-            regions.append(
-                Region(
-                    support=dict(bit_of),
-                    signature=dict(zip(ts.events, combo)),
-                )
-            )
+            regions.append(Region(dict(bit_of), dict(zip(ts.events, combo))))
     return regions
 
 
@@ -570,7 +590,7 @@ def brute_force_supports(
     """Supports (as bit tuples over sorted states) admitting a tau-region."""
     found: set[tuple[int, ...]] = set()
     for bit_of in _support_masks(ts, cap):
-        if all(_feasible_interactions(ts, tau, e, bit_of) for e in ts.events):
+        if _carriers(ts, tau, bit_of) is not None:
             found.add(tuple(bit_of[s] for s in ts.states))
     return found
 
@@ -580,101 +600,80 @@ def brute_force_decide(
     tau: frozenset[Interaction],
     cap: int = 16,
 ) -> SeparationReport:
-    """Oracle twin of :func:`decide_ssp` by exhaustive support enumeration."""
+    """Oracle twin of :func:`decide_ssp` by exhaustive support enumeration.
+
+    Supports are scanned in mask order.  One that splits a class of the
+    partition so far and admits a region refines it, and its region, each
+    event on its first carrier, joins ``report.regions``.  The scan stops
+    once every class is a singleton; ``nodes_expanded`` counts the supports
+    scanned.
+    """
     t0 = time.perf_counter()
-    atoms = list(ts.atoms())
-    solved: dict[tuple[str, str], Region] = {}
-    report = SeparationReport(decision=Decision.HAS_SSP, witness_atom=None)
+    n = len(ts.states)
+    cls = [0] * n
+    regions: list[Region] = []
     scanned = 0
     for bit_of in _support_masks(ts, cap):
         scanned += 1
-        pending = [a for a in atoms if a not in solved]
-        if not pending:
+        if len(set(cls)) == n:
             break
-        hit = [a for a in pending if bit_of[a[0]] != bit_of[a[1]]]
-        if not hit:
+        refined = _refine(cls, bit_of.values())
+        if refined == cls:
             continue
-        per_event = [
-            _feasible_interactions(ts, tau, e, bit_of) for e in ts.events
-        ]
-        if any(not choices for choices in per_event):
+        per_event = _carriers(ts, tau, bit_of)
+        if per_event is None:
             continue
-        region = Region(
-            support=dict(bit_of),
-            signature={e: c[0] for e, c in zip(ts.events, per_event)},
-        )
-        for atom in hit:
-            solved[atom] = region
-    # one region object per support mask, so identity is enough to dedupe
-    seen: set[int] = set()
-    for atom in atoms:
-        report.stats.atoms_checked += 1
-        region = solved.get(atom)
-        if region is None:
-            report.decision = Decision.LACKS_SSP
-            report.witness_atom = atom
-            break
-        if id(region) not in seen:
-            seen.add(id(region))
-            report.regions.append(region)
+        cls = refined
+        signature = {e: c[0] for e, c in zip(ts.events, per_event)}
+        regions.append(Region(bit_of, signature))
+    report = _partition_report(ts, cls)
+    report.regions = regions
     report.stats.nodes_expanded = scanned
     report.stats.wall_ms = (time.perf_counter() - t0) * 1000.0
     return report
 
 
 # ---------------------------------------------------------------------------
-# constant-time family: swap with optional inp/out
+# the swap family: swap with optional inp/out
 
 
 def fast_path_swap_core(
     ts: TransitionSystem,
     tau: frozenset[Interaction],
 ) -> SeparationReport:
-    """Decide SSP for types {swap} <= tau <= {swap, inp, out} structurally.
+    """Decide SSP for types {swap} <= tau <= {swap, inp, out} by two-colouring.
 
     Every member of such a type inverts the value wherever defined, so a
-    region's support alternates along every edge.  A single state is always
-    separated; a self-loop kills all regions; and any system with more than
-    two states has two states an even distance apart that no alternating
-    support can split.  Only two-state loop-free systems need a search.
+    support admits a region iff it properly two-colours the undirected,
+    connected graph of the edges, and then every event can take ``swap``.
+    A loop or an odd cycle leaves no region and all states in one class;
+    otherwise the two colours are the classes.  The witness is the one
+    :func:`decide_ssp` and the oracle name, and a has-ssp report carries the
+    colouring as its region when there is one.
     """
-    if Interaction.SWAP not in tau or not tau <= {
-        Interaction.SWAP,
-        Interaction.INP,
-        Interaction.OUT,
-    }:
+    family = {Interaction.SWAP, Interaction.INP, Interaction.OUT}
+    if Interaction.SWAP not in tau or not tau <= family:
         raise WrongTypeFamily(
             "fast path covers exactly the types between {swap} and {swap,inp,out}"
         )
-    n = len(ts.states)
-    if n == 1:
-        report = SeparationReport(decision=Decision.HAS_SSP, witness_atom=None)
-        return report
-    if not ts.loop_free:
-        first = next(ts.atoms())
-        report = SeparationReport(decision=Decision.LACKS_SSP, witness_atom=first)
-        report.stats.atoms_checked = 1
-        return report
-    if n > 2:
-        # two different successors of the initial state sit at equal parity;
-        # otherwise follow the unique successor chain two steps
-        init = ts.initial
-        succ = sorted({t for _, _, t in ts.out_edges(init)})
-        if len(succ) >= 2:
-            witness = tuple(sorted((succ[0], succ[1])))
-        else:
-            mid = succ[0]
-            nxt = sorted(
-                {t for _, _, t in ts.out_edges(mid) if t != init}
-            )
-            witness = tuple(sorted((init, nxt[0])))
-        report = SeparationReport(
-            decision=Decision.LACKS_SSP,
-            witness_atom=(witness[0], witness[1]),
-        )
-        report.stats.atoms_checked = 1
-        return report
-    return decide_ssp(ts, tau)
+    index = ts.index()
+    colour = [0] + [-1] * (len(ts.states) - 1)
+    stack = [0]
+    while stack:
+        s = stack.pop()
+        for k in index.state_edges[s]:
+            si, _, ti = index.edges[k]
+            t = ti if si == s else si
+            if colour[t] < 0:
+                colour[t] = 1 - colour[s]
+                stack.append(t)
+            elif colour[t] == colour[s]:
+                return _partition_report(ts, [0] * len(ts.states))
+    report = _partition_report(ts, colour)
+    if report.decision is Decision.HAS_SSP:
+        swap = dict.fromkeys(ts.events, Interaction.SWAP)
+        report.regions.append(Region(dict(zip(ts.states, colour)), swap))
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -237,6 +237,14 @@ class TestBruteForce:
             (1, I.NOP), (1, I.SET), (1, I.USED),
         }
 
+    def test_single_state_gets_both_constant_supports(self):
+        # no events: each support admits exactly the empty signature
+        regions = brute_force_regions(fixture_single_state(), NOP_INP)
+        assert [r.key() for r in regions] == [
+            ((("s0", 0),), ()),
+            ((("s0", 1),), ()),
+        ]
+
     def test_cap_enforced(self):
         edges = [(f"s{i}", "x", f"s{i+1}") for i in range(17)]
         big = validate_ts(edges, "s0")
@@ -259,6 +267,23 @@ small_systems = st.randoms(use_true_random=False).map(
 )
 
 
+def assert_regions_back_decision(ts, tau, report):
+    """Every region is a tau-region; those of a has-ssp report separate all
+    atoms, those of a lacks-ssp report every atom before the witness and
+    never the witness."""
+    assert all(is_region(ts, tau, r) for r in report.regions)
+    cert = embedding_certificate(ts, report.regions)
+    if report.decision is Decision.HAS_SSP:
+        assert cert.injective
+        return
+    for a, b in ts.atoms():
+        if (a, b) == report.witness_atom:
+            assert cert.vectors[a] == cert.vectors[b]
+            return
+        assert cert.vectors[a] != cert.vectors[b], (a, b)
+    raise AssertionError(f"witness {report.witness_atom} is not an atom")
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(small_systems, st.integers(0, 255))
 def test_sweep_matches_oracle(ts, mask):
@@ -269,6 +294,7 @@ def test_sweep_matches_oracle(ts, mask):
     assert got.witness_atom == want.witness_atom
     assert all(is_region(ts, tau, r) for r in got.regions)
     assert len({r.key() for r in got.regions}) == len(got.regions)
+    assert_regions_back_decision(ts, tau, want)
 
 
 class ClosureCheckingSearch(_AtomSearch):
@@ -351,9 +377,12 @@ def test_swap_fast_path_matches_oracle(ts):
         got = fast_path_swap_core(ts, tau)
         want = brute_force_decide(ts, tau)
         assert got.decision is want.decision
+        assert got.witness_atom == want.witness_atom
         if got.witness_atom is not None:
             verdict = solve_atom(ts, tau, got.witness_atom)
             assert verdict.status is AtomStatus.UNSOLVABLE
+        else:
+            assert_regions_back_decision(ts, tau, got)
 
 
 class TestFastPath:
@@ -387,6 +416,21 @@ class TestFastPath:
             chain, type_of(I.SWAP, I.INP, I.OUT), report.witness_atom
         )
         assert verdict.status is AtomStatus.UNSOLVABLE
+
+    def test_odd_cycle_leaves_one_class(self):
+        triangle = validate_ts(
+            [("a", "x", "b"), ("b", "y", "c"), ("a", "z", "c")], "a"
+        )
+        for tau in SWAP_FAMILY:
+            report = fast_path_swap_core(triangle, tau)
+            assert report.decision is Decision.LACKS_SSP
+            assert report.witness_atom == ("a", "b")
+
+    def test_two_states_get_the_colouring_as_region(self):
+        for tau in SWAP_FAMILY:
+            report = fast_path_swap_core(fixture_event_cycle(), tau)
+            assert len(report.regions) == 1
+            assert report.stats.atoms_searched == 0
 
     def test_branching_witness(self):
         fork = validate_ts([("a", "x", "b"), ("a", "y", "c")], "a")
