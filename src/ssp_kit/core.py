@@ -136,6 +136,13 @@ INTERACTION_ORDER: tuple[Interaction, ...] = (
 
 INTERACTION_BY_NAME: dict[str, Interaction] = {i.value: i for i in Interaction}
 
+#: The steps x -> apply(x) of each interaction as cells: bit 2x+y is set iff
+#: the interaction is defined at x with value y.
+STEP_CELLS: dict[Interaction, int] = {
+    i: sum(1 << (2 * x + y) for x, y in enumerate(_APPLY[i]) if y is not None)
+    for i in Interaction
+}
+
 
 def type_mask(tau: frozenset[Interaction]) -> int:
     """The type as 8 bits: bit b set iff ``INTERACTION_ORDER[b]`` is in it."""
@@ -184,9 +191,10 @@ class SystemIndex(NamedTuple):
     state_edges: list[list[int]]
     #: event ids in branching order: busiest first, ties by name
     order: list[int]
-    #: type mask -> initial value -> the search's root fixpoint, None where
-    #: propagating that value alone fails; each is computed when a search
-    #: first needs it
+    #: type mask -> initial value -> the search's root fixpoint (each
+    #: node's root and parity to it, the class members, the event domains),
+    #: None where propagating that value alone fails; each is computed when
+    #: a search first needs it
     roots: dict[int, dict]
 
 
@@ -439,8 +447,9 @@ def is_region(
     for e in ts.events:
         if sig[e] not in tau:
             return False
+    steps = {e: STEP_CELLS[sig[e]] for e in ts.events}
     for s, e, t in ts.edges:
-        if sig[e].apply(sup[s]) != sup[t]:
+        if not steps[e] >> (2 * sup[s] + sup[t]) & 1:
             return False
     return True
 

@@ -24,6 +24,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .core import (
     INTERACTION_ORDER,
+    STEP_CELLS,
     InternalCheckFailed,
     Interaction,
     Region,
@@ -92,17 +93,14 @@ class SeparationReport:
 
 # Propagation tables.  The support pair (x, y) of an edge, source value x
 # and target value y, is one of four cells, bit 2x+y; interaction bit b of a
-# type mask can carry the edge iff its step x -> apply(x) is an allowed cell.
+# type mask can carry the edge iff one of its ``STEP_CELLS`` is allowed.
 
 #: The cells with a known source value, target value or parity, by value.
 _SOURCE_IS = (0b0011, 0b1100)
 _TARGET_IS = (0b0101, 0b1010)
 _PARITY_IS = (0b1001, 0b0110)
 
-_CELLS = [
-    sum(1 << (2 * x + i.apply(x)) for x in (0, 1) if i.defined_at(x))
-    for i in INTERACTION_ORDER
-]
+_CELLS = [STEP_CELLS[i] for i in INTERACTION_ORDER]
 #: _STEPS[mask]: the cells some interaction in ``mask`` steps through.
 _STEPS = [0]
 for _cells in _CELLS:  # the masks with the next bit set add its cells
@@ -122,8 +120,8 @@ _PROJ = [
 ]
 
 
-#: A root fixpoint of the search: its union-find's parent and parity
-#: arrays, its class member lists and its event domains.
+#: A root fixpoint of the search: its union-find's root and parity of
+#: every node, its class member lists and its event domains.
 _Root = tuple[list[int], list[int], list[list[int]], list[int]]
 
 
@@ -140,6 +138,12 @@ class _AtomSearch:
     backtracking over event signatures.  Propagating an edge reads the step
     tables above: the cells its known values and parity allow select the
     interactions kept and the values and parity forced.
+
+    The union-find is flat: ``parent[x]`` is the root of x's class and
+    ``par[x]`` the parity of x to it, so a find is two list reads, and
+    ``members[r]`` lists the class of each root r.  A union rewrites both
+    arrays for the states of the class it moves, and its undo rewrites
+    them back.  A state in the zero node's class has its value as parity.
 
     Propagation is a closure: when it succeeds, revising any edge again
     changes nothing.  Its fixpoint is therefore the same whatever the order
@@ -193,26 +197,20 @@ class _AtomSearch:
         self.dom = dom[:]
         self.trail = []
 
-    def _find(self, x: int) -> tuple[int, int]:
-        p = self.parent
-        pr = self.par
-        parity = 0
-        while p[x] != x:
-            parity ^= pr[x]
-            x = p[x]
-        return x, parity
-
     def _union(self, x: int, y: int, parity: int) -> bool:
-        rx, px = self._find(x)
-        ry, py = self._find(y)
-        want = parity ^ px ^ py
+        parent = self.parent
+        par = self.par
+        rx = parent[x]
+        ry = parent[y]
+        want = parity ^ par[x] ^ par[y]
         if rx == ry:
             return want == 0
         members = self.members
         zero = self.zero
         # ry's class moves under rx.  The zero node stays a root, so the
         # moved class is always the one whose states learn something; other
-        # classes unite by size, which keeps every path within log2(n) + 1.
+        # classes unite by size, so a state moves at most log2(n) times
+        # before it moves into the zero node's class.
         if ry == zero or (rx != zero and len(members[rx]) < len(members[ry])):
             rx, ry = ry, rx
         moved = members[ry]
@@ -230,7 +228,6 @@ class _AtomSearch:
             # only the pairs across the two classes learn a parity, so only
             # the edges into the surviving class can be revised further;
             # loops and edges within the class or to a third one cannot
-            parent = self.parent
             edges = self.edges
             for member in moved:
                 for k in state_edges[member]:
@@ -239,14 +236,15 @@ class _AtomSearch:
                     si, _, other = edges[k]
                     if other == member:
                         other = si
-                    while parent[other] != other:
-                        other = parent[other]
-                    if other == rx:
+                    if parent[other] == rx:
                         inq[k] = 1
                         queue.append(k)
+        # each moved parity flips by ``want``: ry's, 0 before, becomes it,
+        # which is where _rollback reads it back
+        for member in moved:
+            parent[member] = rx
+            par[member] ^= want
         self.trail.append(("uf", ry, rx))
-        self.parent[ry] = rx
-        self.par[ry] = want
         members[rx].extend(moved)
         return True
 
@@ -255,15 +253,24 @@ class _AtomSearch:
         self.dom[ei] = mask
 
     def _rollback(self, mark: int) -> None:
-        while len(self.trail) > mark:
-            entry = self.trail.pop()
+        trail = self.trail
+        parent = self.parent
+        par = self.par
+        members = self.members
+        dom = self.dom
+        while len(trail) > mark:
+            entry = trail.pop()
             if entry[0] == "dom":
                 _, ei, old = entry
-                self.dom[ei] = old
+                dom[ei] = old
             else:
                 _, ry, rx = entry
-                self.parent[ry] = ry
-                del self.members[rx][-len(self.members[ry]):]
+                moved = members[ry]
+                want = par[ry]
+                for member in moved:
+                    parent[member] = ry
+                    par[member] ^= want
+                del members[rx][-len(moved):]
 
     # -- propagation
 
@@ -275,66 +282,61 @@ class _AtomSearch:
                 inq[k] = 1
                 queue.append(k)
 
-    def _drain(self) -> None:
-        for k in self.queue:
-            self.inq[k] = 0
-        self.queue.clear()
-
-    def _revise(self, k: int) -> bool:
-        si, ei, ti = self.edges[k]
-        parent = self.parent
-        par = self.par
-        ra, pa = si, 0
-        while parent[ra] != ra:
-            pa ^= par[ra]
-            ra = parent[ra]
-        rb, pb = ti, 0
-        while parent[rb] != rb:
-            pb ^= par[rb]
-            rb = parent[rb]
-        zero = self.zero  # a root, so a valued state's parity is its value
-        allowed = (
-            (_SOURCE_IS[pa] if ra == zero else 15)
-            & (_TARGET_IS[pb] if rb == zero else 15)
-            & (_PARITY_IS[pa ^ pb] if ra == rb else 15)
-        )
-        mask = self.dom[ei]
-        new_mask = mask & _KEEPS[allowed]
-        if new_mask == 0:
-            return False
-        if new_mask != mask:
-            self._set_dom(ei, new_mask)
-            inq = self.inq
-            queue = self.queue
-            for k2 in self.event_edges[ei]:
-                if k2 != k and not inq[k2]:
-                    inq[k2] = 1
-                    queue.append(k2)
-        # the source values, target values and parities still feasible
-        xs, ys, ps = _PROJ[_STEPS[new_mask] & allowed]
-        if ra != zero and xs in (1, 2) and not self._union(si, zero, xs >> 1):
-            return False
-        if rb != zero and ys in (1, 2) and not self._union(ti, zero, ys >> 1):
-            return False
-        if ra != rb and ps in (1, 2) and not self._union(si, ti, ps >> 1):
-            return False
-        return True
-
     def _propagate(self) -> bool:
+        """Revise the queued edges until none is left; False, with the
+        queue drained, when an event's domain empties or a union fails."""
         queue = self.queue
         inq = self.inq
-        revise = self._revise
+        edges = self.edges
+        event_edges = self.event_edges
+        parent = self.parent
+        par = self.par
+        dom = self.dom
+        trail = self.trail
+        union = self._union
+        zero = self.zero
         popped = 0
         while queue:
             k = queue.pop()
             inq[k] = 0
             popped += 1
-            if not revise(k):
-                self.revisions += popped
-                self._drain()
-                return False
+            si, ei, ti = edges[k]
+            ra = parent[si]
+            rb = parent[ti]
+            pa = par[si]
+            pb = par[ti]
+            allowed = (
+                (_SOURCE_IS[pa] if ra == zero else 15)
+                & (_TARGET_IS[pb] if rb == zero else 15)
+                & (_PARITY_IS[pa ^ pb] if ra == rb else 15)
+            )
+            mask = dom[ei]
+            new_mask = mask & _KEEPS[allowed]
+            if new_mask == 0:
+                break
+            if new_mask != mask:
+                trail.append(("dom", ei, mask))
+                dom[ei] = new_mask
+                for k2 in event_edges[ei]:
+                    if k2 != k and not inq[k2]:
+                        inq[k2] = 1
+                        queue.append(k2)
+            # the source values, target values and parities still feasible
+            xs, ys, ps = _PROJ[_STEPS[new_mask] & allowed]
+            if ra != zero and xs in (1, 2) and not union(si, zero, xs >> 1):
+                break
+            if rb != zero and ys in (1, 2) and not union(ti, zero, ys >> 1):
+                break
+            if ra != rb and ps in (1, 2) and not union(si, ti, ps >> 1):
+                break
+        else:
+            self.revisions += popped
+            return True
         self.revisions += popped
-        return True
+        for k in queue:
+            inq[k] = 0
+        queue.clear()
+        return False
 
     def _root(self, init_value: int) -> _Root | None:
         """The fixpoint of the initial state's value alone, or None."""
@@ -348,22 +350,23 @@ class _AtomSearch:
     # -- search
 
     def _build_region(self) -> Region:
-        support: dict[str, int] = {}
-        for k, name in enumerate(self.ts.states):
-            r, p = self._find(k)
-            if r != self.zero:
-                # cannot happen: the initial state is pinned and every other
-                # state has an incoming edge whose singleton interaction
-                # forces its value or its parity to the source
-                raise InternalCheckFailed(
-                    f"state {name!r} left unvalued at a search leaf"
-                )
-            support[name] = p
-        signature: dict[str, Interaction] = {}
-        for ei, name in enumerate(self.ts.events):
-            mask = self.dom[ei]
-            bit = mask.bit_length() - 1
-            signature[name] = INTERACTION_ORDER[bit]
+        states = self.ts.states
+        parent = self.parent
+        zero = self.zero
+        if parent.count(zero) != len(parent):
+            # cannot happen: the initial state is pinned and every other
+            # state has an incoming edge whose singleton interaction forces
+            # its value or its parity to the source
+            name = next(s for s, r in zip(states, parent) if r != zero)
+            raise InternalCheckFailed(
+                f"state {name!r} left unvalued at a search leaf"
+            )
+        # the zero node is every state's root, so a state's parity is its value
+        support = dict(zip(states, self.par))
+        signature = {
+            name: INTERACTION_ORDER[mask.bit_length() - 1]
+            for name, mask in zip(self.ts.events, self.dom)
+        }
         return Region(support=support, signature=signature)
 
     def _expand(self) -> Region | None:
@@ -520,7 +523,7 @@ def decide_ssp(
         stats.revisions += verdict.revisions
         if verdict.status is AtomStatus.SOLVED:
             report.regions.append(verdict.region)
-            cls = _refine(cls, [verdict.region.support[s] for s in states])
+            cls = _refine(cls, map(verdict.region.support.__getitem__, states))
         elif verdict.status is AtomStatus.EXHAUSTED:
             exhausted_any = True
         else:

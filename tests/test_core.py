@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ssp_kit.classify import enumerate_types
 from ssp_kit.core import (
     DisconnectedPath,
     EmptyStateSet,
@@ -21,6 +22,7 @@ from ssp_kit.core import (
     type_of,
     validate_ts,
 )
+from ssp_kit.verify import random_ts
 
 I = Interaction
 
@@ -238,3 +240,40 @@ def test_propagation_consistent_with_validation(initial_bit, data):
                 "r": mask & 1,
             }
             assert not is_region(ts, tau, Region(support, sig))
+
+
+def reference_is_region(ts, tau, region):
+    """The per-edge ``Interaction.apply`` loop that ``is_region``'s step
+    cells replace, for a total support and signature."""
+    sup, sig = region.support, region.signature
+    return all(sig[e] in tau for e in ts.events) and all(
+        sig[e].apply(sup[s]) == sup[t] for s, e, t in ts.edges
+    )
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.randoms(use_true_random=False))
+def test_is_region_matches_the_apply_loop(rng):
+    ts = random_ts(rng, max_states=6, max_events=3)
+    members = list(Interaction)
+    outcomes = set()
+    for tau in enumerate_types():
+        sig = {e: rng.choice(members) for e in ts.events}
+        # a random support, and the one the signature propagates to, if any
+        candidates = [
+            Region({s: rng.randint(0, 1) for s in ts.states}, sig),
+            propagate_region(ts, rng.randint(0, 1), sig),
+        ]
+        for region in filter(None, candidates):
+            got = is_region(ts, tau, region)
+            assert got == reference_is_region(ts, tau, region), (tau, region)
+            outcomes.add(got)
+        # a partial support or signature is still refused
+        for support, signature in (
+            (dict(list(candidates[0].support.items())[1:]), sig),
+            (candidates[0].support, dict(list(sig.items())[1:])),
+        ):
+            if len(support) < len(ts.states) or len(signature) < len(ts.events):
+                with pytest.raises(PartialAssignment):
+                    is_region(ts, tau, Region(support, signature))
+    assert outcomes == {False, True} or not ts.events

@@ -297,11 +297,17 @@ def test_sweep_matches_oracle(ts, mask):
     assert_regions_back_decision(ts, tau, want)
 
 
+search_systems = st.randoms(use_true_random=False).map(
+    lambda rng: random_ts(rng, max_states=6, max_events=3)
+)
+
+
 class ClosureCheckingSearch(_AtomSearch):
     """A search that re-revises every edge after each successful propagation.
 
-    Propagation is a closure iff that changes nothing: each revision
-    succeeds, and no union, domain change or enqueue follows.
+    Propagation is a closure iff that changes nothing: each edge, queued
+    alone, propagates with one revision, and no union, domain change or
+    enqueue follows.
     """
 
     def _propagate(self):
@@ -309,23 +315,77 @@ class ClosureCheckingSearch(_AtomSearch):
             return False
         mark = len(self.trail)
         for k in range(len(self.edges)):
-            assert self._revise(k)
+            revisions = self.revisions
+            self._enqueue_all([k])
+            assert super()._propagate()
+            assert self.revisions == revisions + 1, k
             assert len(self.trail) == mark and not self.queue, k
         return True
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(
-    st.randoms(use_true_random=False).map(
-        lambda rng: random_ts(rng, max_states=6, max_events=3)
-    ),
-    st.integers(0, 255),
-)
+@given(search_systems, st.integers(0, 255))
 def test_propagation_is_a_closure(ts, mask):
     # the first search checks the type's roots as it computes them; every
     # search checks its root with the atom added and each branch it tries
     for atom in ts.atoms():
         ClosureCheckingSearch(ts, mask, None).run(atom)
+
+
+def union_find_state(search):
+    return (
+        search.parent[:],
+        search.par[:],
+        [m[:] for m in search.members],
+        search.dom[:],
+    )
+
+
+class InvariantCheckingSearch(_AtomSearch):
+    """A search that checks its union-find after every union, propagation
+    and rollback.
+
+    Every node's ``parent`` is a root that lists the node in its
+    ``members``, and a root is its own parent with parity 0.  A rollback to
+    a mark restores ``parent``, ``par``, ``members`` and ``dom`` exactly as
+    they were when the mark was taken: ``_expand`` takes a node's mark and
+    rolls back to it at once, which records that state here.
+    """
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.at_mark = {}
+
+    def check(self):
+        parent, par, members = self.parent, self.par, self.members
+        for x, root in enumerate(parent):
+            assert parent[root] == root and par[root] == 0, (x, root)
+            assert x in members[root], (x, root)
+        assert sum(len(members[root]) for root in set(parent)) == len(parent)
+
+    def _union(self, x, y, parity):
+        united = super()._union(x, y, parity)
+        self.check()
+        return united
+
+    def _propagate(self):
+        propagated = super()._propagate()
+        self.check()
+        return propagated
+
+    def _rollback(self, mark):
+        if len(self.trail) == mark:
+            self.at_mark[mark] = union_find_state(self)
+        super()._rollback(mark)
+        self.check()
+        assert union_find_state(self) == self.at_mark[mark], mark
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(search_systems, st.integers(0, 255))
+def test_union_find_holds_its_invariant(ts, mask):
+    for atom in ts.atoms():
+        InvariantCheckingSearch(ts, mask, None).run(atom)
 
 
 def sweep_by_region_scan(ts, tau):
@@ -513,12 +573,12 @@ class TestPropagationTables:
                 search._union(0, 1, parity)
 
             def value(u, v):
-                ru, pu = search._find(u)
-                rv, pv = search._find(v)
-                return pu ^ pv if ru == rv else None
+                parent, par = search.parent, search.par
+                return par[u] ^ par[v] if parent[u] == parent[v] else None
 
             kept, xs, ys, ps = reference_revise(mask, source, target, parity)
-            assert search._revise(0) == (kept != 0)
+            search._enqueue_all([0])
+            assert search._propagate() == (kept != 0)
             if kept:
                 forced = [s >> 1 if s in (1, 2) else None for s in (xs, ys, ps)]
                 assert search.dom[0] == kept
