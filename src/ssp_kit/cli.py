@@ -14,7 +14,7 @@ from typing import Sequence
 
 from . import formats
 from .classify import classify_type
-from .core import SspKitError, type_name
+from .core import InternalCheckFailed, SspKitError, type_name
 from .engine import (
     DEFAULT_MAX_NODES,
     AtomStatus,
@@ -320,13 +320,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except InternalCheckFailed as exc:
+        # a failed self-check is the program's fault, not the input's
+        fault: Exception = exc
     except (SspKitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except Exception as exc:
-        # a crash is not an answer: keep it off the decision exit codes
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        fault = exc
+    # a crash is not an answer: keep it off the decision exit codes
+    print(f"internal error: {type(fault).__name__}: {fault}", file=sys.stderr)
+    return EXIT_INTERNAL
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -12,6 +12,7 @@ from ssp_kit.cli import (
     EXIT_USAGE,
     main,
 )
+from ssp_kit.core import InternalCheckFailed
 from ssp_kit.formats import (
     TsParseError,
     TypeSpecError,
@@ -149,6 +150,23 @@ class TestCheckSspCommand:
         assert captured.out == ""
         assert captured.err.startswith("internal error: RecursionError")
         assert captured.err.count("\n") == 1
+
+    def test_failed_self_check_is_an_internal_error(
+        self, ts_file, capsys, monkeypatch
+    ):
+        # InternalCheckFailed is an SspKitError, but no fault of the input
+        def invalid(*args, **kwargs):
+            raise InternalCheckFailed("search produced an invalid region")
+
+        monkeypatch.setattr(cli, "decide_ssp", invalid)
+        code = main(["check-ssp", "--type", "nop,inp", ts_file(FORK)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INTERNAL
+        assert captured.out == ""
+        assert captured.err == (
+            "internal error: InternalCheckFailed: "
+            "search produced an invalid region\n"
+        )
 
 
 class TestSolveAtomCommand:
