@@ -172,9 +172,9 @@ class SystemIndex(NamedTuple):
     States and events are numbered by their position in the sorted
     ``states`` and ``events``.  All but ``roots`` is independent of a type
     and serves every search on the system, which must not modify it.
-    ``roots`` starts empty; the search fills in, per type, the propagated
-    states every search under that type starts from, so they live exactly
-    as long as the system.  Its sequences are lists: as small tuples,
+    ``roots`` starts empty; the search fills in, per type, the descents
+    every search under that type resumes, so they live exactly as long as
+    the system.  Its sequences are lists: as small tuples,
     freed with their system, they would stay in CPython's tuple free lists,
     which kept the peak resident memory of a few thousand decisions on
     small systems about 1 MB higher.
@@ -191,10 +191,13 @@ class SystemIndex(NamedTuple):
     state_edges: list[list[int]]
     #: event ids in branching order: busiest first, ties by name
     order: list[int]
-    #: type mask -> initial value -> the search's root fixpoint (each
-    #: node's root and parity to it, the class members, the event domains),
-    #: None where propagating that value alone fails; each is computed when
-    #: a search first needs it
+    #: type mask -> initial value -> the search's descent: its depth-first
+    #: search without an atom from that value's fixpoint toward the type's
+    #: first region, as the state of the node it stopped at (each node's
+    #: root and parity to it, the class members, the event domains, the
+    #: trail) and the frames of that node's ancestors.  None where that
+    #: value leaves no region.  A search starts a descent when it first
+    #: needs it and advances it in place, as far as its atom needs.
     roots: dict[int, dict]
 
 
@@ -442,7 +445,8 @@ def is_region(
             f"missing support for {missing_s!r}, signature for {missing_e!r}"
         )
     for s in ts.states:
-        if sup[s] not in (0, 1):
+        # a float 0.0 or 1.0 compares equal to the int but cannot index cells
+        if not isinstance(sup[s], int) or sup[s] not in (0, 1):
             raise PartialAssignment(f"support of {s!r} must be 0 or 1")
     for e in ts.events:
         if sig[e] not in tau:

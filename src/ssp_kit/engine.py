@@ -66,8 +66,8 @@ class AtomVerdict:
     status: AtomStatus
     region: Region | None
     nodes: int
-    #: edges revised by propagation, the type's root fixpoints included
-    #: when this search computed them
+    #: edges revised by propagation, including the type's root fixpoints
+    #: this search computed and the descent steps it took
     revisions: int = 0
 
 
@@ -120,9 +120,17 @@ _PROJ = [
 ]
 
 
-#: A root fixpoint of the search: its union-find's root and parity of
-#: every node, its class member lists and its event domains.
-_Root = tuple[list[int], list[int], list[list[int]], list[int]]
+#: The search state: the union-find's root and parity of every node, its
+#: class member lists, the event domains and the trail.
+_State = tuple[list[int], list[int], list[list[int]], list[int], list[tuple]]
+#: A search frame: the position in ``order`` of the event a node branches
+#: on, the interaction bits not yet tried there, and the node's trail mark.
+_Frame = tuple[int, int, int]
+#: A type's descent from one initial value (see :class:`_AtomSearch`): the
+#: state of the node it stopped at, then the frames of that node's ancestors.
+_Descent = tuple[
+    list[int], list[int], list[list[int]], list[int], list[tuple], list[_Frame]
+]
 
 
 class _Exhausted(Exception):
@@ -148,12 +156,26 @@ class _AtomSearch:
     Propagation is a closure: when it succeeds, revising any edge again
     changes nothing.  Its fixpoint is therefore the same whatever the order
     of the unions and revisions that reached it, and so is everything the
-    search derives from it.  That makes the start of every search under a
-    type the same: the root fixpoint, with the initial state's value
-    propagated alone, computed once per initial value and kept in the
-    system's index (:attr:`SystemIndex.roots`) next to the integer form the
-    search works on.  A search copies a root, adds its atom's disequality
-    and propagates that.
+    search derives from it.  The search branches on the first event in
+    ``order`` that is not yet a singleton and tries its bits in ascending
+    order, so its leaves, the regions, come in lexicographic order of
+    their signatures, and it returns the first region with the atom.
+
+    Every search under a type therefore shares the *descent*: the depth-first
+    search without any atom, from the fixpoint of one initial value alone
+    toward the type's first region.  It is kept in the system's index
+    (:attr:`SystemIndex.roots`) as its state and frame stack, and advanced
+    only on demand: a search for the atom (a, b) advances it, counting the
+    nodes it enters, until it reaches a leaf or a node where a and b are
+    forced equal.  A leaf that is not such a node separates the atom and is
+    its answer.  Otherwise no leaf below that node separates the atom, and
+    no leaf left of the descent's path is a region at all.  So the search
+    walks the frames deepest first, on a copy of the state: it rolls back
+    to the frame's mark, adds the atom's disequality, propagates, and
+    searches only the bits the descent has not tried there.  A frame's
+    state plus the atom is the fixpoint a search from the root with the
+    atom reaches there, so the first region found is the one that search
+    finds.
     """
 
     def __init__(
@@ -189,13 +211,18 @@ class _AtomSearch:
         self.dom = [self.full_mask] * len(self.event_edges)
         self.trail: list[tuple] = []
 
-    def _load(self, root: _Root) -> None:
-        parent, par, members, dom = root
-        self.parent = parent[:]
-        self.par = par[:]
-        self.members = [m[:] for m in members]
-        self.dom = dom[:]
-        self.trail = []
+    def _bind(self, state: _State) -> None:
+        self.parent, self.par, self.members, self.dom, self.trail = state
+
+    def _detach(self) -> None:
+        """Go on with a copy of the state, leaving a stored descent as is."""
+        self._bind((
+            self.parent[:],
+            self.par[:],
+            [m[:] for m in self.members],
+            self.dom[:],
+            self.trail[:],
+        ))
 
     def _union(self, x: int, y: int, parity: int) -> bool:
         parent = self.parent
@@ -284,7 +311,12 @@ class _AtomSearch:
 
     def _propagate(self) -> bool:
         """Revise the queued edges until none is left; False, with the
-        queue drained, when an event's domain empties or a union fails."""
+        queue drained, when an event's domain empties or a union fails.
+
+        An edge stays marked as queued until its revision ends, so neither
+        its domain change nor its unions queue it again: every cell it kept
+        has the values and parity it forces, so revising it again after
+        them would change nothing."""
         queue = self.queue
         inq = self.inq
         edges = self.edges
@@ -298,7 +330,6 @@ class _AtomSearch:
         popped = 0
         while queue:
             k = queue.pop()
-            inq[k] = 0
             popped += 1
             si, ei, ti = edges[k]
             ra = parent[si]
@@ -318,7 +349,7 @@ class _AtomSearch:
                 trail.append(("dom", ei, mask))
                 dom[ei] = new_mask
                 for k2 in event_edges[ei]:
-                    if k2 != k and not inq[k2]:
+                    if not inq[k2]:
                         inq[k2] = 1
                         queue.append(k2)
             # the source values, target values and parities still feasible
@@ -329,23 +360,27 @@ class _AtomSearch:
                 break
             if ra != rb and ps in (1, 2) and not union(si, ti, ps >> 1):
                 break
+            inq[k] = 0
         else:
             self.revisions += popped
             return True
         self.revisions += popped
+        inq[k] = 0
         for k in queue:
             inq[k] = 0
         queue.clear()
         return False
 
-    def _root(self, init_value: int) -> _Root | None:
-        """The fixpoint of the initial state's value alone, or None."""
+    def _root(self, init_value: int) -> _Descent | None:
+        """A descent at the fixpoint of the initial state's value alone, or
+        None.  Its stack starts with a frame with no bits to try, so the
+        descent has run out of regions once that frame is popped."""
         self._reset()
         self._union(self.sidx[self.ts.initial], self.zero, init_value)
         self._enqueue_all(range(len(self.edges)))
         if not self._propagate():
             return None
-        return self.parent, self.par, self.members, self.dom
+        return self.parent, self.par, self.members, self.dom, [], [(0, 0, 0)]
 
     # -- search
 
@@ -369,27 +404,39 @@ class _AtomSearch:
         }
         return Region(support=support, signature=signature)
 
-    def _expand(self) -> Region | None:
-        """Depth-first search from the current, propagated state.
+    def _expand(
+        self, stack: list[_Frame], stop: tuple[int, int] | None
+    ) -> Region | None:
+        """Depth-first search from the current, propagated node: the first
+        leaf's region, or None once the stack's first frame is popped.
 
-        The stack holds one frame per open node: the position in ``order``
-        of the event it branches on, the interaction bits not yet tried
-        there, and the trail mark taken on entering it.  Children are tried
-        in ascending bit order, and the trail is rolled back to the mark
-        before each child and before the frame is dropped, so depth costs
-        heap, not Python frames.  Every event before a node's position is a
-        singleton there and stays one below it, so a child looks for its
-        branch event from its parent's position on.
+        The stack holds one frame per open node and starts with one that
+        has no bits to try: its position is where the current node looks
+        for its branch event, its mark where the search rolls back to when
+        it gives up.  Children are tried in ascending bit order, and the
+        trail is rolled back to the mark before each child and before the
+        frame is dropped, so depth costs heap, not Python frames.  Every
+        event before a node's position is a singleton there and stays one
+        below it, so a child looks for its branch event from its parent's
+        position on.
+
+        With ``stop``, two state ids, the search returns None at the first
+        node where the two are forced equal, before entering it, and leaves
+        that node's state and its ancestors' frames as they are.
         """
         order = self.order
         dom = self.dom
-        stack: list[tuple[int, int, int]] = []
-        pos = 0
+        parent = self.parent
+        par = self.par
+        a, b = stop or (0, 0)
         while True:
             # entering a node
+            if stop and parent[a] == parent[b] and par[a] == par[b]:
+                return None
             if self.max_nodes is not None and self.expanded >= self.max_nodes:
                 raise _Exhausted
             self.expanded += 1
+            pos = stack[-1][0]
             while pos < len(order) and not dom[order[pos]] & (dom[order[pos]] - 1):
                 pos += 1
             if pos == len(order):
@@ -411,27 +458,63 @@ class _AtomSearch:
             else:
                 return None
 
+    def _search(
+        self, descents: dict, init_value: int, pair: tuple[int, int]
+    ) -> Region | None:
+        """The first region under ``init_value`` separating the state ids
+        ``pair``, from the type's descent from that value."""
+        if init_value not in descents:
+            descents[init_value] = self._root(init_value)
+        descent = descents[init_value]
+        if descent is None:
+            return None
+        *state, stack = descent
+        self._bind(state)
+        try:
+            region = self._expand(stack, pair)
+        except _Exhausted:
+            raise  # raised on entering a node, so the descent is whole
+        except BaseException:
+            del descents[init_value]  # it may have stopped mid-propagation
+            raise
+        if region is not None:
+            return region
+        if not stack:
+            descents[init_value] = None  # no region under this initial value
+            return None
+        self._detach()
+        a, b = pair
+        for pos, untried, mark in reversed(stack):
+            if not untried:
+                continue
+            self._rollback(mark)
+            if not (self._union(a, b, 1) and self._propagate()):
+                continue
+            ei = self.order[pos]
+            untried &= self.dom[ei]
+            if not untried:
+                continue
+            self._set_dom(ei, untried)
+            self._enqueue_all(self.event_edges[ei])
+            if self._propagate():
+                region = self._expand([(pos, 0, len(self.trail))], None)
+                if region is not None:
+                    return region
+        return None
+
     def run(self, atom: tuple[str, str]) -> tuple[Region | None, bool]:
         """Returns (region-or-None, exhausted-flag)."""
         if self.max_nodes is not None and self.max_nodes <= 0:
             return None, True
-        roots = self.index.roots.setdefault(self.full_mask, {})
-        a = self.sidx[atom[0]]
-        b = self.sidx[atom[1]]
-        for init_value in (0, 1):
-            if init_value not in roots:
-                roots[init_value] = self._root(init_value)
-            root = roots[init_value]
-            if root is None:
-                continue
-            self._load(root)
-            if self._union(a, b, 1) and self._propagate():
-                try:
-                    region = self._expand()
-                except _Exhausted:
-                    return None, True
+        descents = self.index.roots.setdefault(self.full_mask, {})
+        pair = (self.sidx[atom[0]], self.sidx[atom[1]])
+        try:
+            for init_value in (0, 1):
+                region = self._search(descents, init_value, pair)
                 if region is not None:
                     return region, False
+        except _Exhausted:
+            return None, True
         return None, False
 
 
@@ -446,9 +529,13 @@ def solve_atom(
     ``budget`` caps the search nodes expanded; None means unlimited.
     Returns SOLVED with a validated region, UNSOLVABLE after exhausting the
     search space, or EXHAUSTED when the node budget ran out first; ``nodes``
-    reports expansions spent either way.  A search starts from the type's
-    root fixpoints kept with the system, and computes the ones it needs
-    that no earlier search on the system did.
+    reports expansions spent either way.  A search resumes the type's
+    descents kept with the system (see ``SystemIndex.roots``), starting the
+    ones no earlier search on the system did, and advances them as far as
+    its atom needs; the nodes and revisions that costs count here and
+    against ``budget``.  So the status and region depend only on the system,
+    type and atom, while ``nodes`` and ``revisions`` also depend on the
+    searches run on the system before.
     """
     a, b = atom
     if a == b or a not in ts.states or b not in ts.states:
@@ -497,9 +584,10 @@ def decide_ssp(
     Atoms are visited in sorted order.  An atom that a region found earlier
     already separates needs no search; any other atom gets a ``solve_atom``
     search under the node cap ``budget`` (None: unlimited), and the region
-    it finds joins ``report.regions``.  Every search starts from the type's
-    root fixpoints, computed once, so it propagates only what its atom
-    adds.  The sweep stops at the first
+    it finds joins ``report.regions``.  The searches share the type's
+    descents toward its first region, so each one repeats little of what
+    the searches before it did; ``stats`` counts the nodes and revisions
+    of each search, descent steps included.  The sweep stops at the first
     provably unsolvable atom, the witness.  If a search ran out of budget
     and no atom was unsolvable, the decision is UNKNOWN and no regions are
     reported.

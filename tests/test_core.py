@@ -158,6 +158,13 @@ class TestRegions:
         with pytest.raises(PartialAssignment):
             is_region(self.ts, self.wide, Region({"s0": 0}, {}))
 
+    def test_is_region_refuses_supports_other_than_0_and_1(self):
+        edge = validate_ts([("a", "x", "b")], "a")
+        for value in (1.0, 0.0, 2, "1"):
+            region = Region({"a": value, "b": 1}, {"x": I.NOP})
+            with pytest.raises(PartialAssignment):
+                is_region(edge, type_of(I.NOP), region)
+
     def test_solves_and_separated_atoms(self):
         region = propagate_region(
             self.ts, 1, {"a": I.USED, "b": I.SWAP, "c": I.SET}

@@ -99,10 +99,15 @@ class TestSolveAtom:
         first = solve_atom(ts, NOP_INP, ("r0", "r1"))
         index = ts.index()
         roots = index.roots[type_mask(NOP_INP)]
+        descents = dict(roots)
         again = solve_atom(ts, NOP_INP, ("r0", "r1"))
-        # the second search under the type starts from the stored roots
+        # the second search under the type resumes the stored descents, each
+        # kept as the same object, where the first search left them
         assert index.roots[type_mask(NOP_INP)] is roots
+        assert roots.keys() == {0, 1}
+        assert all(roots[v] is descents[v] for v in roots)
         assert again.revisions < first.revisions
+        assert again.nodes < first.nodes
         swap = type_mask(type_of(I.SWAP))
         solve_atom(ts, type_of(I.SWAP), ("r0", "r1"))
         assert ts.index() is index
@@ -110,21 +115,43 @@ class TestSolveAtom:
         assert index.roots[swap] is not roots
         copy = validate_ts(ts.edges, ts.initial)
         fresh = solve_atom(copy, NOP_INP, ("r0", "r1"))
+        # the first search on a system spends what a fresh one does, and
+        # every search returns the same verdict
+        assert (first.nodes, first.revisions) == (fresh.nodes, fresh.revisions)
         for verdict in (first, again):
-            assert (verdict.status, verdict.nodes, verdict.region) == (
-                fresh.status, fresh.nodes, fresh.region
+            assert (verdict.status, verdict.region) == (
+                fresh.status, fresh.region
             )
+
+    def test_an_interrupted_descent_is_dropped(self):
+        class Interrupted(_AtomSearch):
+            def _set_dom(self, ei, mask):
+                raise KeyboardInterrupt
+
+        ts = fixture_parallel_pair()
+        # the descent from 0 stops at its root; the one from 1 branches
+        with pytest.raises(KeyboardInterrupt):
+            Interrupted(ts, type_mask(NOP_INP), None).run(("r0", "r1"))
+        assert ts.index().roots[type_mask(NOP_INP)].keys() == {0}
+        verdict = solve_atom(ts, NOP_INP, ("r0", "r1"))
+        copy = validate_ts(ts.edges, ts.initial)
+        fresh = solve_atom(copy, NOP_INP, ("r0", "r1"))
+        assert (verdict.status, verdict.region) == (fresh.status, fresh.region)
 
     @pytest.mark.parametrize("leaves", [1500, 5000])
     def test_deep_star(self, leaves):
         # each leaf event is branched on at its own level, so the search
-        # runs far deeper than Python's default recursion limit
+        # runs far deeper than Python's default recursion limit.  The
+        # descent enters its root, and stops below it once e0's lowest
+        # interaction gives l0 the value of c; the search then enters the
+        # root with the atom and e0's other interactions, and one node per
+        # leaf event below it
         star = validate_ts(
             [("c", f"e{i}", f"l{i}") for i in range(leaves)], "c"
         )
         verdict = solve_atom(star, frozenset(Interaction), ("c", "l0"))
         assert verdict.status is AtomStatus.SOLVED
-        assert verdict.nodes == leaves + 1
+        assert verdict.nodes == leaves + 2
 
 
 class TestDecideSsp:
@@ -153,17 +180,21 @@ class TestDecideSsp:
         )
         tau = type_of(I.NOP, I.INP, I.OUT)
         report = decide_ssp(ts, tau)
-        every_atom = sum(solve_atom(ts, tau, atom).nodes for atom in ts.atoms())
+        # each atom searched on its own copy of the system, sharing nothing
+        every_atom = sum(
+            solve_atom(validate_ts(ts.edges, ts.initial), tau, atom).nodes
+            for atom in ts.atoms()
+        )
         assert report.decision is Decision.HAS_SSP
         assert report.stats.nodes_expanded < every_atom
 
     @pytest.mark.parametrize(
         "formula, expected",
         [
-            (example_formula, (Decision.HAS_SSP, None, 990, 190, 18)),
+            (example_formula, (Decision.HAS_SSP, None, 990, 90, 18)),
             (
                 unsat_formula_m4,
-                (Decision.LACKS_SSP, ("g_0_1", "g_0_2"), 60, 82, 9),
+                (Decision.LACKS_SSP, ("g_0_1", "g_0_2"), 60, 37, 9),
             ),
         ],
     )
@@ -180,7 +211,7 @@ class TestDecideSsp:
         ) == expected
 
     @pytest.mark.parametrize(
-        "budget, nodes", [(5, 1209), (10, 599)]
+        "budget, nodes", [(5, 308), (10, 91)]
     )
     def test_budget_accounting_is_pinned(self, budget, nodes):
         # some atoms exhaust the cap and others are solved within it, so
@@ -208,8 +239,8 @@ class TestDecideSsp:
             report.stats.atoms_checked,
             report.stats.nodes_expanded,
             len(report.regions),
-        ) == (Decision.LACKS_SSP, ("f_0_2", "f_0_4"), 47489, 57082, 193)
-        assert report.stats.revisions == 733854
+        ) == (Decision.LACKS_SSP, ("f_0_2", "f_0_4"), 47489, 16048, 193)
+        assert report.stats.revisions == 315982
 
     def test_report_region_vectors_separate_all_atoms(self):
         ts = validate_ts(
@@ -350,11 +381,21 @@ class InvariantCheckingSearch(_AtomSearch):
     a mark restores ``parent``, ``par``, ``members`` and ``dom`` exactly as
     they were when the mark was taken: ``_expand`` takes a node's mark and
     rolls back to it at once, which records that state here.
+
+    Records are kept per trail in ``records``, shared by every search on
+    the system, so those of a stored descent outlive the search that made
+    them.  A copy of the state starts with a copy of its trail's records,
+    so a rollback into one of the descent's frames, in a later search, is
+    checked against the state recorded when that frame's node was entered.
     """
 
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.at_mark = {}
+    def __init__(self, ts, mask, records):
+        super().__init__(ts, mask, None)
+        self.records = records
+
+    def at_mark(self):
+        # keyed by id; the trail is kept in the value so no id is reused
+        return self.records.setdefault(id(self.trail), (self.trail, {}))[1]
 
     def check(self):
         parent, par, members = self.parent, self.par, self.members
@@ -373,35 +414,99 @@ class InvariantCheckingSearch(_AtomSearch):
         self.check()
         return propagated
 
+    def _detach(self):
+        at_mark = self.at_mark()
+        super()._detach()
+        self.records[id(self.trail)] = (self.trail, dict(at_mark))
+
     def _rollback(self, mark):
+        at_mark = self.at_mark()
         if len(self.trail) == mark:
-            self.at_mark[mark] = union_find_state(self)
+            at_mark[mark] = union_find_state(self)
         super()._rollback(mark)
         self.check()
-        assert union_find_state(self) == self.at_mark[mark], mark
+        assert union_find_state(self) == at_mark[mark], mark
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(search_systems, st.integers(0, 255))
 def test_union_find_holds_its_invariant(ts, mask):
+    records = {}
     for atom in ts.atoms():
-        InvariantCheckingSearch(ts, mask, None).run(atom)
+        InvariantCheckingSearch(ts, mask, records).run(atom)
+
+
+def reference_search(ts, mask, atom):
+    """The search from the root with the atom that the shared descents
+    replace: the (status, region) of an unlimited ``solve_atom``.
+
+    For each initial value, it propagates that value and the atom's
+    disequality, then searches depth first: each node branches on the first
+    event in branching order that is not a singleton, trying its bits in
+    ascending order, and the first leaf is the region.
+    """
+    search = _AtomSearch(ts, mask, None)
+    order, edges_of = search.order, search.event_edges
+    a, b = (search.sidx[s] for s in atom)
+    for init_value in (0, 1):
+        search._reset()
+        search._union(search.sidx[ts.initial], search.zero, init_value)
+        search._enqueue_all(range(len(search.edges)))
+        if not (search._union(a, b, 1) and search._propagate()):
+            continue
+        dom, stack, pos = search.dom, [], 0
+        while True:
+            while pos < len(order) and bin(dom[order[pos]]).count("1") == 1:
+                pos += 1
+            if pos == len(order):
+                return AtomStatus.SOLVED, search._build_region()
+            stack.append((pos, dom[order[pos]], len(search.trail)))
+            while stack:
+                pos, untried, mark = stack.pop()
+                search._rollback(mark)
+                if untried:
+                    low = untried & -untried
+                    stack.append((pos, untried ^ low, mark))
+                    search._set_dom(order[pos], low)
+                    search._enqueue_all(edges_of[order[pos]])
+                    if search._propagate():
+                        break
+            else:
+                break
+    return AtomStatus.UNSOLVABLE, None
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(search_systems, st.randoms(use_true_random=False))
+def test_resumed_searches_match_the_root_search(ts, rng):
+    # every search runs on the one system, so under each type the atoms,
+    # in the drawn order, advance and resume the same descents
+    atoms = list(ts.atoms())
+    rng.shuffle(atoms)
+    copy = validate_ts(ts.edges, ts.initial)
+    for mask, tau in enumerate(enumerate_types()):
+        for atom in atoms:
+            verdict = solve_atom(ts, tau, atom, budget=None)
+            assert (verdict.status, verdict.region) == reference_search(
+                copy, mask, atom
+            ), (mask, atom)
 
 
 def sweep_by_region_scan(ts, tau):
     """The sweep with its skip rule spelled out, as a reference.
 
     An atom is skipped when some region found so far separates it; any
-    other atom gets a ``solve_atom`` search on a freshly validated copy of
-    the system, so nothing is shared between searches.
+    other atom gets a ``solve_atom`` search on one freshly validated copy
+    of the system, which its searches share as ``decide_ssp``'s do.
     """
     regions, witness = [], None
     checked = searched = nodes = 0
+    copy = validate_ts(ts.edges, ts.initial)
     for atom in ts.atoms():
         checked += 1
         if any(r.solves(atom) for r in regions):
             continue
-        verdict = solve_atom(validate_ts(ts.edges, ts.initial), tau, atom)
+        verdict = solve_atom(copy, tau, atom)
         searched += 1
         nodes += verdict.nodes
         if verdict.status is AtomStatus.UNSOLVABLE:
