@@ -170,14 +170,11 @@ class SystemIndex(NamedTuple):
     """The integer form of a system that the separation search works on.
 
     States and events are numbered by their position in the sorted
-    ``states`` and ``events``.  All but ``roots`` is independent of a type
-    and serves every search on the system, which must not modify it.
-    ``roots`` starts empty; the search fills in, per type, the descents
-    every search under that type resumes, so they live exactly as long as
-    the system.  Its sequences are lists: as small tuples,
-    freed with their system, they would stay in CPython's tuple free lists,
-    which kept the peak resident memory of a few thousand decisions on
-    small systems about 1 MB higher.
+    ``states`` and ``events``.  All but ``descents`` is independent of a
+    type and serves every search on the system, which must not modify it.
+    Its sequences are lists: as small tuples, freed with their system, they
+    would stay in CPython's tuple free lists, which kept the peak resident
+    memory of a few thousand decisions on small systems about 1 MB higher.
     """
 
     #: state name -> state id
@@ -186,19 +183,12 @@ class SystemIndex(NamedTuple):
     edges: list[tuple[int, int, int]]
     #: edge ids per event id
     event_edges: list[list[int]]
-    #: edge ids per state id (a loop once), plus one empty entry for the
-    #: extra node the search adds after the states
+    #: edge ids per state id (a loop once)
     state_edges: list[list[int]]
     #: event ids in branching order: busiest first, ties by name
     order: list[int]
-    #: type mask -> initial value -> the search's descent: its depth-first
-    #: search without an atom from that value's fixpoint toward the type's
-    #: first region, as the state of the node it stopped at (each node's
-    #: root and parity to it, the class members, the event domains, the
-    #: trail) and the frames of that node's ancestors.  None where that
-    #: value leaves no region.  A search starts a descent when it first
-    #: needs it and advances it in place, as far as its atom needs.
-    roots: dict[int, dict]
+    #: per type mask, what the search keeps as long as the system; starts empty
+    descents: dict[int, dict]
 
 
 def _build_index(ts: TransitionSystem) -> SystemIndex:
@@ -209,7 +199,7 @@ def _build_index(ts: TransitionSystem) -> SystemIndex:
         for (s, _, t) in ts.edges_of_event(e)
     ]
     event_edges: list[list[int]] = [[] for _ in ts.events]
-    state_edges: list[list[int]] = [[] for _ in range(len(ts.states) + 1)]
+    state_edges: list[list[int]] = [[] for _ in ts.states]
     for k, (si, ei, ti) in enumerate(edges):
         event_edges[ei].append(k)
         state_edges[si].append(k)
@@ -424,6 +414,11 @@ class Region:
         )
 
 
+def _is_bit(value: object) -> bool:
+    # a float 0.0 or 1.0 compares equal to the int but cannot index cells
+    return isinstance(value, int) and value in (0, 1)
+
+
 def is_region(
     ts: TransitionSystem,
     tau: frozenset[Interaction],
@@ -445,8 +440,7 @@ def is_region(
             f"missing support for {missing_s!r}, signature for {missing_e!r}"
         )
     for s in ts.states:
-        # a float 0.0 or 1.0 compares equal to the int but cannot index cells
-        if not isinstance(sup[s], int) or sup[s] not in (0, 1):
+        if not _is_bit(sup[s]):
             raise PartialAssignment(f"support of {s!r} must be 0 or 1")
     for e in ts.events:
         if sig[e] not in tau:
@@ -473,7 +467,7 @@ def propagate_region(
     missing = [e for e in ts.events if e not in signature]
     if missing:
         raise PartialAssignment(f"signature missing events {missing!r}")
-    if initial_support not in (0, 1):
+    if not _is_bit(initial_support):
         raise PartialAssignment("initial support must be 0 or 1")
     sup: dict[str, int] = {ts.initial: initial_support}
     frontier = [ts.initial]

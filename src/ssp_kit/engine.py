@@ -66,8 +66,8 @@ class AtomVerdict:
     status: AtomStatus
     region: Region | None
     nodes: int
-    #: edges revised by propagation, including the type's root fixpoints
-    #: this search computed and the descent steps it took
+    #: edges revised by propagation, including the descents this search
+    #: started and the steps it advanced them
     revisions: int = 0
 
 
@@ -126,11 +126,13 @@ _State = tuple[list[int], list[int], list[list[int]], list[int], list[tuple]]
 #: A search frame: the position in ``order`` of the event a node branches
 #: on, the interaction bits not yet tried there, and the node's trail mark.
 _Frame = tuple[int, int, int]
-#: A type's descent from one initial value (see :class:`_AtomSearch`): the
-#: state of the node it stopped at, then the frames of that node's ancestors.
-_Descent = tuple[
-    list[int], list[int], list[list[int]], list[int], list[tuple], list[_Frame]
-]
+#: A type's descent from one initial value, kept per type mask and initial
+#: value in :attr:`SystemIndex.descents`, None where the value leaves no
+#: region: the depth-first search without any atom, from the fixpoint of
+#: that value alone toward the type's first region.  It is the state of the
+#: node it stopped at and the frames of that node's ancestors, and a search
+#: starts it when first needed and advances it in place.
+_Descent = tuple[_State, list[_Frame]]
 
 
 class _Exhausted(Exception):
@@ -161,21 +163,16 @@ class _AtomSearch:
     order, so its leaves, the regions, come in lexicographic order of
     their signatures, and it returns the first region with the atom.
 
-    Every search under a type therefore shares the *descent*: the depth-first
-    search without any atom, from the fixpoint of one initial value alone
-    toward the type's first region.  It is kept in the system's index
-    (:attr:`SystemIndex.roots`) as its state and frame stack, and advanced
-    only on demand: a search for the atom (a, b) advances it, counting the
-    nodes it enters, until it reaches a leaf or a node where a and b are
-    forced equal.  A leaf that is not such a node separates the atom and is
-    its answer.  Otherwise no leaf below that node separates the atom, and
-    no leaf left of the descent's path is a region at all.  So the search
-    walks the frames deepest first, on a copy of the state: it rolls back
-    to the frame's mark, adds the atom's disequality, propagates, and
-    searches only the bits the descent has not tried there.  A frame's
-    state plus the atom is the fixpoint a search from the root with the
-    atom reaches there, so the first region found is the one that search
-    finds.
+    Every search under a type therefore shares the type's descent (see
+    :data:`_Descent`).  A search for the atom (a, b) advances it, counting
+    the nodes it enters, until it reaches a leaf or a node where a and b
+    are forced equal.  A leaf that is not such a node separates the atom
+    and is its answer.  Otherwise no leaf below that node separates the
+    atom, and no leaf left of the descent's path is a region at all.  So
+    the search backtracks from there, on a copy of the descent, adding the
+    atom's disequality to each child it tries: the children it propagates
+    reach the fixpoints a search from the root with the atom reaches, so
+    the first region found is the one that search finds.
     """
 
     def __init__(
@@ -380,7 +377,7 @@ class _AtomSearch:
         self._enqueue_all(range(len(self.edges)))
         if not self._propagate():
             return None
-        return self.parent, self.par, self.members, self.dom, [], [(0, 0, 0)]
+        return (self.parent, self.par, self.members, self.dom, []), [(0, 0, 0)]
 
     # -- search
 
@@ -405,7 +402,7 @@ class _AtomSearch:
         return Region(support=support, signature=signature)
 
     def _expand(
-        self, stack: list[_Frame], stop: tuple[int, int] | None
+        self, stack: list[_Frame], pair: tuple[int, int], descent: bool
     ) -> Region | None:
         """Depth-first search from the current, propagated node: the first
         leaf's region, or None once the stack's first frame is popped.
@@ -420,33 +417,39 @@ class _AtomSearch:
         below it, so a child looks for its branch event from its parent's
         position on.
 
-        With ``stop``, two state ids, the search returns None at the first
-        node where the two are forced equal, before entering it, and leaves
-        that node's state and its ancestors' frames as they are.
+        A ``descent`` enters the current node first, and returns None at
+        the first node where the two state ids ``pair`` are forced equal,
+        before entering it, leaving that node's state and its ancestors'
+        frames as they are.  Otherwise the search is for the atom ``pair``:
+        it starts by backtracking into the stack's top frame, and unites
+        the pair with parity 1 before it propagates each child.
         """
         order = self.order
         dom = self.dom
         parent = self.parent
         par = self.par
-        a, b = stop or (0, 0)
+        a, b = pair
+        enter = descent
         while True:
-            # entering a node
-            if stop and parent[a] == parent[b] and par[a] == par[b]:
-                return None
-            if self.max_nodes is not None and self.expanded >= self.max_nodes:
-                raise _Exhausted
-            self.expanded += 1
-            pos = stack[-1][0]
-            while pos < len(order) and not dom[order[pos]] & (dom[order[pos]] - 1):
-                pos += 1
-            if pos == len(order):
-                return self._build_region()
-            stack.append((pos, dom[order[pos]], len(self.trail)))
+            if enter:
+                # entering a node; an atom search's nodes keep a != b
+                if parent[a] == parent[b] and par[a] == par[b]:
+                    return None
+                if self.max_nodes is not None and self.expanded >= self.max_nodes:
+                    raise _Exhausted
+                self.expanded += 1
+                pos = stack[-1][0]
+                while pos < len(order) and not dom[order[pos]] & (dom[order[pos]] - 1):
+                    pos += 1
+                if pos == len(order):
+                    return self._build_region()
+                stack.append((pos, dom[order[pos]], len(self.trail)))
+            enter = True
             # find the next child that propagates, backtracking as needed
             while stack:
                 pos, untried, mark = stack.pop()
                 self._rollback(mark)
-                if not untried:
+                if not untried or not (descent or self._union(a, b, 1)):
                     continue
                 low = untried & -untried
                 stack.append((pos, untried ^ low, mark))
@@ -458,59 +461,34 @@ class _AtomSearch:
             else:
                 return None
 
-    def _search(
-        self, descents: dict, init_value: int, pair: tuple[int, int]
-    ) -> Region | None:
-        """The first region under ``init_value`` separating the state ids
-        ``pair``, from the type's descent from that value."""
-        if init_value not in descents:
-            descents[init_value] = self._root(init_value)
-        descent = descents[init_value]
-        if descent is None:
-            return None
-        *state, stack = descent
-        self._bind(state)
-        try:
-            region = self._expand(stack, pair)
-        except _Exhausted:
-            raise  # raised on entering a node, so the descent is whole
-        except BaseException:
-            del descents[init_value]  # it may have stopped mid-propagation
-            raise
-        if region is not None:
-            return region
-        if not stack:
-            descents[init_value] = None  # no region under this initial value
-            return None
-        self._detach()
-        a, b = pair
-        for pos, untried, mark in reversed(stack):
-            if not untried:
-                continue
-            self._rollback(mark)
-            if not (self._union(a, b, 1) and self._propagate()):
-                continue
-            ei = self.order[pos]
-            untried &= self.dom[ei]
-            if not untried:
-                continue
-            self._set_dom(ei, untried)
-            self._enqueue_all(self.event_edges[ei])
-            if self._propagate():
-                region = self._expand([(pos, 0, len(self.trail))], None)
-                if region is not None:
-                    return region
-        return None
-
     def run(self, atom: tuple[str, str]) -> tuple[Region | None, bool]:
-        """Returns (region-or-None, exhausted-flag)."""
+        """Returns (region-or-None, exhausted-flag).  Under each initial
+        value, the search advances the type's descent, then searches for
+        the atom from where it stopped, on a copy."""
         if self.max_nodes is not None and self.max_nodes <= 0:
             return None, True
-        descents = self.index.roots.setdefault(self.full_mask, {})
+        descents = self.index.descents.setdefault(self.full_mask, {})
         pair = (self.sidx[atom[0]], self.sidx[atom[1]])
         try:
             for init_value in (0, 1):
-                region = self._search(descents, init_value, pair)
+                if init_value not in descents:
+                    descents[init_value] = self._root(init_value)
+                if descents[init_value] is None:
+                    continue
+                state, stack = descents[init_value]
+                self._bind(state)
+                try:
+                    region = self._expand(stack, pair, True)
+                except _Exhausted:
+                    raise  # raised on entering a node, so the descent is whole
+                except BaseException:
+                    del descents[init_value]  # it may have stopped mid-propagation
+                    raise
+                if region is None and not stack:
+                    descents[init_value] = None  # no region under this value
+                elif region is None:
+                    self._detach()  # the descent stays where it stopped
+                    region = self._expand(stack[:], pair, False)
                 if region is not None:
                     return region, False
         except _Exhausted:
@@ -530,12 +508,13 @@ def solve_atom(
     Returns SOLVED with a validated region, UNSOLVABLE after exhausting the
     search space, or EXHAUSTED when the node budget ran out first; ``nodes``
     reports expansions spent either way.  A search resumes the type's
-    descents kept with the system (see ``SystemIndex.roots``), starting the
-    ones no earlier search on the system did, and advances them as far as
-    its atom needs; the nodes and revisions that costs count here and
-    against ``budget``.  So the status and region depend only on the system,
-    type and atom, while ``nodes`` and ``revisions`` also depend on the
-    searches run on the system before.
+    descents kept with the system (see ``SystemIndex.descents``), starting
+    the ones no earlier search on the system did, and advances them as far
+    as its atom needs, then backtracks from there with the atom added; the
+    nodes and revisions that costs count here and against ``budget``.  So
+    the status and region depend only on the system, type and atom, while
+    ``nodes`` and ``revisions`` also depend on the searches run on the
+    system before.
     """
     a, b = atom
     if a == b or a not in ts.states or b not in ts.states:

@@ -108,8 +108,8 @@ class TestSystemIndex:
         # events x = 0, y = 1; edges grouped by event in sorted edge order
         assert index.edges == [(0, 0, 1), (1, 0, 2), (2, 0, 2), (0, 1, 1)]
         assert index.event_edges == [[0, 1, 2], [3]]
-        # the loop on c is listed once; the last entry is the empty extra node
-        assert index.state_edges == [[0, 3], [0, 1, 3], [1, 2], []]
+        # the loop on c is listed once
+        assert index.state_edges == [[0, 3], [0, 1, 3], [1, 2]]
         assert index.order == [0, 1]
 
     def test_equality_and_hash_ignore_the_index(self):
@@ -153,6 +153,12 @@ class TestRegions:
         )
         sig = {"a": I.SET, "b": I.NOP, "c": I.NOP, "d": I.NOP}
         assert propagate_region(diamond, 0, sig) is None
+
+    def test_propagate_refuses_initial_supports_other_than_0_and_1(self):
+        sig = {"a": I.USED, "b": I.SWAP, "c": I.SET}
+        for value in (1.0, 0.0, 2, "1"):
+            with pytest.raises(PartialAssignment):
+                propagate_region(self.ts, value, sig)
 
     def test_is_region_partial_assignment(self):
         with pytest.raises(PartialAssignment):

@@ -98,21 +98,21 @@ class TestSolveAtom:
         ts = fixture_parallel_pair()
         first = solve_atom(ts, NOP_INP, ("r0", "r1"))
         index = ts.index()
-        roots = index.roots[type_mask(NOP_INP)]
-        descents = dict(roots)
+        stored = index.descents[type_mask(NOP_INP)]
+        before = dict(stored)
         again = solve_atom(ts, NOP_INP, ("r0", "r1"))
         # the second search under the type resumes the stored descents, each
         # kept as the same object, where the first search left them
-        assert index.roots[type_mask(NOP_INP)] is roots
-        assert roots.keys() == {0, 1}
-        assert all(roots[v] is descents[v] for v in roots)
+        assert index.descents[type_mask(NOP_INP)] is stored
+        assert stored.keys() == {0, 1}
+        assert all(stored[v] is before[v] for v in stored)
         assert again.revisions < first.revisions
         assert again.nodes < first.nodes
         swap = type_mask(type_of(I.SWAP))
         solve_atom(ts, type_of(I.SWAP), ("r0", "r1"))
         assert ts.index() is index
-        assert index.roots.keys() == {type_mask(NOP_INP), swap}
-        assert index.roots[swap] is not roots
+        assert index.descents.keys() == {type_mask(NOP_INP), swap}
+        assert index.descents[swap] is not stored
         copy = validate_ts(ts.edges, ts.initial)
         fresh = solve_atom(copy, NOP_INP, ("r0", "r1"))
         # the first search on a system spends what a fresh one does, and
@@ -132,7 +132,7 @@ class TestSolveAtom:
         # the descent from 0 stops at its root; the one from 1 branches
         with pytest.raises(KeyboardInterrupt):
             Interrupted(ts, type_mask(NOP_INP), None).run(("r0", "r1"))
-        assert ts.index().roots[type_mask(NOP_INP)].keys() == {0}
+        assert ts.index().descents[type_mask(NOP_INP)].keys() == {0}
         verdict = solve_atom(ts, NOP_INP, ("r0", "r1"))
         copy = validate_ts(ts.edges, ts.initial)
         fresh = solve_atom(copy, NOP_INP, ("r0", "r1"))
@@ -143,15 +143,16 @@ class TestSolveAtom:
         # each leaf event is branched on at its own level, so the search
         # runs far deeper than Python's default recursion limit.  The
         # descent enters its root, and stops below it once e0's lowest
-        # interaction gives l0 the value of c; the search then enters the
-        # root with the atom and e0's other interactions, and one node per
-        # leaf event below it
+        # interaction gives l0 the value of c; the search then backtracks
+        # into the root's frame, tries e0's other interactions with the
+        # atom and enters one node per leaf event below the root, the
+        # leaves + 1 nodes a search from the root enters
         star = validate_ts(
             [("c", f"e{i}", f"l{i}") for i in range(leaves)], "c"
         )
         verdict = solve_atom(star, frozenset(Interaction), ("c", "l0"))
         assert verdict.status is AtomStatus.SOLVED
-        assert verdict.nodes == leaves + 2
+        assert verdict.nodes == leaves + 1
 
 
 class TestDecideSsp:
@@ -189,19 +190,34 @@ class TestDecideSsp:
         assert report.stats.nodes_expanded < every_atom
 
     @pytest.mark.parametrize(
-        "formula, expected",
+        "formula, tau, expected",
         [
-            (example_formula, (Decision.HAS_SSP, None, 990, 90, 18)),
-            (
+            pytest.param(
+                example_formula,
+                NOP_INP,
+                (Decision.HAS_SSP, None, 990, 90, 18),
+                id="example_formula-expected0",
+            ),
+            pytest.param(
                 unsat_formula_m4,
+                NOP_INP,
                 (Decision.LACKS_SSP, ("g_0_1", "g_0_2"), 60, 37, 9),
+                id="unsat_formula_m4-expected1",
+            ),
+            # its searches backtrack from deep descents, so this pins the
+            # nodes an atom search enters after the descent stops
+            pytest.param(
+                example_formula,
+                frozenset(Interaction),
+                (Decision.HAS_SSP, None, 990, 320, 20),
+                id="example_formula-all-eight",
             ),
         ],
     )
-    def test_search_is_pinned(self, formula, expected):
+    def test_search_is_pinned(self, formula, tau, expected):
         # exact counts: a change to the search order or the propagation
         # shows here before it shows anywhere else
-        report = decide_ssp(gen_nop_inp(formula()).ts, NOP_INP)
+        report = decide_ssp(gen_nop_inp(formula()).ts, tau)
         assert (
             report.decision,
             report.witness_atom,
@@ -240,7 +256,7 @@ class TestDecideSsp:
             report.stats.nodes_expanded,
             len(report.regions),
         ) == (Decision.LACKS_SSP, ("f_0_2", "f_0_4"), 47489, 16048, 193)
-        assert report.stats.revisions == 315982
+        assert report.stats.revisions == 315116
 
     def test_report_region_vectors_separate_all_atoms(self):
         ts = validate_ts(
