@@ -117,10 +117,13 @@ def _build_parser() -> _Parser:
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise SspKitError(f"{path}: not UTF-8 text: {exc}") from None
 
 
 def _write_text(path: str, text: str) -> None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 
@@ -167,11 +168,12 @@ Edge = tuple[str, str, str]
 
 
 class SystemIndex(NamedTuple):
-    """The integer form of a system that the separation search works on.
+    """The integer form of a system, and its one adjacency form.
 
     States and events are numbered by their position in the sorted
-    ``states`` and ``events``.  All but ``descents`` is independent of a
-    type and serves every search on the system, which must not modify it.
+    ``states`` and ``events``.  The search, the region checks and the
+    oracles walk its edges; all but ``descents`` is independent of a type
+    and serves every walker on the system, which must not modify it.
     Its sequences are lists: as small tuples, freed with their system, they
     would stay in CPython's tuple free lists, which kept the peak resident
     memory of a few thousand decisions on small systems about 1 MB higher.
@@ -193,11 +195,9 @@ class SystemIndex(NamedTuple):
 
 def _build_index(ts: TransitionSystem) -> SystemIndex:
     sidx = {s: k for k, s in enumerate(ts.states)}
-    edges = [
-        (sidx[s], ei, sidx[t])
-        for ei, e in enumerate(ts.events)
-        for (s, _, t) in ts.edges_of_event(e)
-    ]
+    eidx = {e: k for k, e in enumerate(ts.events)}
+    edges = [(sidx[s], eidx[e], sidx[t]) for s, e, t in ts.edges]
+    edges.sort(key=itemgetter(1))  # stable: by event, then source and target
     event_edges: list[list[int]] = [[] for _ in ts.events]
     state_edges: list[list[int]] = [[] for _ in ts.states]
     for k, (si, ei, ti) in enumerate(edges):
@@ -216,9 +216,11 @@ class TransitionSystem:
     """A finite, deterministic, initialized, fully reachable labeled system.
 
     Instances are produced by :func:`validate_ts`; state and event names are
-    plain strings, edges are (source, event, target) triples.  Equality and
-    hashing go by content, so regenerating a system yields an equal one; the
-    cached :meth:`index` takes no part in either.
+    plain strings, edges are (source, event, target) triples.  Its one
+    adjacency form is the :class:`SystemIndex` that :meth:`index` builds on
+    first use; by name it only answers :meth:`delta`.  Equality and hashing
+    go by content, so regenerating a system yields an equal one; the cached
+    index takes no part in either.
     """
 
     __slots__ = (
@@ -229,8 +231,6 @@ class TransitionSystem:
         "loop_free",
         "bi_directed",
         "_delta",
-        "_out",
-        "_by_event",
         "_index",
     )
 
@@ -243,8 +243,6 @@ class TransitionSystem:
         loop_free: bool,
         bi_directed: bool,
         delta: dict[tuple[str, str], str],
-        out: dict[str, tuple[Edge, ...]],
-        by_event: dict[str, tuple[Edge, ...]],
     ):
         self.states = states
         self.events = events
@@ -253,19 +251,11 @@ class TransitionSystem:
         self.loop_free = loop_free
         self.bi_directed = bi_directed
         self._delta = delta
-        self._out = out
-        self._by_event = by_event
         self._index: SystemIndex | None = None
 
     def delta(self, state: str, event: str) -> str | None:
         """Target of the ``event``-edge out of ``state``, or None."""
         return self._delta.get((state, event))
-
-    def out_edges(self, state: str) -> tuple[Edge, ...]:
-        return self._out.get(state, ())
-
-    def edges_of_event(self, event: str) -> tuple[Edge, ...]:
-        return self._by_event.get(event, ())
 
     def index(self) -> SystemIndex:
         """The integer form of the system, built on first use and kept."""
@@ -343,21 +333,18 @@ def validate_ts(
     # dedupe repeated identical edges, then canonicalize the order
     edge_tuple = tuple(sorted({(s, e, t) for s, e, t in edge_list}))
 
-    out: dict[str, list[Edge]] = {}
-    by_event: dict[str, list[Edge]] = {}
-    for edge in edge_tuple:
-        out.setdefault(edge[0], []).append(edge)
-        by_event.setdefault(edge[1], []).append(edge)
-
-    unused = event_set - set(by_event)
+    unused = event_set - {e for _, e, _ in edge_tuple}
     if unused:
         raise UnusedEvent(unused)
 
+    succ: dict[str, list[str]] = {}
+    for s, _, t in edge_tuple:
+        succ.setdefault(s, []).append(t)
     seen = {initial}
     frontier = [initial]
     while frontier:
         here = frontier.pop()
-        for _, _, t in out.get(here, ()):
+        for t in succ.get(here, ()):
             if t not in seen:
                 seen.add(t)
                 frontier.append(t)
@@ -377,8 +364,6 @@ def validate_ts(
         loop_free=loop_free,
         bi_directed=bi_directed,
         delta=delta,
-        out={s: tuple(v) for s, v in out.items()},
-        by_event={e: tuple(v) for e, v in by_event.items()},
     )
 
 
@@ -445,9 +430,10 @@ def is_region(
     for e in ts.events:
         if sig[e] not in tau:
             return False
-    steps = {e: STEP_CELLS[sig[e]] for e in ts.events}
-    for s, e, t in ts.edges:
-        if not steps[e] >> (2 * sup[s] + sup[t]) & 1:
+    bits = [sup[s] for s in ts.states]
+    steps = [STEP_CELLS[sig[e]] for e in ts.events]
+    for si, ei, ti in ts.index().edges:
+        if not steps[ei] >> (2 * bits[si] + bits[ti]) & 1:
             return False
     return True
 
@@ -469,27 +455,27 @@ def propagate_region(
         raise PartialAssignment(f"signature missing events {missing!r}")
     if not _is_bit(initial_support):
         raise PartialAssignment("initial support must be 0 or 1")
-    sup: dict[str, int] = {ts.initial: initial_support}
-    frontier = [ts.initial]
+    index = ts.index()
+    steps = [_APPLY[signature[e]] for e in ts.events]
+    bits: list[int | None] = [None] * len(ts.states)
+    start = index.sidx[ts.initial]
+    bits[start] = initial_support
+    frontier = [start]
+    # every state is reachable, so each is valued and popped once, and each
+    # edge is checked from its source against the value of its target
     while frontier:
         here = frontier.pop()
-        for s, e, t in ts.out_edges(here):
-            val = signature[e].apply(sup[s])
-            if val is None:
+        for k in index.state_edges[here]:
+            si, ei, ti = index.edges[k]
+            if si != here:
+                continue
+            val = steps[ei][bits[si]]
+            if val is None or bits[ti] not in (None, val):
                 return None
-            if t in sup:
-                if sup[t] != val:
-                    return None
-            else:
-                sup[t] = val
-                frontier.append(t)
-    # reachability of every state makes sup total; re-check all edges because
-    # an edge into an already-valued state may disagree with a later value
-    region = Region(support=sup, signature=dict(signature))
-    for s, e, t in ts.edges:
-        if signature[e].apply(sup[s]) != sup[t]:
-            return None
-    return region
+            if bits[ti] is None:
+                bits[ti] = val
+                frontier.append(ti)
+    return Region(support=dict(zip(ts.states, bits)), signature=dict(signature))
 
 
 @dataclass(frozen=True)
@@ -537,6 +523,12 @@ def image_of_path(
     )
 
 
+def _changing_events(ts: TransitionSystem, support: Mapping[str, int]) -> set[str]:
+    """The events with an edge whose two ends get different support."""
+    bits = [support[s] for s in ts.states]
+    return {ts.events[ei] for si, ei, ti in ts.index().edges if bits[si] != bits[ti]}
+
+
 def normalize_region(
     ts: TransitionSystem,
     tau: frozenset[Interaction],
@@ -555,15 +547,10 @@ def normalize_region(
         raise NopNotInType(f"cannot normalize for type {{{type_name(tau)}}}")
     if not is_region(ts, tau, region):
         raise ValueError("input is not a region of the given type")
-    sup = region.support
-    new_sig: dict[str, Interaction] = {}
-    for e in ts.events:
-        edges = ts.edges_of_event(e)
-        if all(sup[s] == sup[t] for s, _, t in edges):
-            new_sig[e] = Interaction.NOP
-        else:
-            new_sig[e] = region.signature[e]
-    out = Region(support=dict(sup), signature=new_sig)
+    changing = _changing_events(ts, region.support)
+    sig = region.signature
+    new_sig = {e: sig[e] if e in changing else Interaction.NOP for e in ts.events}
+    out = Region(support=dict(region.support), signature=new_sig)
     if not is_region(ts, tau, out):
         raise InternalCheckFailed("normalization produced a non-region")
     return out
@@ -571,15 +558,13 @@ def normalize_region(
 
 def is_normalized(ts: TransitionSystem, region: Region) -> bool:
     """True when pure tests are absent and only changing events leave nop."""
-    sup = region.support
+    changing = _changing_events(ts, region.support)
     for e in ts.events:
         sig = region.signature[e]
         if sig in (Interaction.USED, Interaction.FREE):
             return False
-        changes = any(sup[s] != sup[t] for s, _, t in ts.edges_of_event(e))
-        if not changes and sig is not Interaction.NOP:
-            return False
-        if changes and sig is Interaction.NOP:
-            # a region can never map a changing edge through the identity
+        # exactly the changing events leave nop: a region can never map a
+        # changing edge through the identity
+        if (e in changing) == (sig is Interaction.NOP):
             return False
     return True

@@ -36,6 +36,9 @@ from .core import (
 
 DEFAULT_MAX_NODES = 10_000_000
 
+#: The most states the exhaustive oracles enumerate the supports of.
+ORACLE_CAP = 16
+
 
 class OracleCapExceeded(SspKitError):
     """The exhaustive enumerator refuses systems above its state cap."""
@@ -608,19 +611,28 @@ def decide_ssp(
 # exhaustive oracles for small systems
 
 
+def _event_pairs(ts: TransitionSystem) -> list[list[tuple[str, str]]]:
+    """Per event, the (source, target) names of its edges."""
+    index = ts.index()
+    states = ts.states
+    return [
+        [(states[index.edges[k][0]], states[index.edges[k][2]]) for k in ks]
+        for ks in index.event_edges
+    ]
+
+
 def _carriers(
-    ts: TransitionSystem,
+    pairs: list[list[tuple[str, str]]],
     tau: frozenset[Interaction],
     bit_of: Mapping[str, int],
 ) -> list[list[Interaction]] | None:
-    """Per event, the members of ``tau`` carrying its edges under ``bit_of``;
-    None at the first event with none.  No events give ``[]``, not None."""
+    """Per event, the members of ``tau`` carrying its edge ``pairs`` under
+    ``bit_of``; None at the first event with none.  No events give ``[]``, not None."""
     per_event = []
-    for e in ts.events:
-        edges = ts.edges_of_event(e)
+    for edges in pairs:
         choices = [
             i for i in INTERACTION_ORDER
-            if i in tau and all(i.apply(bit_of[s]) == bit_of[t] for s, _, t in edges)
+            if i in tau and all(i.apply(bit_of[s]) == bit_of[t] for s, t in edges)
         ]
         if not choices:
             return None
@@ -628,10 +640,10 @@ def _carriers(
     return per_event
 
 
-def _support_masks(ts: TransitionSystem, cap: int) -> Iterable[dict[str, int]]:
+def _support_masks(ts: TransitionSystem) -> Iterable[dict[str, int]]:
     n = len(ts.states)
-    if n > cap:
-        raise OracleCapExceeded(f"{n} states exceeds the oracle cap of {cap}")
+    if n > ORACLE_CAP:
+        raise OracleCapExceeded(f"{n} states exceeds the oracle cap of {ORACLE_CAP}")
     for mask in range(1 << n):
         yield {s: (mask >> k) & 1 for k, s in enumerate(ts.states)}
 
@@ -639,12 +651,12 @@ def _support_masks(ts: TransitionSystem, cap: int) -> Iterable[dict[str, int]]:
 def brute_force_regions(
     ts: TransitionSystem,
     tau: frozenset[Interaction],
-    cap: int = 16,
 ) -> list[Region]:
     """Every tau-region of ``ts``, by brute enumeration; small systems only."""
     regions: list[Region] = []
-    for bit_of in _support_masks(ts, cap):
-        per_event = _carriers(ts, tau, bit_of)
+    pairs = _event_pairs(ts)
+    for bit_of in _support_masks(ts):
+        per_event = _carriers(pairs, tau, bit_of)
         if per_event is None:
             continue
         for combo in product(*per_event):
@@ -655,12 +667,12 @@ def brute_force_regions(
 def brute_force_supports(
     ts: TransitionSystem,
     tau: frozenset[Interaction],
-    cap: int = 16,
 ) -> set[tuple[int, ...]]:
     """Supports (as bit tuples over sorted states) admitting a tau-region."""
     found: set[tuple[int, ...]] = set()
-    for bit_of in _support_masks(ts, cap):
-        if _carriers(ts, tau, bit_of) is not None:
+    pairs = _event_pairs(ts)
+    for bit_of in _support_masks(ts):
+        if _carriers(pairs, tau, bit_of) is not None:
             found.add(tuple(bit_of[s] for s in ts.states))
     return found
 
@@ -668,7 +680,6 @@ def brute_force_supports(
 def brute_force_decide(
     ts: TransitionSystem,
     tau: frozenset[Interaction],
-    cap: int = 16,
 ) -> SeparationReport:
     """Oracle twin of :func:`decide_ssp` by exhaustive support enumeration.
 
@@ -682,15 +693,16 @@ def brute_force_decide(
     n = len(ts.states)
     cls = [0] * n
     regions: list[Region] = []
+    pairs = _event_pairs(ts)
     scanned = 0
-    for bit_of in _support_masks(ts, cap):
+    for bit_of in _support_masks(ts):
         scanned += 1
         if len(set(cls)) == n:
             break
         refined = _refine(cls, bit_of.values())
         if refined == cls:
             continue
-        per_event = _carriers(ts, tau, bit_of)
+        per_event = _carriers(pairs, tau, bit_of)
         if per_event is None:
             continue
         cls = refined

@@ -282,13 +282,20 @@ def gen_nop_inp(formula: CmFormula) -> ReductionInstance:
     return ReductionInstance(ts=ts, alpha=(spine[m], spine[m + 1]), formula=formula)
 
 
-def _inp_region(ts: TransitionSystem, consumed: Iterable[str]) -> Region:
-    picked = set(consumed)
-    signature = {
-        e: (I.INP if e in picked else I.NOP) for e in ts.events
-    }
-    region = propagate_region(ts, 1, signature)
-    if region is None or not is_region(ts, NOP_INP, region):
+#: Per generator type, the form of its witness regions: the initial
+#: support, the interaction of the picked events and that of the others.
+_WITNESS_FORM = {NOP_INP: (1, I.INP, I.NOP), SWAP_FREE: (0, I.SWAP, I.FREE)}
+
+
+def _witness_region(
+    ts: TransitionSystem, tau: frozenset[Interaction], picked: Iterable[str]
+) -> Region:
+    """The region a witness signature of type ``tau`` propagates to."""
+    init, on, off = _WITNESS_FORM[tau]
+    picked = set(picked)
+    signature = {e: (on if e in picked else off) for e in ts.events}
+    region = propagate_region(ts, init, signature)
+    if region is None or not is_region(ts, tau, region):
         raise InternalCheckFailed("witness signature does not yield a region")
     return region
 
@@ -310,17 +317,17 @@ def gen_nop_inp_witness(
     ys = [f"y_{i}" for i in range(m)]
     us = [f"u_{i}" for i in range(m)]
     ws = [f"w_{i}" for i in range(m)]
-    regions = [_inp_region(ts, ys)]
+    regions = [_witness_region(ts, NOP_INP, ys)]
     for i in range(m):
-        regions.append(_inp_region(ts, [ws[i]] + us[: i + 1] + ys[i + 1:]))
-    regions.append(_inp_region(ts, ["v"] + us))
-    regions.append(_inp_region(ts, ["k"] + sorted(chosen)))
+        regions.append(_witness_region(ts, NOP_INP, [ws[i]] + us[: i + 1] + ys[i + 1:]))
+    regions.append(_witness_region(ts, NOP_INP, ["v"] + us))
+    regions.append(_witness_region(ts, NOP_INP, ["k"] + sorted(chosen)))
     for i in range(m - 1):
-        regions.append(_inp_region(ts, ys[i + 1:]))
+        regions.append(_witness_region(ts, NOP_INP, ys[i + 1:]))
     clause_sets = [set(c) for c in formula.clauses]
     for var in formula.variables:
         away = [us[j] for j, cl in enumerate(clause_sets) if var not in cl]
-        regions.append(_inp_region(ts, [var, "v"] + away))
+        regions.append(_witness_region(ts, NOP_INP, [var, "v"] + away))
     return regions
 
 
@@ -484,17 +491,6 @@ def gen_nop_free(formula: CmFormula) -> ReductionInstance:
     return ReductionInstance(ts=ts, alpha=("g_0_2", "g_0_4"), formula=formula)
 
 
-def _swap_free_region(ts: TransitionSystem, swap_events: Iterable[str]) -> Region:
-    swapping = set(swap_events)
-    signature = {
-        e: (I.SWAP if e in swapping else I.FREE) for e in ts.events
-    }
-    region = propagate_region(ts, 0, signature)
-    if region is None or not is_region(ts, SWAP_FREE, region):
-        raise InternalCheckFailed("witness signature does not yield a region")
-    return region
-
-
 def _attach_connectors(m: int) -> list[str]:
     out = [f"ODOT_{j}" for j in range(14 * m)]
     out += [f"ODOTp_{j}" for j in range(14 * m)]
@@ -592,7 +588,7 @@ def gen_nop_free_alpha_region(
         swap.add(_prime(var))
     swap.update(f"ODOT_{j}" for j in range(14 * m) if j % 2 == 1)
     swap.update(f"ODOTp_{j}" for j in range(14 * m) if j % 2 == 0)
-    region = _swap_free_region(inst.ts, swap)
+    region = _witness_region(inst.ts, SWAP_FREE, swap)
     if not region.solves(inst.alpha):
         raise InternalCheckFailed("designated pair left unseparated")
     return region
@@ -623,15 +619,17 @@ def gen_nop_free_witness(
     internal.update(variables)
     infrastructure = set(_spine_events(m)) | set(_attach_connectors(m))
 
-    regions = [_swap_free_region(ts, internal)]
+    regions = [_witness_region(ts, SWAP_FREE, internal)]
     for connector in _attach_connectors(m):
-        regions.append(_swap_free_region(ts, internal | {connector}))
+        regions.append(_witness_region(ts, SWAP_FREE, internal | {connector}))
 
     spine_states = ["iota"] + [f"TOP_{j}" for j in range(14 * m)] + [
         f"BOT_{j}" for j in range(2 * m)
     ]
+    index = ts.index()
     for state in spine_states:
-        incident = {e for _, e, _ in ts.out_edges(state)}
+        ks = index.state_edges[index.sidx[state]]
+        incident = {ts.events[index.edges[k][1]] for k in ks}
         support = {s: (1 if s == state else 0) for s in ts.states}
         signature = {
             e: (I.SWAP if e in incident else I.FREE) for e in ts.events
@@ -642,43 +640,22 @@ def gen_nop_free_witness(
         regions.append(region)
 
     brackets = {"k0", "k1"}
-    regions.append(
-        _swap_free_region(
-            ts,
-            brackets
-            | {f"OMINUS_{2 * i}" for i in range(m)}
-            | {f"OMINUSp_{2 * i}" for i in range(m)},
-        )
-    )
-    regions.append(
-        _swap_free_region(
-            ts,
-            brackets
-            | {f"ODOT_{j}" for j in range(14 * m)}
-            | {f"ODOTp_{j}" for j in range(14 * m)}
-            | set(vs)
-            | set(variables),
-        )
-    )
-    regions.append(
-        _swap_free_region(ts, brackets | set(vs) | set(ws) | set(variables))
-    )
+    ominus = {f"OMINUS{p}_{2 * i}" for i in range(m) for p in ("", "p")}
+    odot = {f"ODOT{p}_{j}" for j in range(14 * m) for p in ("", "p")}
+    for swapset in (
+        brackets | ominus,
+        brackets | odot | set(vs) | set(variables),
+        brackets | set(vs) | set(ws) | set(variables),
+    ):
+        regions.append(_witness_region(ts, SWAP_FREE, swapset))
     regions.append(gen_nop_free_alpha_region(formula, model))
 
     for i in range(m):
         for primed in (False, True):
-            for pos in range(2, 10):
-                regions.append(
-                    _swap_free_region(
-                        ts, _pulse_swapset(formula, i, "T0", pos, primed)
-                    )
-                )
-            for pos in (1, 2):
-                regions.append(
-                    _swap_free_region(
-                        ts, _pulse_swapset(formula, i, "T1", pos, primed)
-                    )
-                )
+            for kind, positions in (("T0", range(2, 10)), ("T1", (1, 2))):
+                for pos in positions:
+                    swapset = _pulse_swapset(formula, i, kind, pos, primed)
+                    regions.append(_witness_region(ts, SWAP_FREE, swapset))
     # the infrastructure events never flip in the bulk regions above; spot
     # check the bookkeeping rather than trust it
     if infrastructure & internal:

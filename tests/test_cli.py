@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -138,6 +139,21 @@ class TestCheckSspCommand:
             )
             == EXIT_INVALID
         )
+
+    def test_non_utf8_input_is_invalid(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "system.ts"
+        path.write_bytes(b"\xff\xfeinitial s0\n")
+        monkeypatch.setattr(
+            "sys.stdin", io.TextIOWrapper(io.BytesIO(path.read_bytes()), "utf-8")
+        )
+        for argv in (
+            ["check-ssp", "--type", "nop", str(path)],
+            ["oracle", str(path)],
+            ["check-ssp", "--type", "nop", "-"],
+        ):
+            assert main(argv) == EXIT_INVALID, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
 
     def test_crash_is_an_internal_error(self, ts_file, capsys, monkeypatch):
         def crash(*args, **kwargs):

@@ -112,6 +112,27 @@ class TestSystemIndex:
         assert index.state_edges == [[0, 3], [0, 1, 3], [1, 2]]
         assert index.order == [0, 1]
 
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(st.randoms(use_true_random=False))
+    def test_index_lists_every_edge_once(self, rng):
+        ts = random_ts(rng, max_states=7, max_events=4)
+        index = ts.index()
+        named = [
+            (ts.states[si], ts.events[ei], ts.states[ti])
+            for si, ei, ti in index.edges
+        ]
+        assert sorted(named) == list(ts.edges)
+        assert named == sorted(named, key=lambda edge: (edge[1], edge[0], edge[2]))
+        ends = [(si, ti) for si, _, ti in index.edges]
+        assert index.state_edges == [
+            [k for k, pair in enumerate(ends) if s in pair]
+            for s in range(len(ts.states))
+        ]
+        assert index.event_edges == [
+            [k for k, (_, ei, _) in enumerate(index.edges) if ei == e]
+            for e in range(len(ts.events))
+        ]
+
     def test_equality_and_hash_ignore_the_index(self):
         first = validate_ts(self.EDGES, "a")
         second = validate_ts(self.EDGES, "a")
