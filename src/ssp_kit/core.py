@@ -99,6 +99,10 @@ class Interaction(Enum):
     USED = "used"
     FREE = "free"
 
+    #: the member's bit in a type mask, and its ``STEP_CELLS``
+    bit: int
+    cells: int
+
     def apply(self, x: int) -> int | None:
         """Value of this interaction at ``x``, or None where undefined."""
         return _APPLY[self][x]
@@ -143,6 +147,12 @@ STEP_CELLS: dict[Interaction, int] = {
     i: sum(1 << (2 * x + y) for x, y in enumerate(_APPLY[i]) if y is not None)
     for i in Interaction
 }
+
+# Each interaction also carries its type-mask bit and its step cells, so a
+# checker reads them as attributes instead of hashing the member per event.
+for _bit, _interaction in enumerate(INTERACTION_ORDER):
+    _interaction.bit = 1 << _bit
+    _interaction.cells = STEP_CELLS[_interaction]
 
 
 def type_mask(tau: frozenset[Interaction]) -> int:
@@ -418,20 +428,30 @@ def is_region(
     """
     sup = region.support
     sig = region.signature
-    missing_s = [s for s in ts.states if s not in sup]
-    missing_e = [e for e in ts.events if e not in sig]
-    if missing_s or missing_e:
-        raise PartialAssignment(
-            f"missing support for {missing_s!r}, signature for {missing_e!r}"
-        )
-    for s in ts.states:
-        if not _is_bit(sup[s]):
-            raise PartialAssignment(f"support of {s!r} must be 0 or 1")
-    for e in ts.events:
-        if sig[e] not in tau:
+    # read with ``get``: indexing a mapping with a default fills in a gap
+    bits = list(map(sup.get, ts.states))
+    acts = list(map(sig.get, ts.events))
+    if None in acts or not (
+        set(map(type, bits)) <= {int}
+        and bits.count(0) + bits.count(1) == len(bits)
+    ):
+        missing_s = [s for s in ts.states if s not in sup]
+        missing_e = [e for e in ts.events if e not in sig]
+        if missing_s or missing_e:
+            raise PartialAssignment(
+                f"missing support for {missing_s!r}, signature for {missing_e!r}"
+            )
+        for s, bit in zip(ts.states, bits):
+            if not _is_bit(bit):
+                raise PartialAssignment(f"support of {s!r} must be 0 or 1")
+    in_tau = 0
+    for i in tau:
+        if type(i) is Interaction:
+            in_tau |= i.bit
+    for act in acts:
+        if type(act) is not Interaction or not act.bit & in_tau:
             return False
-    bits = [sup[s] for s in ts.states]
-    steps = [STEP_CELLS[sig[e]] for e in ts.events]
+    steps = [act.cells for act in acts]
     for si, ei, ti in ts.index().edges:
         if not steps[ei] >> (2 * bits[si] + bits[ti]) & 1:
             return False

@@ -108,6 +108,10 @@ _CELLS = [STEP_CELLS[i] for i in INTERACTION_ORDER]
 _STEPS = [0]
 for _cells in _CELLS:  # the masks with the next bit set add its cells
     _STEPS += [steps | _cells for steps in _STEPS]
+#: _COVER[mask]: the cells every interaction in ``mask`` steps through.
+_COVER = [15]
+for _cells in _CELLS:
+    _COVER += [cover & _cells for cover in _COVER]
 #: _KEEPS[cells]: the interactions with a step in ``cells``.
 _KEEPS = [
     sum(1 << b for b, c in enumerate(_CELLS) if c & cells) for cells in range(16)
@@ -124,8 +128,19 @@ _PROJ = [
 
 
 #: The search state: the union-find's root and parity of every node, its
-#: class member lists, the event domains and the trail.
-_State = tuple[list[int], list[int], list[list[int]], list[int], list[tuple]]
+#: class member lists and boundary lists, the flags of the roots whose two
+#: lists the state owns, the event domains and the trail.  A state shares
+#: the lists it does not own, with the system index or with the descent it
+#: was copied from, and copies a root's lists before it first changes them.
+_State = tuple[
+    list[int],
+    list[int],
+    list[list[int]],
+    list[list[int]],
+    bytearray,
+    list[int],
+    list[tuple],
+]
 #: A search frame: the position in ``order`` of the event a node branches
 #: on, the interaction bits not yet tried there, and the node's trail mark.
 _Frame = tuple[int, int, int]
@@ -134,7 +149,9 @@ _Frame = tuple[int, int, int]
 #: region: the depth-first search without any atom, from the fixpoint of
 #: that value alone toward the type's first region.  It is the state of the
 #: node it stopped at and the frames of that node's ancestors, and a search
-#: starts it when first needed and advances it in place.
+#: starts it when first needed and advances it in place.  A search that
+#: backtracks from it does so on a copy that owns no class's lists, so the
+#: descent's lists stay as they are.
 _Descent = tuple[_State, list[_Frame]]
 
 
@@ -157,6 +174,22 @@ class _AtomSearch:
     ``members[r]`` lists the class of each root r.  A union rewrites both
     arrays for the states of the class it moves, and its undo rewrites
     them back.  A state in the zero node's class has its value as parity.
+    That class never moves, so it keeps no lists: ``members[zero]`` is
+    only the zero node, and ``bound[zero]`` is empty.
+
+    Each other root r also keeps a boundary list
+    ``bound[r]``: the ids of its class's edges that a merge or valuation
+    of the class can still teach something.  It holds every edge to
+    another class, the zero node's included, and every edge inside the
+    class that some interaction left in its event's domain does not carry
+    with both steps of the edge's parity; it may hold more.  A singleton's
+    list is its ``state_edges``.  Domains only shrink while a union
+    stands, so an inside edge left out stays one that no revision can
+    change, and a union scans only the moved class's list: a merge of two
+    unvalued classes queues the edges into the surviving class and
+    appends the rest that still cross or still lack a step to its list; a
+    valuation queues every edge except those with both ends valued whose
+    domain carries the cell of their values.  Its undo truncates the list.
 
     Propagation is a closure: when it succeeds, revising any edge again
     changes nothing.  Its fixpoint is therefore the same whatever the order
@@ -175,7 +208,10 @@ class _AtomSearch:
     the search backtracks from there, on a copy of the descent, adding the
     atom's disequality to each child it tries: the children it propagates
     reach the fixpoints a search from the root with the atom reaches, so
-    the first region found is the one that search finds.
+    the first region found is the one that search finds.  The copy is
+    copy-on-write: it copies the arrays and the outer lists of members and
+    boundaries, and a class's two lists only when a union or undo first
+    changes them there, as ``own`` records.
     """
 
     def __init__(
@@ -208,21 +244,51 @@ class _AtomSearch:
         self.parent = list(range(n1))
         self.par = [0] * n1
         self.members: list[list[int]] = [[k] for k in range(n1)]
+        self.bound: list[list[int]] = [*self.state_edges, []]
+        self.own = bytearray(n1)
         self.dom = [self.full_mask] * len(self.event_edges)
         self.trail: list[tuple] = []
 
+    def _state(self) -> _State:
+        return (
+            self.parent,
+            self.par,
+            self.members,
+            self.bound,
+            self.own,
+            self.dom,
+            self.trail,
+        )
+
     def _bind(self, state: _State) -> None:
-        self.parent, self.par, self.members, self.dom, self.trail = state
+        (
+            self.parent,
+            self.par,
+            self.members,
+            self.bound,
+            self.own,
+            self.dom,
+            self.trail,
+        ) = state
 
     def _detach(self) -> None:
-        """Go on with a copy of the state, leaving a stored descent as is."""
+        """Go on with a copy of the state, leaving a stored descent as is.
+        The copy shares every class's lists until it first changes them."""
         self._bind((
             self.parent[:],
             self.par[:],
-            [m[:] for m in self.members],
+            self.members[:],
+            self.bound[:],
+            bytearray(len(self.own)),
             self.dom[:],
             self.trail[:],
         ))
+
+    def _own(self, root: int) -> None:
+        """Give the state its own copies of ``root``'s two lists."""
+        self.own[root] = 1
+        self.members[root] = self.members[root][:]
+        self.bound[root] = self.bound[root][:]
 
     def _union(self, x: int, y: int, parity: int) -> bool:
         parent = self.parent
@@ -233,6 +299,7 @@ class _AtomSearch:
         if rx == ry:
             return want == 0
         members = self.members
+        bound = self.bound
         zero = self.zero
         # ry's class moves under rx.  The zero node stays a root, so the
         # moved class is always the one whose states learn something; other
@@ -243,36 +310,56 @@ class _AtomSearch:
         moved = members[ry]
         inq = self.inq
         queue = self.queue
-        state_edges = self.state_edges
+        edges = self.edges
+        dom = self.dom
         if rx == zero:
-            # every moved state learns its value
+            # every moved state learns its value: each boundary edge can
+            # learn something unless both its ends are now valued and every
+            # interaction left carries their cell
             for member in moved:
-                for k in state_edges[member]:
-                    if not inq[k]:
-                        inq[k] = 1
-                        queue.append(k)
-        else:
-            # only the pairs across the two classes learn a parity, so only
-            # the edges into the surviving class can be revised further;
-            # loops and edges within the class or to a third one cannot
-            edges = self.edges
-            for member in moved:
-                for k in state_edges[member]:
-                    if inq[k]:
-                        continue
-                    si, _, other = edges[k]
-                    if other == member:
-                        other = si
-                    if parent[other] == rx:
-                        inq[k] = 1
-                        queue.append(k)
+                parent[member] = zero
+                par[member] ^= want
+            for k in bound[ry]:
+                if inq[k]:
+                    continue
+                si, ei, ti = edges[k]
+                if (
+                    parent[si] == parent[ti]
+                    and _COVER[dom[ei]] >> (2 * par[si] + par[ti]) & 1
+                ):
+                    continue
+                inq[k] = 1
+                queue.append(k)
+            self.trail.append(("uf", ry, zero, 0))
+            return True
+        # only the pairs across the two classes learn a parity, so only the
+        # edges into the surviving class can be revised further; of the
+        # rest, those that still cross or still lack a step of their parity
+        # stay on the boundary.  The edges into rx are on rx's list already.
+        if not self.own[rx]:
+            self._own(rx)
+        grown = bound[rx]
+        size = len(grown)
+        for k in bound[ry]:
+            si, ei, ti = edges[k]
+            ra = parent[si]
+            rb = parent[ti]
+            if ra == rb:
+                cells = _PARITY_IS[par[si] ^ par[ti]]
+                if _COVER[dom[ei]] & cells != cells:
+                    grown.append(k)
+            elif ra != rx and rb != rx:
+                grown.append(k)
+            elif not inq[k]:
+                inq[k] = 1
+                queue.append(k)
         # each moved parity flips by ``want``: ry's, 0 before, becomes it,
         # which is where _rollback reads it back
         for member in moved:
             parent[member] = rx
             par[member] ^= want
-        self.trail.append(("uf", ry, rx))
         members[rx].extend(moved)
+        self.trail.append(("uf", ry, rx, len(grown) - size))
         return True
 
     def _set_dom(self, ei: int, mask: int) -> None:
@@ -284,20 +371,29 @@ class _AtomSearch:
         parent = self.parent
         par = self.par
         members = self.members
+        bound = self.bound
+        own = self.own
         dom = self.dom
+        zero = self.zero
         while len(trail) > mark:
             entry = trail.pop()
             if entry[0] == "dom":
                 _, ei, old = entry
                 dom[ei] = old
             else:
-                _, ry, rx = entry
+                _, ry, rx, added = entry
                 moved = members[ry]
                 want = par[ry]
                 for member in moved:
                     parent[member] = ry
                     par[member] ^= want
+                if rx == zero:
+                    continue
+                if not own[rx]:
+                    self._own(rx)
                 del members[rx][-len(moved):]
+                if added:
+                    del bound[rx][-added:]
 
     # -- propagation
 
@@ -380,7 +476,8 @@ class _AtomSearch:
         self._enqueue_all(range(len(self.edges)))
         if not self._propagate():
             return None
-        return (self.parent, self.par, self.members, self.dom, []), [(0, 0, 0)]
+        self.trail = []
+        return self._state(), [(0, 0, 0)]
 
     # -- search
 

@@ -575,7 +575,16 @@ def gen_nop_free_alpha_region(
     which is consistent exactly when the model hits each clause once.
     """
     chosen = check_one_in_three(formula, model)
-    inst = gen_nop_free(formula)
+    return _nop_free_alpha_region(formula, chosen, gen_nop_free(formula))
+
+
+def _nop_free_alpha_region(
+    formula: CmFormula,
+    chosen: frozenset[str],
+    inst: ReductionInstance,
+) -> Region:
+    """:func:`gen_nop_free_alpha_region` on the instance ``inst`` of
+    ``formula`` and the checked model ``chosen``."""
     m = formula.m
     swap: set[str] = {"k1"}
     for j in range(7 * m):
@@ -599,7 +608,7 @@ def gen_nop_free_witness(
     model: Iterable[str],
 ) -> list[Region]:
     """Region family separating every pair of the bi-directed instance."""
-    check_one_in_three(formula, model)
+    chosen = check_one_in_three(formula, model)
     inst = gen_nop_free(formula)
     ts = inst.ts
     m = formula.m
@@ -648,7 +657,7 @@ def gen_nop_free_witness(
         brackets | set(vs) | set(ws) | set(variables),
     ):
         regions.append(_witness_region(ts, SWAP_FREE, swapset))
-    regions.append(gen_nop_free_alpha_region(formula, model))
+    regions.append(_nop_free_alpha_region(formula, chosen, inst))
 
     for i in range(m):
         for primed in (False, True):

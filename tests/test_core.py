@@ -1,3 +1,5 @@
+from collections import defaultdict
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -184,6 +186,10 @@ class TestRegions:
     def test_is_region_partial_assignment(self):
         with pytest.raises(PartialAssignment):
             is_region(self.ts, self.wide, Region({"s0": 0}, {}))
+        # a mapping with a default is still missing what it does not hold
+        sig = {"a": I.NOP, "b": I.NOP, "c": I.NOP}
+        with pytest.raises(PartialAssignment):
+            is_region(self.ts, self.wide, Region(defaultdict(int), sig))
 
     def test_is_region_refuses_supports_other_than_0_and_1(self):
         edge = validate_ts([("a", "x", "b")], "a")
@@ -191,6 +197,14 @@ class TestRegions:
             region = Region({"a": value, "b": 1}, {"x": I.NOP})
             with pytest.raises(PartialAssignment):
                 is_region(edge, type_of(I.NOP), region)
+
+    def test_is_region_refuses_signatures_outside_the_type(self):
+        edge = validate_ts([("a", "x", "b")], "a")
+        for value in (I.SWAP, "nop", None, 0):
+            region = Region({"a": 0, "b": 0}, {"x": value})
+            assert not is_region(edge, type_of(I.NOP), region), value
+        region = Region({"a": 0, "b": 0}, {"x": I.NOP})
+        assert is_region(edge, type_of(I.NOP), region)
 
     def test_solves_and_separated_atoms(self):
         region = propagate_region(

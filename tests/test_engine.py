@@ -29,6 +29,7 @@ from ssp_kit.engine import (
 )
 # the propagation tables and the search, for the white-box tests at the end
 from ssp_kit.engine import (
+    _COVER,
     _KEEPS,
     _PARITY_IS,
     _PROJ,
@@ -256,7 +257,8 @@ class TestDecideSsp:
             report.stats.nodes_expanded,
             len(report.regions),
         ) == (Decision.LACKS_SSP, ("f_0_2", "f_0_4"), 47489, 16048, 193)
-        assert report.stats.revisions == 315116
+        # a union revisits only its class's boundary edges; 315116 before
+        assert report.stats.revisions == 57130
 
     def test_report_region_vectors_separate_all_atoms(self):
         ts = validate_ts(
@@ -379,12 +381,14 @@ def test_propagation_is_a_closure(ts, mask):
         ClosureCheckingSearch(ts, mask, None).run(atom)
 
 
-def union_find_state(search):
+def union_find_state(state):
+    parent, par, members, bound, _, dom, _ = state
     return (
-        search.parent[:],
-        search.par[:],
-        [m[:] for m in search.members],
-        search.dom[:],
+        parent[:],
+        par[:],
+        [m[:] for m in members],
+        [b[:] for b in bound],
+        dom[:],
     )
 
 
@@ -392,22 +396,29 @@ class InvariantCheckingSearch(_AtomSearch):
     """A search that checks its union-find after every union, propagation
     and rollback.
 
-    Every node's ``parent`` is a root that lists the node in its
-    ``members``, and a root is its own parent with parity 0.  A rollback to
-    a mark restores ``parent``, ``par``, ``members`` and ``dom`` exactly as
-    they were when the mark was taken: ``_expand`` takes a node's mark and
-    rolls back to it at once, which records that state here.
+    Every node's ``parent`` is a root, its own parent with parity 0, and
+    every root but the zero node, whose class keeps no lists, lists the
+    node in its ``members``.  Each such root lists in ``bound`` every edge
+    from its class to another and every edge inside it whose event's
+    domain holds an interaction without both steps of the edge's parity.
+    A rollback to a mark restores ``parent``, ``par``, ``members``,
+    ``bound`` and ``dom`` exactly as they were when the mark was taken:
+    ``_expand`` takes a node's mark and rolls back to it at once, which
+    records that state here.
 
     Records are kept per trail in ``records``, shared by every search on
     the system, so those of a stored descent outlive the search that made
     them.  A copy of the state starts with a copy of its trail's records,
     so a rollback into one of the descent's frames, in a later search, is
     checked against the state recorded when that frame's node was entered.
+    The copy shares the descent's lists until it changes them, so the
+    descent must end the search as it was when the copy was made.
     """
 
     def __init__(self, ts, mask, records):
         super().__init__(ts, mask, None)
         self.records = records
+        self.detached = []
 
     def at_mark(self):
         # keyed by id; the trail is kept in the value so no id is reused
@@ -417,8 +428,23 @@ class InvariantCheckingSearch(_AtomSearch):
         parent, par, members = self.parent, self.par, self.members
         for x, root in enumerate(parent):
             assert parent[root] == root and par[root] == 0, (x, root)
-            assert x in members[root], (x, root)
-        assert sum(len(members[root]) for root in set(parent)) == len(parent)
+            assert root == self.zero or x in members[root], (x, root)
+        assert members[self.zero] == [self.zero] and not self.bound[self.zero]
+        assert sum(
+            len(members[root]) for root in set(parent) - {self.zero}
+        ) == len(parent) - parent.count(self.zero)
+        bound = [set(b) for b in self.bound]
+        for k, (si, ei, ti) in enumerate(self.edges):
+            ra, rb = parent[si], parent[ti]
+            if ra != rb:
+                ends = {ra, rb} - {self.zero}
+            elif ra != self.zero:
+                cells = _PARITY_IS[par[si] ^ par[ti]]
+                ends = {ra} if _COVER[self.dom[ei]] & cells != cells else set()
+            else:
+                ends = set()
+            for root in ends:
+                assert k in bound[root], (k, root)
 
     def _union(self, x, y, parity):
         united = super()._union(x, y, parity)
@@ -432,16 +458,24 @@ class InvariantCheckingSearch(_AtomSearch):
 
     def _detach(self):
         at_mark = self.at_mark()
+        descent = self._state()
+        self.detached.append((descent, union_find_state(descent)))
         super()._detach()
         self.records[id(self.trail)] = (self.trail, dict(at_mark))
 
     def _rollback(self, mark):
         at_mark = self.at_mark()
         if len(self.trail) == mark:
-            at_mark[mark] = union_find_state(self)
+            at_mark[mark] = union_find_state(self._state())
         super()._rollback(mark)
         self.check()
-        assert union_find_state(self) == at_mark[mark], mark
+        assert union_find_state(self._state()) == at_mark[mark], mark
+
+    def run(self, atom):
+        result = super().run(atom)
+        for descent, when_copied in self.detached:
+            assert union_find_state(descent) == when_copied
+        return result
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -223,6 +223,12 @@ class TestNopFreeGenerator:
         assert len(witness) == 68 * 6 + 6
         assert embedding_certificate(inst.ts, witness).injective
 
+    def test_witness_reads_the_model_once(self, phi6):
+        # the model is checked once and the instance built once, so a
+        # one-shot iterator still yields the designated pair's region
+        once = gen_nop_free_witness(phi6, iter(("X0", "X4")))
+        assert gen_nop_free_alpha_region(phi6, ("X0", "X4")) in once
+
 
 class TestExtensions:
     def test_backward_doubles_edges(self):
