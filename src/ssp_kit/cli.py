@@ -184,6 +184,7 @@ def _cmd_solve_atom(args) -> int:
         payload = {
             "status": verdict.status.value,
             "nodes": verdict.nodes,
+            "revisions": verdict.revisions,
             "region": (
                 formats.region_to_dict(verdict.region)
                 if verdict.region

@@ -31,10 +31,6 @@ class TsValidationError(SspKitError):
     """A proposed transition system violates a structural invariant."""
 
 
-class EmptyStateSet(TsValidationError):
-    pass
-
-
 class InvalidIdentifier(TsValidationError):
     pass
 
@@ -53,13 +49,6 @@ class UnreachableState(TsValidationError):
         bad = sorted(set(states))
         super().__init__(f"states not reachable from the initial state: {bad!r}")
         self.states = tuple(bad)
-
-
-class UnusedEvent(TsValidationError):
-    def __init__(self, events: Iterable[str]):
-        bad = sorted(set(events))
-        super().__init__(f"declared events that label no edge: {bad!r}")
-        self.events = tuple(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -180,10 +169,11 @@ Edge = tuple[str, str, str]
 class SystemIndex(NamedTuple):
     """The integer form of a system, and its one adjacency form.
 
-    States and events are numbered by their position in the sorted
-    ``states`` and ``events``.  The search, the region checks and the
-    oracles walk its edges; all but ``descents`` is independent of a type
-    and serves every walker on the system, which must not modify it.
+    :func:`validate_ts` builds it in the pass that checks the system, and
+    the system keeps it.  States and events are numbered by their position
+    in the sorted ``states`` and ``events``.  The search, the region checks
+    and the oracles walk its edges; all but ``descents`` is independent of
+    a type and serves every walker on the system, which must not modify it.
     Its sequences are lists: as small tuples, freed with their system, they
     would stay in CPython's tuple free lists, which kept the peak resident
     memory of a few thousand decisions on small systems about 1 MB higher.
@@ -199,27 +189,9 @@ class SystemIndex(NamedTuple):
     state_edges: list[list[int]]
     #: event ids in branching order: busiest first, ties by name
     order: list[int]
-    #: per type mask, what the search keeps as long as the system; starts empty
+    #: per type mask, what searches under the type share; starts empty, and
+    #: a ``decide_ssp`` sweep keeps its type's entry only while it runs
     descents: dict[int, dict]
-
-
-def _build_index(ts: TransitionSystem) -> SystemIndex:
-    sidx = {s: k for k, s in enumerate(ts.states)}
-    eidx = {e: k for k, e in enumerate(ts.events)}
-    edges = [(sidx[s], eidx[e], sidx[t]) for s, e, t in ts.edges]
-    edges.sort(key=itemgetter(1))  # stable: by event, then source and target
-    event_edges: list[list[int]] = [[] for _ in ts.events]
-    state_edges: list[list[int]] = [[] for _ in ts.states]
-    for k, (si, ei, ti) in enumerate(edges):
-        event_edges[ei].append(k)
-        state_edges[si].append(k)
-        if ti != si:
-            state_edges[ti].append(k)
-    order = sorted(
-        range(len(ts.events)),
-        key=lambda ei: (-len(event_edges[ei]), ts.events[ei]),
-    )
-    return SystemIndex(sidx, edges, event_edges, state_edges, order, {})
 
 
 class TransitionSystem:
@@ -227,10 +199,10 @@ class TransitionSystem:
 
     Instances are produced by :func:`validate_ts`; state and event names are
     plain strings, edges are (source, event, target) triples.  Its one
-    adjacency form is the :class:`SystemIndex` that :meth:`index` builds on
-    first use; by name it only answers :meth:`delta`.  Equality and hashing
-    go by content, so regenerating a system yields an equal one; the cached
-    index takes no part in either.
+    adjacency form is the :class:`SystemIndex` that :func:`validate_ts`
+    builds with it and :meth:`index` returns; by name it only answers
+    :meth:`delta`.  Equality and hashing go by content, so regenerating a
+    system yields an equal one; the index takes no part in either.
     """
 
     __slots__ = (
@@ -240,7 +212,6 @@ class TransitionSystem:
         "initial",
         "loop_free",
         "bi_directed",
-        "_delta",
         "_index",
     )
 
@@ -252,7 +223,7 @@ class TransitionSystem:
         initial: str,
         loop_free: bool,
         bi_directed: bool,
-        delta: dict[tuple[str, str], str],
+        index: SystemIndex,
     ):
         self.states = states
         self.events = events
@@ -260,17 +231,22 @@ class TransitionSystem:
         self.initial = initial
         self.loop_free = loop_free
         self.bi_directed = bi_directed
-        self._delta = delta
-        self._index: SystemIndex | None = None
+        self._index = index
 
     def delta(self, state: str, event: str) -> str | None:
         """Target of the ``event``-edge out of ``state``, or None."""
-        return self._delta.get((state, event))
+        index = self._index
+        si = index.sidx.get(state)
+        if si is None:
+            return None
+        for k in index.state_edges[si]:
+            source, ei, ti = index.edges[k]
+            if source == si and self.events[ei] == event:
+                return self.states[ti]
+        return None
 
     def index(self) -> SystemIndex:
-        """The integer form of the system, built on first use and kept."""
-        if self._index is None:
-            self._index = _build_index(self)
+        """The integer form of the system."""
         return self._index
 
     def atoms(self) -> Iterator[tuple[str, str]]:
@@ -301,79 +277,80 @@ class TransitionSystem:
         )
 
 
-def validate_ts(
-    edges: Iterable[Sequence[str]],
-    initial: str,
-    *,
-    states: Iterable[str] | None = None,
-    events: Iterable[str] | None = None,
-) -> TransitionSystem:
+def validate_ts(edges: Iterable[Sequence[str]], initial: str) -> TransitionSystem:
     """Check structural invariants and build a :class:`TransitionSystem`.
 
-    ``states``/``events`` may add isolated names to the declared sets; any
-    name appearing on an edge is declared implicitly.  Raises a subclass of
-    :class:`TsValidationError` when an invariant fails: deterministic edges,
-    at least one state, every state reachable from ``initial``, every event
-    used on some edge, and well-formed identifiers.
+    The states are ``initial`` and the ends of the edges, the events the
+    edge labels.  Raises a subclass of :class:`TsValidationError` when an
+    invariant fails: well-formed identifiers, deterministic edges, and
+    every state reachable from ``initial``.  The last two are checked on
+    the system's :class:`SystemIndex`, built in the same pass.
     """
-    edge_list: list[Edge] = []
-    state_set: set[str] = set(states or ())
-    event_set: set[str] = set(events or ())
-    state_set.add(initial)
+    edge_set: set[Edge] = set()
+    state_set: set[str] = {initial}
+    event_set: set[str] = set()
     for raw in edges:
         if len(raw) != 3:
             raise InvalidIdentifier(f"edge must be (source, event, target): {raw!r}")
         s, e, t = raw
-        edge_list.append((s, e, t))
+        edge_set.add((s, e, t))
         state_set.update((s, t))
         event_set.add(e)
     for name in sorted(state_set | event_set):
         if not isinstance(name, str) or not _IDENT_RE.match(name):
             raise InvalidIdentifier(f"bad state/event name: {name!r}")
-    if not state_set:
-        raise EmptyStateSet("a transition system needs at least one state")
 
-    delta: dict[tuple[str, str], str] = {}
-    for s, e, t in edge_list:
-        prev = delta.get((s, e))
-        if prev is not None and prev != t:
-            raise NondeterministicEdge(s, e, (prev, t))
-        delta[(s, e)] = t
+    states = tuple(sorted(state_set))
+    events = tuple(sorted(event_set))
+    edge_tuple = tuple(sorted(edge_set))
+    sidx = {s: k for k, s in enumerate(states)}
+    eidx = {e: k for k, e in enumerate(events)}
+    ids = [(sidx[s], eidx[e], sidx[t]) for s, e, t in edge_tuple]
+    ids.sort(key=itemgetter(1))  # stable: by event, then source and target
+    event_edges: list[list[int]] = [[] for _ in events]
+    state_edges: list[list[int]] = [[] for _ in states]
+    prev = (-1, -1, -1)
+    for k, edge in enumerate(ids):
+        si, ei, ti = edge
+        # sorted, so a state's edges with one event sit side by side
+        if si == prev[0] and ei == prev[1]:
+            raise NondeterministicEdge(
+                states[si], events[ei], (states[prev[2]], states[ti])
+            )
+        prev = edge
+        event_edges[ei].append(k)
+        state_edges[si].append(k)
+        if ti != si:
+            state_edges[ti].append(k)
 
-    # dedupe repeated identical edges, then canonicalize the order
-    edge_tuple = tuple(sorted({(s, e, t) for s, e, t in edge_list}))
-
-    unused = event_set - {e for _, e, _ in edge_tuple}
-    if unused:
-        raise UnusedEvent(unused)
-
-    succ: dict[str, list[str]] = {}
-    for s, _, t in edge_tuple:
-        succ.setdefault(s, []).append(t)
-    seen = {initial}
-    frontier = [initial]
+    # a state's edge list holds its incoming edges too; their target is the
+    # state itself, already seen
+    start = sidx[initial]
+    seen = bytearray(len(states))
+    seen[start] = 1
+    frontier = [start]
     while frontier:
-        here = frontier.pop()
-        for t in succ.get(here, ()):
-            if t not in seen:
-                seen.add(t)
-                frontier.append(t)
-    missing = state_set - seen
-    if missing:
-        raise UnreachableState(missing)
+        for k in state_edges[frontier.pop()]:
+            ti = ids[k][2]
+            if not seen[ti]:
+                seen[ti] = 1
+                frontier.append(ti)
+    if not all(seen):
+        raise UnreachableState(s for s, hit in zip(states, seen) if not hit)
 
-    loop_free = all(s != t for s, _, t in edge_tuple)
-    edge_set = set(edge_tuple)
+    loop_free = all(si != ti for si, _, ti in ids)
     bi_directed = loop_free and all((t, e, s) in edge_set for s, e, t in edge_tuple)
-
+    order = sorted(
+        range(len(events)), key=lambda ei: (-len(event_edges[ei]), events[ei])
+    )
     return TransitionSystem(
-        states=tuple(sorted(state_set)),
-        events=tuple(sorted(event_set)),
+        states=states,
+        events=events,
         edges=edge_tuple,
         initial=initial,
         loop_free=loop_free,
         bi_directed=bi_directed,
-        delta=delta,
+        index=SystemIndex(sidx, ids, event_edges, state_edges, order, {}),
     )
 
 
@@ -402,7 +379,7 @@ class Region:
         return {atom for atom in ts.atoms() if self.solves(atom)}
 
     def key(self) -> tuple:
-        """Hashable canonical form (sorted items), for dedup and comparison."""
+        """Hashable canonical form (sorted items), for comparing regions."""
         return (
             tuple(sorted(self.support.items())),
             tuple(sorted((e, i.value) for e, i in self.signature.items())),

@@ -125,6 +125,12 @@ _PROJ = [
     )
     for cells in range(16)
 ]
+#: The bits of nop and swap, the two total interactions.  A node tries
+#: them first, nop before swap, and then the others in ascending order:
+#: under the ascending order, types holding res or set next to swap sent
+#: searches for separable atoms deep under res or set, past budgets of
+#: 300,000 nodes that this order does not need.
+_FIRST = 0b100001
 
 
 #: The search state: the union-find's root and parity of every node, its
@@ -195,9 +201,10 @@ class _AtomSearch:
     changes nothing.  Its fixpoint is therefore the same whatever the order
     of the unions and revisions that reached it, and so is everything the
     search derives from it.  The search branches on the first event in
-    ``order`` that is not yet a singleton and tries its bits in ascending
-    order, so its leaves, the regions, come in lexicographic order of
-    their signatures, and it returns the first region with the atom.
+    ``order`` that is not yet a singleton and tries its bits in one fixed
+    order (see :data:`_FIRST`), so its leaves, the regions, come in
+    lexicographic order of their signatures under it, and it returns the
+    first region with the atom.
 
     Every search under a type therefore shares the type's descent (see
     :data:`_Descent`).  A search for the atom (a, b) advances it, counting
@@ -375,25 +382,24 @@ class _AtomSearch:
         own = self.own
         dom = self.dom
         zero = self.zero
-        while len(trail) > mark:
+        for _ in range(len(trail) - mark):
             entry = trail.pop()
             if entry[0] == "dom":
-                _, ei, old = entry
-                dom[ei] = old
-            else:
-                _, ry, rx, added = entry
-                moved = members[ry]
-                want = par[ry]
-                for member in moved:
-                    parent[member] = ry
-                    par[member] ^= want
-                if rx == zero:
-                    continue
-                if not own[rx]:
-                    self._own(rx)
-                del members[rx][-len(moved):]
-                if added:
-                    del bound[rx][-added:]
+                dom[entry[1]] = entry[2]
+                continue
+            _, ry, rx, added = entry
+            moved = members[ry]
+            want = par[ry]
+            for member in moved:
+                parent[member] = ry
+                par[member] ^= want
+            if rx == zero:
+                continue
+            if not own[rx]:
+                self._own(rx)
+            del members[rx][-len(moved):]
+            if added:
+                del bound[rx][-added:]
 
     # -- propagation
 
@@ -510,12 +516,12 @@ class _AtomSearch:
         The stack holds one frame per open node and starts with one that
         has no bits to try: its position is where the current node looks
         for its branch event, its mark where the search rolls back to when
-        it gives up.  Children are tried in ascending bit order, and the
-        trail is rolled back to the mark before each child and before the
-        frame is dropped, so depth costs heap, not Python frames.  Every
-        event before a node's position is a singleton there and stays one
-        below it, so a child looks for its branch event from its parent's
-        position on.
+        it gives up.  Children are tried in the order :data:`_FIRST` sets,
+        and the trail is rolled back to the mark before each child and
+        before the frame is dropped, so depth costs heap, not Python
+        frames.  Every event before a node's position is a singleton there
+        and stays one below it, so a child looks for its branch event from
+        its parent's position on.
 
         A ``descent`` enters the current node first, and returns None at
         the first node where the two state ids ``pair`` are forced equal,
@@ -551,7 +557,8 @@ class _AtomSearch:
                 self._rollback(mark)
                 if not untried or not (descent or self._union(a, b, 1)):
                     continue
-                low = untried & -untried
+                pref = untried & _FIRST
+                low = pref & -pref if pref else untried & -untried
                 stack.append((pos, untried ^ low, mark))
                 ei = order[pos]
                 self._set_dom(ei, low)
@@ -617,7 +624,8 @@ def solve_atom(
     system before.
     """
     a, b = atom
-    if a == b or a not in ts.states or b not in ts.states:
+    sidx = ts.index().sidx
+    if a == b or a not in sidx or b not in sidx:
         raise InvalidAtom(f"atom must be two distinct states: {atom!r}")
     search = _AtomSearch(ts, type_mask(tau), budget)
     region, exhausted = search.run(atom)
@@ -666,7 +674,9 @@ def decide_ssp(
     it finds joins ``report.regions``.  The searches share the type's
     descents toward its first region, so each one repeats little of what
     the searches before it did; ``stats`` counts the nodes and revisions
-    of each search, descent steps included.  The sweep stops at the first
+    of each search, descent steps included.  The sweep starts the type's
+    descents afresh and drops them when it returns, so its stats depend
+    only on the system, type and budget.  The sweep stops at the first
     provably unsolvable atom, the witness.  If a search ran out of budget
     and no atom was unsolvable, the decision is UNKNOWN and no regions are
     reported.
@@ -676,27 +686,34 @@ def decide_ssp(
     stats = report.stats
     exhausted_any = False
     states = ts.states
+    descents = ts.index().descents
+    mask = type_mask(tau)
+    descents.pop(mask, None)
     # two states share a class iff every region found so far gives them the
     # same support, i.e. iff no found region separates them
     cls = [0] * len(states)
-    for i, j in combinations(range(len(states)), 2):
-        stats.atoms_checked += 1
-        if cls[i] != cls[j]:
-            continue
-        atom = (states[i], states[j])
-        verdict = solve_atom(ts, tau, atom, budget)
-        stats.atoms_searched += 1
-        stats.nodes_expanded += verdict.nodes
-        stats.revisions += verdict.revisions
-        if verdict.status is AtomStatus.SOLVED:
-            report.regions.append(verdict.region)
-            cls = _refine(cls, map(verdict.region.support.__getitem__, states))
-        elif verdict.status is AtomStatus.EXHAUSTED:
-            exhausted_any = True
-        else:
-            report.decision = Decision.LACKS_SSP
-            report.witness_atom = atom
-            break
+    try:
+        for i, j in combinations(range(len(states)), 2):
+            stats.atoms_checked += 1
+            if cls[i] != cls[j]:
+                continue
+            atom = (states[i], states[j])
+            verdict = solve_atom(ts, tau, atom, budget)
+            stats.atoms_searched += 1
+            stats.nodes_expanded += verdict.nodes
+            stats.revisions += verdict.revisions
+            if verdict.status is AtomStatus.SOLVED:
+                report.regions.append(verdict.region)
+                support = verdict.region.support
+                cls = _refine(cls, map(support.__getitem__, states))
+            elif verdict.status is AtomStatus.EXHAUSTED:
+                exhausted_any = True
+            else:
+                report.decision = Decision.LACKS_SSP
+                report.witness_atom = atom
+                break
+    finally:
+        descents.pop(mask, None)
     if report.decision is not Decision.LACKS_SSP and exhausted_any:
         report.decision = Decision.UNKNOWN
         report.regions.clear()

@@ -109,8 +109,7 @@ def random_ts(
             continue
         taken.add((s, e))
         edges.append((s, e, states[rng.randrange(n)]))
-    used = {e for _, e, _ in edges}
-    return validate_ts(edges, states[0], events=used)
+    return validate_ts(edges, states[0])
 
 
 def random_type(rng: random.Random) -> frozenset[Interaction]:

@@ -14,6 +14,7 @@ from ssp_kit.cli import (
     main,
 )
 from ssp_kit.core import InternalCheckFailed
+from ssp_kit.engine import solve_atom
 from ssp_kit.formats import (
     TsParseError,
     TypeSpecError,
@@ -200,6 +201,29 @@ class TestSolveAtomCommand:
         out = capsys.readouterr().out
         assert code == EXIT_SEPARATED
         assert "solved" in out
+
+    def test_json_reports_the_search_counts(self, ts_file, capsys):
+        code = main(
+            [
+                "solve-atom",
+                "--type",
+                "nop,inp,out",
+                "--atom",
+                "r0,r1",
+                "--json",
+                ts_file(FORK),
+            ]
+        )
+        data = json.loads(capsys.readouterr().out)
+        assert code == EXIT_SEPARATED
+        assert set(data) == {"status", "nodes", "revisions", "region"}
+        verdict = solve_atom(
+            parse_ts_text(FORK), parse_type_spec("nop,inp,out"), ("r0", "r1")
+        )
+        assert (data["nodes"], data["revisions"]) == (
+            verdict.nodes, verdict.revisions
+        )
+        assert data["revisions"] > 0
 
     def test_deep_star(self, ts_file, capsys):
         star = "initial c\n" + "".join(f"c e{i} l{i}\n" for i in range(1500))

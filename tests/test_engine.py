@@ -260,6 +260,28 @@ class TestDecideSsp:
         # a union revisits only its class's boundary edges; 315116 before
         assert report.stats.revisions == 57130
 
+    def test_each_sweep_starts_and_drops_its_descents(self):
+        ts = gen_nop_inp(example_formula()).ts
+        mask = type_mask(NOP_INP)
+        solve_atom(ts, NOP_INP, ("t_6_0", "t_7_0"))
+        assert mask in ts.index().descents
+
+        def counts(report):
+            stats = report.stats
+            return (
+                report.decision,
+                [r.key() for r in report.regions],
+                stats.atoms_checked,
+                stats.atoms_searched,
+                stats.nodes_expanded,
+                stats.revisions,
+            )
+
+        fresh = counts(decide_ssp(validate_ts(ts.edges, ts.initial), NOP_INP))
+        for _ in range(2):
+            assert counts(decide_ssp(ts, NOP_INP)) == fresh
+            assert mask not in ts.index().descents
+
     def test_report_region_vectors_separate_all_atoms(self):
         ts = validate_ts(
             [("a", "x", "b"), ("b", "y", "c"), ("c", "z", "a")], "a"
@@ -381,6 +403,18 @@ def test_propagation_is_a_closure(ts, mask):
         ClosureCheckingSearch(ts, mask, None).run(atom)
 
 
+def test_propagation_is_a_closure_on_larger_systems():
+    # systems of up to 10 states and 4 events merge classes that hold
+    # inside edges often enough that a boundary list dropping such an edge
+    # breaks the closure within the first few hundred of these
+    rng = random.Random(1)
+    for _ in range(1000):
+        ts = random_ts(rng, max_states=10, max_events=4)
+        mask = rng.randrange(256)
+        for atom in ts.atoms():
+            ClosureCheckingSearch(ts, mask, None).run(atom)
+
+
 def union_find_state(state):
     parent, par, members, bound, _, dom, _ = state
     return (
@@ -493,7 +527,8 @@ def reference_search(ts, mask, atom):
     For each initial value, it propagates that value and the atom's
     disequality, then searches depth first: each node branches on the first
     event in branching order that is not a singleton, trying its bits in
-    ascending order, and the first leaf is the region.
+    order nop, swap, then the rest ascending, and the first leaf is the
+    region.
     """
     search = _AtomSearch(ts, mask, None)
     order, edges_of = search.order, search.event_edges
@@ -515,7 +550,8 @@ def reference_search(ts, mask, atom):
                 pos, untried, mark = stack.pop()
                 search._rollback(mark)
                 if untried:
-                    low = untried & -untried
+                    first = [bit for bit in (1, 32) if untried & bit]
+                    low = first[0] if first else untried & -untried
                     stack.append((pos, untried ^ low, mark))
                     search._set_dom(order[pos], low)
                     search._enqueue_all(edges_of[order[pos]])
