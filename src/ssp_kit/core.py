@@ -9,10 +9,10 @@ system together with propagation, path images, and normalization.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 class SspKitError(Exception):
@@ -88,7 +88,8 @@ class Interaction(Enum):
     USED = "used"
     FREE = "free"
 
-    #: the member's bit in a type mask, and its ``STEP_CELLS``
+    #: the member's bit in a type mask, and its steps x -> apply(x) as
+    #: cells: bit 2x+y is set iff it is defined at x with value y
     bit: int
     cells: int
 
@@ -117,31 +118,17 @@ _APPLY: dict[Interaction, tuple[int | None, int | None]] = {
 
 #: Canonical listing order used everywhere (bit i of a type mask, CLI output,
 #: branching order of the search).
-INTERACTION_ORDER: tuple[Interaction, ...] = (
-    Interaction.NOP,
-    Interaction.INP,
-    Interaction.OUT,
-    Interaction.RES,
-    Interaction.SET,
-    Interaction.SWAP,
-    Interaction.USED,
-    Interaction.FREE,
-)
+INTERACTION_ORDER: tuple[Interaction, ...] = tuple(Interaction)
 
 INTERACTION_BY_NAME: dict[str, Interaction] = {i.value: i for i in Interaction}
-
-#: The steps x -> apply(x) of each interaction as cells: bit 2x+y is set iff
-#: the interaction is defined at x with value y.
-STEP_CELLS: dict[Interaction, int] = {
-    i: sum(1 << (2 * x + y) for x, y in enumerate(_APPLY[i]) if y is not None)
-    for i in Interaction
-}
 
 # Each interaction also carries its type-mask bit and its step cells, so a
 # checker reads them as attributes instead of hashing the member per event.
 for _bit, _interaction in enumerate(INTERACTION_ORDER):
     _interaction.bit = 1 << _bit
-    _interaction.cells = STEP_CELLS[_interaction]
+    _interaction.cells = sum(
+        1 << (2 * x + y) for x, y in enumerate(_APPLY[_interaction]) if y is not None
+    )
 
 
 def type_mask(tau: frozenset[Interaction]) -> int:
@@ -166,88 +153,56 @@ _IDENT_RE = re.compile(r"[A-Za-z0-9_.'-]+\Z")
 Edge = tuple[str, str, str]
 
 
-class SystemIndex(NamedTuple):
-    """The integer form of a system, and its one adjacency form.
-
-    :func:`validate_ts` builds it in the pass that checks the system, and
-    the system keeps it.  States and events are numbered by their position
-    in the sorted ``states`` and ``events``.  The search, the region checks
-    and the oracles walk its edges; all but ``descents`` is independent of
-    a type and serves every walker on the system, which must not modify it.
-    Its sequences are lists: as small tuples, freed with their system, they
-    would stay in CPython's tuple free lists, which kept the peak resident
-    memory of a few thousand decisions on small systems about 1 MB higher.
-    """
-
-    #: state name -> state id
-    sidx: dict[str, int]
-    #: (source id, event id, target id) per edge, grouped by event
-    edges: list[tuple[int, int, int]]
-    #: edge ids per event id
-    event_edges: list[list[int]]
-    #: edge ids per state id (a loop once)
-    state_edges: list[list[int]]
-    #: event ids in branching order: busiest first, ties by name
-    order: list[int]
-    #: per type mask, what searches under the type share; starts empty, and
-    #: a ``decide_ssp`` sweep keeps its type's entry only while it runs
-    descents: dict[int, dict]
-
-
+@dataclass(frozen=True, slots=True, repr=False)
 class TransitionSystem:
     """A finite, deterministic, initialized, fully reachable labeled system.
 
     Instances are produced by :func:`validate_ts`; state and event names are
-    plain strings, edges are (source, event, target) triples.  Its one
-    adjacency form is the :class:`SystemIndex` that :func:`validate_ts`
-    builds with it and :meth:`index` returns; by name it only answers
-    :meth:`delta`.  Equality and hashing go by content, so regenerating a
-    system yields an equal one; the index takes no part in either.
+    plain strings, edges are (source, event, target) triples.  The system
+    also holds its integer form, built in the pass that checks it: states
+    and events are numbered by their position in the sorted ``states`` and
+    ``events``, and the search, the region checks and the oracles walk its
+    ``arcs``; by name it only answers :meth:`delta`.  Equality and hashing
+    go by content, so regenerating a system yields an equal one; the
+    integer form takes no part in either.  The integer form's sequences are
+    lists: as small tuples, freed with their system, they would stay in
+    CPython's tuple free lists, which kept the peak resident memory of a few
+    thousand decisions on small systems about 1 MB higher.
     """
 
-    __slots__ = (
-        "states",
-        "events",
-        "edges",
-        "initial",
-        "loop_free",
-        "bi_directed",
-        "_index",
-    )
-
-    def __init__(
-        self,
-        states: tuple[str, ...],
-        events: tuple[str, ...],
-        edges: tuple[Edge, ...],
-        initial: str,
-        loop_free: bool,
-        bi_directed: bool,
-        index: SystemIndex,
-    ):
-        self.states = states
-        self.events = events
-        self.edges = edges
-        self.initial = initial
-        self.loop_free = loop_free
-        self.bi_directed = bi_directed
-        self._index = index
+    states: tuple[str, ...]
+    events: tuple[str, ...]
+    #: (source, event, target) per edge, sorted by name
+    edges: tuple[Edge, ...]
+    initial: str
+    loop_free: bool = field(compare=False)
+    bi_directed: bool = field(compare=False)
+    #: state name -> state id
+    sidx: dict[str, int] = field(compare=False)
+    #: (source id, event id, target id) per edge, grouped by event, so not
+    #: in the order of ``edges``
+    arcs: list[tuple[int, int, int]] = field(compare=False)
+    #: positions in ``arcs`` per event id
+    event_arcs: list[list[int]] = field(compare=False)
+    #: positions in ``arcs`` per state id (a loop once)
+    state_arcs: list[list[int]] = field(compare=False)
+    #: event ids in branching order: busiest first, ties by name
+    order: list[int] = field(compare=False)
+    #: the one mutable part, whose contents a sweep changes: per type mask,
+    #: what searches under the type share; starts empty, and a
+    #: ``decide_ssp`` sweep keeps its type's entry only while it runs
+    descents: dict[int, dict] = field(compare=False)
 
     def delta(self, state: str, event: str) -> str | None:
         """Target of the ``event``-edge out of ``state``, or None."""
-        index = self._index
-        si = index.sidx.get(state)
+        si = self.sidx.get(state)
         if si is None:
             return None
-        for k in index.state_edges[si]:
-            source, ei, ti = index.edges[k]
+        for k in self.state_arcs[si]:
+            source, ei, ti = self.arcs[k]
             if source == si and self.events[ei] == event:
                 return self.states[ti]
         return None
-
-    def index(self) -> SystemIndex:
-        """The integer form of the system."""
-        return self._index
 
     def atoms(self) -> Iterator[tuple[str, str]]:
         """All unordered state pairs, each as a sorted tuple, in sorted order."""
@@ -255,19 +210,6 @@ class TransitionSystem:
         for i in range(n):
             for j in range(i + 1, n):
                 yield (self.states[i], self.states[j])
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TransitionSystem):
-            return NotImplemented
-        return (
-            self.initial == other.initial
-            and self.states == other.states
-            and self.events == other.events
-            and self.edges == other.edges
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.initial, self.states, self.events, self.edges))
 
     def __repr__(self) -> str:
         return (
@@ -284,7 +226,7 @@ def validate_ts(edges: Iterable[Sequence[str]], initial: str) -> TransitionSyste
     edge labels.  Raises a subclass of :class:`TsValidationError` when an
     invariant fails: well-formed identifiers, deterministic edges, and
     every state reachable from ``initial``.  The last two are checked on
-    the system's :class:`SystemIndex`, built in the same pass.
+    the system's integer form, built in the same pass.
     """
     edge_set: set[Edge] = set()
     state_set: set[str] = {initial}
@@ -296,7 +238,12 @@ def validate_ts(edges: Iterable[Sequence[str]], initial: str) -> TransitionSyste
         edge_set.add((s, e, t))
         state_set.update((s, t))
         event_set.add(e)
-    for name in sorted(state_set | event_set):
+    names = state_set | event_set
+    try:
+        ordered = sorted(names)
+    except TypeError:  # a name that is not a string, among strings
+        ordered = sorted(names, key=repr)
+    for name in ordered:
         if not isinstance(name, str) or not _IDENT_RE.match(name):
             raise InvalidIdentifier(f"bad state/event name: {name!r}")
 
@@ -305,43 +252,43 @@ def validate_ts(edges: Iterable[Sequence[str]], initial: str) -> TransitionSyste
     edge_tuple = tuple(sorted(edge_set))
     sidx = {s: k for k, s in enumerate(states)}
     eidx = {e: k for k, e in enumerate(events)}
-    ids = [(sidx[s], eidx[e], sidx[t]) for s, e, t in edge_tuple]
-    ids.sort(key=itemgetter(1))  # stable: by event, then source and target
-    event_edges: list[list[int]] = [[] for _ in events]
-    state_edges: list[list[int]] = [[] for _ in states]
+    arcs = [(sidx[s], eidx[e], sidx[t]) for s, e, t in edge_tuple]
+    arcs.sort(key=itemgetter(1))  # stable: by event, then source and target
+    event_arcs: list[list[int]] = [[] for _ in events]
+    state_arcs: list[list[int]] = [[] for _ in states]
     prev = (-1, -1, -1)
-    for k, edge in enumerate(ids):
-        si, ei, ti = edge
-        # sorted, so a state's edges with one event sit side by side
+    for k, arc in enumerate(arcs):
+        si, ei, ti = arc
+        # sorted, so a state's arcs with one event sit side by side
         if si == prev[0] and ei == prev[1]:
             raise NondeterministicEdge(
                 states[si], events[ei], (states[prev[2]], states[ti])
             )
-        prev = edge
-        event_edges[ei].append(k)
-        state_edges[si].append(k)
+        prev = arc
+        event_arcs[ei].append(k)
+        state_arcs[si].append(k)
         if ti != si:
-            state_edges[ti].append(k)
+            state_arcs[ti].append(k)
 
-    # a state's edge list holds its incoming edges too; their target is the
+    # a state's arc list holds its incoming arcs too; their target is the
     # state itself, already seen
     start = sidx[initial]
     seen = bytearray(len(states))
     seen[start] = 1
     frontier = [start]
     while frontier:
-        for k in state_edges[frontier.pop()]:
-            ti = ids[k][2]
+        for k in state_arcs[frontier.pop()]:
+            ti = arcs[k][2]
             if not seen[ti]:
                 seen[ti] = 1
                 frontier.append(ti)
     if not all(seen):
         raise UnreachableState(s for s, hit in zip(states, seen) if not hit)
 
-    loop_free = all(si != ti for si, _, ti in ids)
+    loop_free = all(si != ti for si, _, ti in arcs)
     bi_directed = loop_free and all((t, e, s) in edge_set for s, e, t in edge_tuple)
     order = sorted(
-        range(len(events)), key=lambda ei: (-len(event_edges[ei]), events[ei])
+        range(len(events)), key=lambda ei: (-len(event_arcs[ei]), events[ei])
     )
     return TransitionSystem(
         states=states,
@@ -350,7 +297,12 @@ def validate_ts(edges: Iterable[Sequence[str]], initial: str) -> TransitionSyste
         initial=initial,
         loop_free=loop_free,
         bi_directed=bi_directed,
-        index=SystemIndex(sidx, ids, event_edges, state_edges, order, {}),
+        sidx=sidx,
+        arcs=arcs,
+        event_arcs=event_arcs,
+        state_arcs=state_arcs,
+        order=order,
+        descents={},
     )
 
 
@@ -429,7 +381,7 @@ def is_region(
         if type(act) is not Interaction or not act.bit & in_tau:
             return False
     steps = [act.cells for act in acts]
-    for si, ei, ti in ts.index().edges:
+    for si, ei, ti in ts.arcs:
         if not steps[ei] >> (2 * bits[si] + bits[ti]) & 1:
             return False
     return True
@@ -452,18 +404,17 @@ def propagate_region(
         raise PartialAssignment(f"signature missing events {missing!r}")
     if not _is_bit(initial_support):
         raise PartialAssignment("initial support must be 0 or 1")
-    index = ts.index()
     steps = [_APPLY[signature[e]] for e in ts.events]
     bits: list[int | None] = [None] * len(ts.states)
-    start = index.sidx[ts.initial]
+    start = ts.sidx[ts.initial]
     bits[start] = initial_support
     frontier = [start]
     # every state is reachable, so each is valued and popped once, and each
     # edge is checked from its source against the value of its target
     while frontier:
         here = frontier.pop()
-        for k in index.state_edges[here]:
-            si, ei, ti = index.edges[k]
+        for k in ts.state_arcs[here]:
+            si, ei, ti = ts.arcs[k]
             if si != here:
                 continue
             val = steps[ei][bits[si]]
@@ -523,7 +474,7 @@ def image_of_path(
 def _changing_events(ts: TransitionSystem, support: Mapping[str, int]) -> set[str]:
     """The events with an edge whose two ends get different support."""
     bits = [support[s] for s in ts.states]
-    return {ts.events[ei] for si, ei, ti in ts.index().edges if bits[si] != bits[ti]}
+    return {ts.events[ei] for si, ei, ti in ts.arcs if bits[si] != bits[ti]}
 
 
 def normalize_region(

@@ -24,7 +24,6 @@ from typing import Iterable, Mapping, Sequence
 
 from .core import (
     INTERACTION_ORDER,
-    STEP_CELLS,
     InternalCheckFailed,
     Interaction,
     Region,
@@ -96,14 +95,14 @@ class SeparationReport:
 
 # Propagation tables.  The support pair (x, y) of an edge, source value x
 # and target value y, is one of four cells, bit 2x+y; interaction bit b of a
-# type mask can carry the edge iff one of its ``STEP_CELLS`` is allowed.
+# type mask can carry the edge iff one of its step ``cells`` is allowed.
 
 #: The cells with a known source value, target value or parity, by value.
 _SOURCE_IS = (0b0011, 0b1100)
 _TARGET_IS = (0b0101, 0b1010)
 _PARITY_IS = (0b1001, 0b0110)
 
-_CELLS = [STEP_CELLS[i] for i in INTERACTION_ORDER]
+_CELLS = [i.cells for i in INTERACTION_ORDER]
 #: _STEPS[mask]: the cells some interaction in ``mask`` steps through.
 _STEPS = [0]
 for _cells in _CELLS:  # the masks with the next bit set add its cells
@@ -136,7 +135,7 @@ _FIRST = 0b100001
 #: The search state: the union-find's root and parity of every node, its
 #: class member lists and boundary lists, the flags of the roots whose two
 #: lists the state owns, the event domains and the trail.  A state shares
-#: the lists it does not own, with the system index or with the descent it
+#: the lists it does not own, with the system or with the descent it
 #: was copied from, and copies a root's lists before it first changes them.
 _State = tuple[
     list[int],
@@ -151,7 +150,7 @@ _State = tuple[
 #: on, the interaction bits not yet tried there, and the node's trail mark.
 _Frame = tuple[int, int, int]
 #: A type's descent from one initial value, kept per type mask and initial
-#: value in :attr:`SystemIndex.descents`, None where the value leaves no
+#: value in :attr:`TransitionSystem.descents`, None where the value leaves no
 #: region: the depth-first search without any atom, from the fixpoint of
 #: that value alone toward the type's first region.  It is the state of the
 #: node it stopped at and the frames of that node's ancestors, and a search
@@ -189,7 +188,7 @@ class _AtomSearch:
     another class, the zero node's included, and every edge inside the
     class that some interaction left in its event's domain does not carry
     with both steps of the edge's parity; it may hold more.  A singleton's
-    list is its ``state_edges``.  Domains only shrink while a union
+    list is its ``state_arcs``.  Domains only shrink while a union
     stands, so an inside edge left out stays one that no revision can
     change, and a union scans only the moved class's list: a merge of two
     unvalued classes queues the edges into the surviving class and
@@ -227,22 +226,15 @@ class _AtomSearch:
         mask: int,
         max_nodes: int | None,
     ):
-        index = ts.index()
         self.ts = ts
-        self.index = index
         self.n = len(ts.states)
         self.zero = self.n  # virtual node carrying the constant 0
-        self.sidx = index.sidx
-        self.edges = index.edges
-        self.event_edges = index.event_edges
-        self.state_edges = index.state_edges
-        self.order = index.order
         self.full_mask = mask
         self.max_nodes = max_nodes
         self.expanded = 0
         self.revisions = 0
         self.queue: list[int] = []
-        self.inq = bytearray(len(self.edges))
+        self.inq = bytearray(len(ts.arcs))
 
     # -- union-find with parity, trail-based undo
 
@@ -251,9 +243,9 @@ class _AtomSearch:
         self.parent = list(range(n1))
         self.par = [0] * n1
         self.members: list[list[int]] = [[k] for k in range(n1)]
-        self.bound: list[list[int]] = [*self.state_edges, []]
+        self.bound: list[list[int]] = [*self.ts.state_arcs, []]
         self.own = bytearray(n1)
-        self.dom = [self.full_mask] * len(self.event_edges)
+        self.dom = [self.full_mask] * len(self.ts.events)
         self.trail: list[tuple] = []
 
     def _state(self) -> _State:
@@ -317,7 +309,7 @@ class _AtomSearch:
         moved = members[ry]
         inq = self.inq
         queue = self.queue
-        edges = self.edges
+        arcs = self.ts.arcs
         dom = self.dom
         if rx == zero:
             # every moved state learns its value: each boundary edge can
@@ -329,7 +321,7 @@ class _AtomSearch:
             for k in bound[ry]:
                 if inq[k]:
                     continue
-                si, ei, ti = edges[k]
+                si, ei, ti = arcs[k]
                 if (
                     parent[si] == parent[ti]
                     and _COVER[dom[ei]] >> (2 * par[si] + par[ti]) & 1
@@ -348,7 +340,7 @@ class _AtomSearch:
         grown = bound[rx]
         size = len(grown)
         for k in bound[ry]:
-            si, ei, ti = edges[k]
+            si, ei, ti = arcs[k]
             ra = parent[si]
             rb = parent[ti]
             if ra == rb:
@@ -421,8 +413,8 @@ class _AtomSearch:
         them would change nothing."""
         queue = self.queue
         inq = self.inq
-        edges = self.edges
-        event_edges = self.event_edges
+        arcs = self.ts.arcs
+        event_arcs = self.ts.event_arcs
         parent = self.parent
         par = self.par
         dom = self.dom
@@ -433,7 +425,7 @@ class _AtomSearch:
         while queue:
             k = queue.pop()
             popped += 1
-            si, ei, ti = edges[k]
+            si, ei, ti = arcs[k]
             ra = parent[si]
             rb = parent[ti]
             pa = par[si]
@@ -450,7 +442,7 @@ class _AtomSearch:
             if new_mask != mask:
                 trail.append(("dom", ei, mask))
                 dom[ei] = new_mask
-                for k2 in event_edges[ei]:
+                for k2 in event_arcs[ei]:
                     if not inq[k2]:
                         inq[k2] = 1
                         queue.append(k2)
@@ -478,8 +470,9 @@ class _AtomSearch:
         None.  Its stack starts with a frame with no bits to try, so the
         descent has run out of regions once that frame is popped."""
         self._reset()
-        self._union(self.sidx[self.ts.initial], self.zero, init_value)
-        self._enqueue_all(range(len(self.edges)))
+        ts = self.ts
+        self._union(ts.sidx[ts.initial], self.zero, init_value)
+        self._enqueue_all(range(len(ts.arcs)))
         if not self._propagate():
             return None
         self.trail = []
@@ -530,7 +523,7 @@ class _AtomSearch:
         it starts by backtracking into the stack's top frame, and unites
         the pair with parity 1 before it propagates each child.
         """
-        order = self.order
+        order = self.ts.order
         dom = self.dom
         parent = self.parent
         par = self.par
@@ -562,7 +555,7 @@ class _AtomSearch:
                 stack.append((pos, untried ^ low, mark))
                 ei = order[pos]
                 self._set_dom(ei, low)
-                self._enqueue_all(self.event_edges[ei])
+                self._enqueue_all(self.ts.event_arcs[ei])
                 if self._propagate():
                     break
             else:
@@ -574,8 +567,9 @@ class _AtomSearch:
         the atom from where it stopped, on a copy."""
         if self.max_nodes is not None and self.max_nodes <= 0:
             return None, True
-        descents = self.index.descents.setdefault(self.full_mask, {})
-        pair = (self.sidx[atom[0]], self.sidx[atom[1]])
+        descents = self.ts.descents.setdefault(self.full_mask, {})
+        sidx = self.ts.sidx
+        pair = (sidx[atom[0]], sidx[atom[1]])
         try:
             for init_value in (0, 1):
                 if init_value not in descents:
@@ -615,7 +609,7 @@ def solve_atom(
     Returns SOLVED with a validated region, UNSOLVABLE after exhausting the
     search space, or EXHAUSTED when the node budget ran out first; ``nodes``
     reports expansions spent either way.  A search resumes the type's
-    descents kept with the system (see ``SystemIndex.descents``), starting
+    descents kept with the system (see ``TransitionSystem.descents``), starting
     the ones no earlier search on the system did, and advances them as far
     as its atom needs, then backtracks from there with the atom added; the
     nodes and revisions that costs count here and against ``budget``.  So
@@ -624,8 +618,7 @@ def solve_atom(
     system before.
     """
     a, b = atom
-    sidx = ts.index().sidx
-    if a == b or a not in sidx or b not in sidx:
+    if a == b or a not in ts.sidx or b not in ts.sidx:
         raise InvalidAtom(f"atom must be two distinct states: {atom!r}")
     search = _AtomSearch(ts, type_mask(tau), budget)
     region, exhausted = search.run(atom)
@@ -686,7 +679,7 @@ def decide_ssp(
     stats = report.stats
     exhausted_any = False
     states = ts.states
-    descents = ts.index().descents
+    descents = ts.descents
     mask = type_mask(tau)
     descents.pop(mask, None)
     # two states share a class iff every region found so far gives them the
@@ -727,11 +720,10 @@ def decide_ssp(
 
 def _event_pairs(ts: TransitionSystem) -> list[list[tuple[str, str]]]:
     """Per event, the (source, target) names of its edges."""
-    index = ts.index()
     states = ts.states
     return [
-        [(states[index.edges[k][0]], states[index.edges[k][2]]) for k in ks]
-        for ks in index.event_edges
+        [(states[ts.arcs[k][0]], states[ts.arcs[k][2]]) for k in ks]
+        for ks in ts.event_arcs
     ]
 
 
@@ -852,13 +844,12 @@ def fast_path_swap_core(
         raise WrongTypeFamily(
             "fast path covers exactly the types between {swap} and {swap,inp,out}"
         )
-    index = ts.index()
     colour = [0] + [-1] * (len(ts.states) - 1)
     stack = [0]
     while stack:
         s = stack.pop()
-        for k in index.state_edges[s]:
-            si, _, ti = index.edges[k]
+        for k in ts.state_arcs[s]:
+            si, _, ti = ts.arcs[k]
             t = ti if si == s else si
             if colour[t] < 0:
                 colour[t] = 1 - colour[s]

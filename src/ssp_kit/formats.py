@@ -106,9 +106,8 @@ def parse_atom(spec: str, ts: TransitionSystem) -> tuple[str, str]:
     if len(parts) != 2 or not all(parts):
         raise SspKitError(f"atom must be '<state>,<state>': {spec!r}")
     a, b = parts
-    sidx = ts.index().sidx
     for name in (a, b):
-        if name not in sidx:
+        if name not in ts.sidx:
             raise SspKitError(f"atom names unknown state {name!r}")
     return (a, b)
 

@@ -635,10 +635,9 @@ def gen_nop_free_witness(
     spine_states = ["iota"] + [f"TOP_{j}" for j in range(14 * m)] + [
         f"BOT_{j}" for j in range(2 * m)
     ]
-    index = ts.index()
     for state in spine_states:
-        ks = index.state_edges[index.sidx[state]]
-        incident = {ts.events[index.edges[k][1]] for k in ks}
+        ks = ts.state_arcs[ts.sidx[state]]
+        incident = {ts.events[ts.arcs[k][1]] for k in ks}
         support = {s: (1 if s == state else 0) for s in ts.states}
         signature = {
             e: (I.SWAP if e in incident else I.FREE) for e in ts.events

@@ -1,4 +1,5 @@
 from collections import defaultdict
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +23,7 @@ from ssp_kit.core import (
     type_of,
     validate_ts,
 )
+from ssp_kit.engine import solve_atom
 from ssp_kit.verify import random_ts
 
 I = Interaction
@@ -83,6 +85,19 @@ class TestValidateTs:
         with pytest.raises(InvalidIdentifier):
             validate_ts([("a", "x y", "b")], "a")
 
+    @pytest.mark.parametrize(
+        "edges, initial",
+        [
+            ([("a", 1, "b")], "a"),
+            ([("a", "x", "b")], 1),
+            ([("a", "x", None)], "a"),
+        ],
+    )
+    def test_non_string_name_rejected(self, edges, initial):
+        # a plain sort of these names raises TypeError
+        with pytest.raises(InvalidIdentifier):
+            validate_ts(edges, initial)
+
     def test_flags(self):
         cycle = validate_ts([("a", "x", "b"), ("b", "x", "a")], "a")
         assert cycle.loop_free and cycle.bi_directed
@@ -96,47 +111,67 @@ class TestValidateTs:
         assert list(ts.atoms()) == [("a", "b"), ("a", "c"), ("b", "c")]
 
 
-class TestSystemIndex:
+class TestIntegerForm:
     EDGES = [("a", "y", "b"), ("b", "x", "c"), ("c", "x", "c"), ("a", "x", "b")]
 
     def test_integer_form(self):
-        index = validate_ts(self.EDGES, "a").index()
-        assert index.sidx == {"a": 0, "b": 1, "c": 2}
-        # events x = 0, y = 1; edges grouped by event in sorted edge order
-        assert index.edges == [(0, 0, 1), (1, 0, 2), (2, 0, 2), (0, 1, 1)]
-        assert index.event_edges == [[0, 1, 2], [3]]
+        ts = validate_ts(self.EDGES, "a")
+        assert ts.sidx == {"a": 0, "b": 1, "c": 2}
+        # events x = 0, y = 1; arcs grouped by event in sorted edge order
+        assert ts.arcs == [(0, 0, 1), (1, 0, 2), (2, 0, 2), (0, 1, 1)]
+        assert ts.event_arcs == [[0, 1, 2], [3]]
         # the loop on c is listed once
-        assert index.state_edges == [[0, 3], [0, 1, 3], [1, 2]]
-        assert index.order == [0, 1]
+        assert ts.state_arcs == [[0, 3], [0, 1, 3], [1, 2]]
+        assert ts.order == [0, 1]
+        assert ts.descents == {}
+
+    def test_arcs_are_not_in_edge_order(self):
+        ts = validate_ts(self.EDGES, "a")
+        named = [
+            (ts.states[si], ts.events[ei], ts.states[ti]) for si, ei, ti in ts.arcs
+        ]
+        assert sorted(named) == list(ts.edges) != named
+        # state_arcs and event_arcs hold positions in arcs; read in edges,
+        # y's one position would name an x-edge
+        assert [ts.arcs[k] for k in ts.event_arcs[1]] == [(0, 1, 1)]
+        assert ts.edges[ts.event_arcs[1][0]][1] == "x"
+        assert [ts.arcs[k] for k in ts.state_arcs[0]] == [(0, 0, 1), (0, 1, 1)]
+
+    def test_fields_are_frozen(self):
+        ts = validate_ts(self.EDGES, "a")
+        for name, value in (("states", ()), ("arcs", []), ("descents", {})):
+            with pytest.raises(FrozenInstanceError):
+                setattr(ts, name, value)
 
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(st.randoms(use_true_random=False))
     def test_index_lists_every_edge_once(self, rng):
         ts = random_ts(rng, max_states=7, max_events=4)
-        index = ts.index()
         named = [
             (ts.states[si], ts.events[ei], ts.states[ti])
-            for si, ei, ti in index.edges
+            for si, ei, ti in ts.arcs
         ]
         assert sorted(named) == list(ts.edges)
         assert named == sorted(named, key=lambda edge: (edge[1], edge[0], edge[2]))
-        ends = [(si, ti) for si, _, ti in index.edges]
-        assert index.state_edges == [
+        ends = [(si, ti) for si, _, ti in ts.arcs]
+        assert ts.state_arcs == [
             [k for k, pair in enumerate(ends) if s in pair]
             for s in range(len(ts.states))
         ]
-        assert index.event_edges == [
-            [k for k, (_, ei, _) in enumerate(index.edges) if ei == e]
+        assert ts.event_arcs == [
+            [k for k, (_, ei, _) in enumerate(ts.arcs) if ei == e]
             for e in range(len(ts.events))
         ]
 
     def test_equality_and_hash_ignore_the_index(self):
         first = validate_ts(self.EDGES, "a")
-        second = validate_ts(self.EDGES, "a")
-        first.index()
+        second = validate_ts(list(reversed(self.EDGES)), "a")
         assert first == second and hash(first) == hash(second)
-        second.index()
+        # a search fills its system's descents and leaves them there
+        solve_atom(first, type_of(I.NOP, I.INP), ("a", "b"))
+        assert first.descents and not second.descents
         assert first == second and hash(first) == hash(second)
+        assert first != validate_ts(self.EDGES[1:], "a")
 
 
 class TestRegions:

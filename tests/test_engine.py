@@ -98,22 +98,22 @@ class TestSolveAtom:
     def test_searches_share_the_system_index(self):
         ts = fixture_parallel_pair()
         first = solve_atom(ts, NOP_INP, ("r0", "r1"))
-        index = ts.index()
-        stored = index.descents[type_mask(NOP_INP)]
+        descents = ts.descents
+        stored = descents[type_mask(NOP_INP)]
         before = dict(stored)
         again = solve_atom(ts, NOP_INP, ("r0", "r1"))
         # the second search under the type resumes the stored descents, each
         # kept as the same object, where the first search left them
-        assert index.descents[type_mask(NOP_INP)] is stored
+        assert descents[type_mask(NOP_INP)] is stored
         assert stored.keys() == {0, 1}
         assert all(stored[v] is before[v] for v in stored)
         assert again.revisions < first.revisions
         assert again.nodes < first.nodes
         swap = type_mask(type_of(I.SWAP))
         solve_atom(ts, type_of(I.SWAP), ("r0", "r1"))
-        assert ts.index() is index
-        assert index.descents.keys() == {type_mask(NOP_INP), swap}
-        assert index.descents[swap] is not stored
+        assert ts.descents is descents
+        assert descents.keys() == {type_mask(NOP_INP), swap}
+        assert descents[swap] is not stored
         copy = validate_ts(ts.edges, ts.initial)
         fresh = solve_atom(copy, NOP_INP, ("r0", "r1"))
         # the first search on a system spends what a fresh one does, and
@@ -133,7 +133,7 @@ class TestSolveAtom:
         # the descent from 0 stops at its root; the one from 1 branches
         with pytest.raises(KeyboardInterrupt):
             Interrupted(ts, type_mask(NOP_INP), None).run(("r0", "r1"))
-        assert ts.index().descents[type_mask(NOP_INP)].keys() == {0}
+        assert ts.descents[type_mask(NOP_INP)].keys() == {0}
         verdict = solve_atom(ts, NOP_INP, ("r0", "r1"))
         copy = validate_ts(ts.edges, ts.initial)
         fresh = solve_atom(copy, NOP_INP, ("r0", "r1"))
@@ -264,7 +264,7 @@ class TestDecideSsp:
         ts = gen_nop_inp(example_formula()).ts
         mask = type_mask(NOP_INP)
         solve_atom(ts, NOP_INP, ("t_6_0", "t_7_0"))
-        assert mask in ts.index().descents
+        assert mask in ts.descents
 
         def counts(report):
             stats = report.stats
@@ -280,7 +280,7 @@ class TestDecideSsp:
         fresh = counts(decide_ssp(validate_ts(ts.edges, ts.initial), NOP_INP))
         for _ in range(2):
             assert counts(decide_ssp(ts, NOP_INP)) == fresh
-            assert mask not in ts.index().descents
+            assert mask not in ts.descents
 
     def test_report_region_vectors_separate_all_atoms(self):
         ts = validate_ts(
@@ -385,7 +385,7 @@ class ClosureCheckingSearch(_AtomSearch):
         if not super()._propagate():
             return False
         mark = len(self.trail)
-        for k in range(len(self.edges)):
+        for k in range(len(self.ts.arcs)):
             revisions = self.revisions
             self._enqueue_all([k])
             assert super()._propagate()
@@ -468,7 +468,7 @@ class InvariantCheckingSearch(_AtomSearch):
             len(members[root]) for root in set(parent) - {self.zero}
         ) == len(parent) - parent.count(self.zero)
         bound = [set(b) for b in self.bound]
-        for k, (si, ei, ti) in enumerate(self.edges):
+        for k, (si, ei, ti) in enumerate(self.ts.arcs):
             ra, rb = parent[si], parent[ti]
             if ra != rb:
                 ends = {ra, rb} - {self.zero}
@@ -531,12 +531,12 @@ def reference_search(ts, mask, atom):
     region.
     """
     search = _AtomSearch(ts, mask, None)
-    order, edges_of = search.order, search.event_edges
-    a, b = (search.sidx[s] for s in atom)
+    order, arcs_of = ts.order, ts.event_arcs
+    a, b = (ts.sidx[s] for s in atom)
     for init_value in (0, 1):
         search._reset()
-        search._union(search.sidx[ts.initial], search.zero, init_value)
-        search._enqueue_all(range(len(search.edges)))
+        search._union(ts.sidx[ts.initial], search.zero, init_value)
+        search._enqueue_all(range(len(ts.arcs)))
         if not (search._union(a, b, 1) and search._propagate()):
             continue
         dom, stack, pos = search.dom, [], 0
@@ -554,7 +554,7 @@ def reference_search(ts, mask, atom):
                     low = first[0] if first else untried & -untried
                     stack.append((pos, untried ^ low, mark))
                     search._set_dom(order[pos], low)
-                    search._enqueue_all(edges_of[order[pos]])
+                    search._enqueue_all(arcs_of[order[pos]])
                     if search._propagate():
                         break
             else:
