@@ -228,16 +228,26 @@ def validate_ts(edges: Iterable[Sequence[str]], initial: str) -> TransitionSyste
     every state reachable from ``initial``.  The last two are checked on
     the system's integer form, built in the same pass.
     """
+    if not isinstance(initial, str):
+        raise InvalidIdentifier(f"bad state/event name: {initial!r}")
     edge_set: set[Edge] = set()
     state_set: set[str] = {initial}
     event_set: set[str] = set()
-    for raw in edges:
-        if len(raw) != 3:
-            raise InvalidIdentifier(f"edge must be (source, event, target): {raw!r}")
-        s, e, t = raw
-        edge_set.add((s, e, t))
-        state_set.update((s, t))
-        event_set.add(e)
+    raw = None
+    try:
+        for raw in edges:
+            if len(raw) != 3:
+                raise InvalidIdentifier(
+                    f"edge must be (source, event, target): {raw!r}"
+                )
+            s, e, t = raw
+            edge_set.add((s, e, t))
+            state_set.update((s, t))
+            event_set.add(e)
+    except TypeError:  # an edge without a length, or a name without a hash
+        raise InvalidIdentifier(
+            f"edge must be (source, event, target) of names: {raw!r}"
+        ) from None
     names = state_set | event_set
     try:
         ordered = sorted(names)
@@ -338,6 +348,21 @@ class Region:
         )
 
 
+#: The only value types a well-formed support and signature hold.
+_INT = {int}
+_INTERACTION = {Interaction}
+
+
+def _values_at(mapping: Mapping, keys: tuple[str, ...]) -> list:
+    """The values of ``mapping`` at ``keys``, None where it has none.  A
+    mapping keyed in the order of ``keys``, as every region built here is,
+    is read without a lookup per key; any other is read with ``get``, since
+    indexing a mapping with a default fills in a gap."""
+    if tuple(mapping) == keys:
+        return list(mapping.values())
+    return list(map(mapping.get, keys))
+
+
 def _is_bit(value: object) -> bool:
     # a float 0.0 or 1.0 compares equal to the int but cannot index cells
     return isinstance(value, int) and value in (0, 1)
@@ -357,30 +382,32 @@ def is_region(
     """
     sup = region.support
     sig = region.signature
-    # read with ``get``: indexing a mapping with a default fills in a gap
-    bits = list(map(sup.get, ts.states))
-    acts = list(map(sig.get, ts.events))
-    if None in acts or not (
-        set(map(type, bits)) <= {int}
+    states = ts.states
+    bits = _values_at(sup, states)
+    acts = _values_at(sig, ts.events)
+    if not (
+        set(map(type, bits)) <= _INT
         and bits.count(0) + bits.count(1) == len(bits)
+        and set(map(type, acts)) <= _INTERACTION
     ):
-        missing_s = [s for s in ts.states if s not in sup]
+        missing_s = [s for s in states if s not in sup]
         missing_e = [e for e in ts.events if e not in sig]
         if missing_s or missing_e:
             raise PartialAssignment(
                 f"missing support for {missing_s!r}, signature for {missing_e!r}"
             )
-        for s, bit in zip(ts.states, bits):
+        for s, bit in zip(states, bits):
             if not _is_bit(bit):
                 raise PartialAssignment(f"support of {s!r} must be 0 or 1")
+        if not set(map(type, acts)) <= _INTERACTION:
+            return False
     in_tau = 0
     for i in tau:
         if type(i) is Interaction:
             in_tau |= i.bit
-    for act in acts:
-        if type(act) is not Interaction or not act.bit & in_tau:
-            return False
-    steps = [act.cells for act in acts]
+    steps = [act.cells for act in acts if act.bit & in_tau]
+    if len(steps) != len(acts):
+        return False
     for si, ei, ti in ts.arcs:
         if not steps[ei] >> (2 * bits[si] + bits[ti]) & 1:
             return False

@@ -19,7 +19,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import combinations, product
+from itertools import product
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 from .core import (
@@ -130,6 +131,8 @@ _PROJ = [
 #: searches for separable atoms deep under res or set, past budgets of
 #: 300,000 nodes that this order does not need.
 _FIRST = 0b100001
+#: The interaction of each type-mask bit.
+_BY_BIT = {i.bit: i for i in INTERACTION_ORDER}
 
 
 #: The search state: the union-find's root and parity of every node, its
@@ -492,12 +495,12 @@ class _AtomSearch:
             raise InternalCheckFailed(
                 f"state {name!r} left unvalued at a search leaf"
             )
-        # the zero node is every state's root, so a state's parity is its value
-        support = dict(zip(states, self.par))
-        signature = {
-            name: INTERACTION_ORDER[mask.bit_length() - 1]
-            for name, mask in zip(self.ts.events, self.dom)
-        }
+        # the zero node is every state's root, so a state's parity is its
+        # value; a copy of the state index has the keys in state order already
+        support = self.ts.sidx.copy()
+        support.update(zip(states, self.par))
+        # every domain is a single interaction's bit
+        signature = dict(zip(self.ts.events, map(_BY_BIT.__getitem__, self.dom)))
         return Region(support=support, signature=signature)
 
     def _expand(
@@ -635,22 +638,47 @@ def solve_atom(
 
 def _refine(cls: list[int], bits: Iterable[int]) -> list[int]:
     """Split the classes ``cls`` by the support ``bits``, in state order.
-    Ids count up by first appearance: a support splitting none returns cls."""
-    ids: dict[tuple[int, int], int] = {}
-    return [ids.setdefault(key, len(ids)) for key in zip(cls, bits)]
+
+    Each state's class code gets its bit appended, ``c + c + bit``: after
+    any supports, the code holds the state's bits under them, so two states
+    share a code iff none of the supports separates them.  The split runs
+    in C over ints, with no key object or name lookup per state."""
+    return list(map(add, map(add, cls, cls), bits))
+
+
+def _same_class(cls: list[int], i: int, j: int) -> tuple[int, int] | None:
+    """The first atom (i', j') at or after (i, j) in sorted order whose
+    states share a class of ``cls``, or None.  A state's next same-class
+    partner is a scan of ``cls`` in C, so the atoms in between cost no
+    Python step."""
+    last = len(cls) - 1
+    while i < last:
+        try:
+            return i, cls.index(cls[i], j)
+        except ValueError:
+            i += 1
+            j = i + 1
+    return None
+
+
+def _atoms_up_to(n: int, pair: tuple[int, int] | None) -> int:
+    """The atoms of ``n`` states in sorted order up to and including the
+    atom of state ids ``pair``, all n(n-1)/2 when it is None."""
+    if pair is None:
+        return n * (n - 1) // 2
+    i, j = pair
+    return i * n - i * (i + 1) // 2 + (j - i)
 
 
 def _partition_report(ts: TransitionSystem, cls: list[int]) -> SeparationReport:
     """The decision of a final partition: its first same-class atom in
     sorted order is the witness, and the atoms up to it are checked."""
     report = SeparationReport(decision=Decision.HAS_SSP, witness_atom=None)
-    states = ts.states
-    for i, j in combinations(range(len(states)), 2):
-        report.stats.atoms_checked += 1
-        if cls[i] == cls[j]:
-            report.decision = Decision.LACKS_SSP
-            report.witness_atom = (states[i], states[j])
-            break
+    pair = _same_class(cls, 0, 1)
+    if pair is not None:
+        report.decision = Decision.LACKS_SSP
+        report.witness_atom = (ts.states[pair[0]], ts.states[pair[1]])
+    report.stats.atoms_checked = _atoms_up_to(len(cls), pair)
     return report
 
 
@@ -670,9 +698,10 @@ def decide_ssp(
     of each search, descent steps included.  The sweep starts the type's
     descents afresh and drops them when it returns, so its stats depend
     only on the system, type and budget.  The sweep stops at the first
-    provably unsolvable atom, the witness.  If a search ran out of budget
-    and no atom was unsolvable, the decision is UNKNOWN and no regions are
-    reported.
+    provably unsolvable atom, the witness; ``stats.atoms_checked`` counts
+    the atoms in sorted order up to and including the witness, all of them
+    when there is none.  If a search ran out of budget and no atom was
+    unsolvable, the decision is UNKNOWN and no regions are reported.
     """
     t0 = time.perf_counter()
     report = SeparationReport(decision=Decision.HAS_SSP, witness_atom=None)
@@ -683,13 +712,13 @@ def decide_ssp(
     mask = type_mask(tau)
     descents.pop(mask, None)
     # two states share a class iff every region found so far gives them the
-    # same support, i.e. iff no found region separates them
+    # same support, i.e. iff no found region separates them; the atoms that
+    # _same_class passes over are the ones a found region separates
     cls = [0] * len(states)
+    pair = _same_class(cls, 0, 1)
     try:
-        for i, j in combinations(range(len(states)), 2):
-            stats.atoms_checked += 1
-            if cls[i] != cls[j]:
-                continue
+        while pair is not None:
+            i, j = pair
             atom = (states[i], states[j])
             verdict = solve_atom(ts, tau, atom, budget)
             stats.atoms_searched += 1
@@ -697,16 +726,18 @@ def decide_ssp(
             stats.revisions += verdict.revisions
             if verdict.status is AtomStatus.SOLVED:
                 report.regions.append(verdict.region)
-                support = verdict.region.support
-                cls = _refine(cls, map(support.__getitem__, states))
+                # the search's support is in state order
+                cls = _refine(cls, verdict.region.support.values())
             elif verdict.status is AtomStatus.EXHAUSTED:
                 exhausted_any = True
             else:
                 report.decision = Decision.LACKS_SSP
                 report.witness_atom = atom
                 break
+            pair = _same_class(cls, i, j + 1)
     finally:
         descents.pop(mask, None)
+    stats.atoms_checked = _atoms_up_to(len(states), pair)
     if report.decision is not Decision.LACKS_SSP and exhausted_any:
         report.decision = Decision.UNKNOWN
         report.regions.clear()
@@ -801,17 +832,19 @@ def brute_force_decide(
     regions: list[Region] = []
     pairs = _event_pairs(ts)
     scanned = 0
+    classes = 1
     for bit_of in _support_masks(ts):
         scanned += 1
-        if len(set(cls)) == n:
+        if classes == n:
             break
         refined = _refine(cls, bit_of.values())
-        if refined == cls:
+        split = len(set(refined))
+        if split == classes:
             continue
         per_event = _carriers(pairs, tau, bit_of)
         if per_event is None:
             continue
-        cls = refined
+        cls, classes = refined, split
         signature = {e: c[0] for e, c in zip(ts.events, per_event)}
         regions.append(Region(bit_of, signature))
     report = _partition_report(ts, cls)

@@ -13,8 +13,8 @@ from ssp_kit.cli import (
     EXIT_USAGE,
     main,
 )
-from ssp_kit.core import InternalCheckFailed
-from ssp_kit.engine import solve_atom
+from ssp_kit.core import Interaction, InternalCheckFailed
+from ssp_kit.engine import _AtomSearch, decide_ssp, solve_atom
 from ssp_kit.formats import (
     TsParseError,
     TypeSpecError,
@@ -177,6 +177,40 @@ class TestCheckSspCommand:
 
         monkeypatch.setattr(cli, "decide_ssp", invalid)
         code = main(["check-ssp", "--type", "nop,inp", ts_file(FORK)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INTERNAL
+        assert captured.out == ""
+        assert captured.err == (
+            "internal error: InternalCheckFailed: "
+            "search produced an invalid region\n"
+        )
+
+    @pytest.mark.parametrize("corrupt", ["support bit", "signature"])
+    def test_corrupted_search_region_fails_the_self_check(
+        self, ts_file, capsys, monkeypatch, corrupt
+    ):
+        # the sweep runs is_region on every region a search returns, so a
+        # leaf that builds a wrong one stops it with InternalCheckFailed;
+        # the first leaf is the region for the first atom, (r0, r1), which
+        # either corruption leaves separated
+        chain = "initial r0\nr0 b r1\nr1 c r2\n"
+        build = _AtomSearch._build_region
+        leaves = []
+
+        def corrupted(search):
+            region = build(search)
+            if not leaves and corrupt == "support bit":
+                region.support["r2"] ^= 1  # r1 = 0, so c is nop
+            elif not leaves:
+                region.signature["b"] = Interaction.SWAP  # not in nop,inp
+            leaves.append(region)
+            return region
+
+        monkeypatch.setattr(_AtomSearch, "_build_region", corrupted)
+        with pytest.raises(InternalCheckFailed):
+            decide_ssp(parse_ts_text(chain), parse_type_spec("nop,inp"))
+        leaves.clear()
+        code = main(["check-ssp", "--type", "nop,inp", ts_file(chain)])
         captured = capsys.readouterr()
         assert code == EXIT_INTERNAL
         assert captured.out == ""

@@ -98,6 +98,19 @@ class TestValidateTs:
         with pytest.raises(InvalidIdentifier):
             validate_ts(edges, initial)
 
+    @pytest.mark.parametrize(
+        "edges, initial",
+        [
+            ([("a", ["x"], "b")], "a"),
+            ([5], "a"),
+            ([], ["a"]),
+        ],
+    )
+    def test_unhashable_name_or_non_sequence_edge_rejected(self, edges, initial):
+        # collecting these raises TypeError: a list has no hash, an int no len
+        with pytest.raises(InvalidIdentifier):
+            validate_ts(edges, initial)
+
     def test_flags(self):
         cycle = validate_ts([("a", "x", "b"), ("b", "x", "a")], "a")
         assert cycle.loop_free and cycle.bi_directed
@@ -224,9 +237,18 @@ class TestRegions:
     def test_is_region_refuses_supports_other_than_0_and_1(self):
         edge = validate_ts([("a", "x", "b")], "a")
         for value in (1.0, 0.0, 2, "1"):
-            region = Region({"a": value, "b": 1}, {"x": I.NOP})
-            with pytest.raises(PartialAssignment):
-                is_region(edge, type_of(I.NOP), region)
+            # keyed in state order and in the other order
+            for support in ({"a": value, "b": 1}, {"b": 1, "a": value}):
+                region = Region(support, {"x": I.NOP})
+                with pytest.raises(PartialAssignment):
+                    is_region(edge, type_of(I.NOP), region)
+        # a bool is an int, and reads as its value
+        for value in (True, False):
+            as_bool = Region({"a": value, "b": 1}, {"x": I.NOP})
+            as_int = Region({"a": int(value), "b": 1}, {"x": I.NOP})
+            assert is_region(edge, type_of(I.NOP), as_bool) == is_region(
+                edge, type_of(I.NOP), as_int
+            )
 
     def test_is_region_refuses_signatures_outside_the_type(self):
         edge = validate_ts([("a", "x", "b")], "a")
@@ -341,6 +363,11 @@ def test_is_region_matches_the_apply_loop(rng):
         candidates = [
             Region({s: rng.randint(0, 1) for s in ts.states}, sig),
             propagate_region(ts, rng.randint(0, 1), sig),
+        ]
+        # the same supports keyed in reverse state order
+        candidates += [
+            Region(dict(reversed(r.support.items())), sig)
+            for r in filter(None, candidates)
         ]
         for region in filter(None, candidates):
             got = is_region(ts, tau, region)

@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +15,7 @@ from ssp_kit.core import (
     validate_ts,
 )
 from ssp_kit.engine import (
+    DEFAULT_MAX_NODES,
     AtomStatus,
     Decision,
     InvalidAtom,
@@ -578,42 +579,73 @@ def test_resumed_searches_match_the_root_search(ts, rng):
             ), (mask, atom)
 
 
-def sweep_by_region_scan(ts, tau):
+def sweep_by_region_scan(ts, tau, budget=DEFAULT_MAX_NODES):
     """The sweep with its skip rule spelled out, as a reference.
 
-    An atom is skipped when some region found so far separates it; any
-    other atom gets a ``solve_atom`` search on one freshly validated copy
-    of the system, which its searches share as ``decide_ssp``'s do.
+    Every atom in sorted order is checked until the witness.  An atom is
+    skipped when some region found so far separates it; any other atom gets
+    a ``solve_atom`` search on one freshly validated copy of the system,
+    which its searches share as ``decide_ssp``'s do.
     """
-    regions, witness = [], None
+    regions, witness, exhausted = [], None, False
     checked = searched = nodes = 0
     copy = validate_ts(ts.edges, ts.initial)
-    for atom in ts.atoms():
+    for atom in combinations(ts.states, 2):
         checked += 1
         if any(r.solves(atom) for r in regions):
             continue
-        verdict = solve_atom(copy, tau, atom)
+        verdict = solve_atom(copy, tau, atom, budget)
         searched += 1
         nodes += verdict.nodes
         if verdict.status is AtomStatus.UNSOLVABLE:
             witness = atom
             break
-        regions.append(verdict.region)
-    return [r.key() for r in regions], witness, checked, searched, nodes
+        if verdict.status is AtomStatus.EXHAUSTED:
+            exhausted = True
+        else:
+            regions.append(verdict.region)
+    if witness is not None:
+        decision = Decision.LACKS_SSP
+    elif exhausted:
+        decision, regions = Decision.UNKNOWN, []
+    else:
+        decision = Decision.HAS_SSP
+    keys = [r.key() for r in regions]
+    return decision, keys, witness, checked, searched, nodes
+
+
+def sweep_counts(report):
+    stats = report.stats
+    return (
+        report.decision,
+        [r.key() for r in report.regions],
+        report.witness_atom,
+        stats.atoms_checked,
+        stats.atoms_searched,
+        stats.nodes_expanded,
+    )
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(small_systems, st.integers(0, 255))
 def test_state_classes_skip_what_the_region_scan_skips(ts, mask):
     tau = enumerate_types()[mask]
-    got = decide_ssp(ts, tau)
-    assert sweep_by_region_scan(ts, tau) == (
-        [r.key() for r in got.regions],
-        got.witness_atom,
-        got.stats.atoms_checked,
-        got.stats.atoms_searched,
-        got.stats.nodes_expanded,
-    )
+    assert sweep_by_region_scan(ts, tau) == sweep_counts(decide_ssp(ts, tau))
+
+
+def test_sweep_matches_the_region_scan_under_budgets():
+    # budgets 1 and 3 leave some atoms exhausted, which the sweep checks and
+    # searches like any other, and some decisions unknown
+    rng = random.Random(4242)
+    statuses = set()
+    for _ in range(100):
+        ts = random_ts(rng, max_states=6, max_events=3)
+        tau = random_type(rng)
+        for budget in (None, 1, 3):
+            got = sweep_counts(decide_ssp(ts, tau, budget))
+            assert sweep_by_region_scan(ts, tau, budget) == got, (ts, tau, budget)
+            statuses.add((budget, got[0]))
+    assert {(1, Decision.UNKNOWN), (3, Decision.UNKNOWN)} <= statuses
 
 
 SWAP_FAMILY = [
