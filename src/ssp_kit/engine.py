@@ -130,7 +130,7 @@ _PROJ = [
 #: under the ascending order, types holding res or set next to swap sent
 #: searches for separable atoms deep under res or set, past budgets of
 #: 300,000 nodes that this order does not need.
-_FIRST = 0b100001
+_FIRST = Interaction.NOP.bit | Interaction.SWAP.bit
 #: The interaction of each type-mask bit.
 _BY_BIT = {i.bit: i for i in INTERACTION_ORDER}
 

@@ -21,6 +21,7 @@ from typing import Iterable, Sequence
 from .core import (
     InternalCheckFailed,
     Interaction,
+    PartialAssignment,
     Region,
     SspKitError,
     TransitionSystem,
@@ -242,8 +243,19 @@ class ReductionInstance:
     formula: CmFormula
 
 
-def _check_fresh_variables(formula: CmFormula, reserved: set[str]) -> None:
-    clash = set(formula.variables) & reserved
+def _chain(
+    pairs: list[tuple[str, str, str]], prefix: str, events: Sequence[str]
+) -> None:
+    """Append the path ``prefix_0 -> prefix_1 -> ...`` spelling ``events``."""
+    states = [f"{prefix}_{k}" for k in range(len(events) + 1)]
+    pairs.extend(zip(states, events, states[1:]))
+
+
+def _check_fresh_variables(
+    formula: CmFormula, gadget_edges: Iterable[tuple[str, str, str]]
+) -> None:
+    """Reject variables spelled like an event of the gadget edges emitted so far."""
+    clash = set(formula.variables) & {e for _, e, _ in gadget_edges}
     if clash:
         raise GadgetNameClash(
             f"variable names collide with generated events: {sorted(clash)!r}"
@@ -259,25 +271,20 @@ def gen_nop_inp(formula: CmFormula) -> ReductionInstance:
     consumed variable per clause.
     """
     m = formula.m
-    reserved = {"k", "v"}
-    for i in range(m):
-        reserved.update((f"w_{i}", f"u_{i}", f"y_{i}"))
-    _check_fresh_variables(formula, reserved)
-
     edges: list[tuple[str, str, str]] = []
     spine = [f"t_{i}_0" for i in range(m + 2)]
     for i in range(m):
         edges.append((spine[i], f"w_{i}", spine[i + 1]))
     edges.append((spine[m], "k", spine[m + 1]))
     edges.append((spine[m + 1], "v", "TOP"))
-    for i, clause in enumerate(formula.clauses):
-        path = [spine[i]] + [f"t_{i}_{j}" for j in (1, 2, 3)]
-        for j, var in enumerate(clause):
-            edges.append((path[j], var, path[j + 1]))
-        edges.append((path[3], f"u_{i}", "TOP"))
+    for i in range(m):
+        edges.append((f"t_{i}_3", f"u_{i}", "TOP"))
         edges.append((spine[0], f"y_{i}", f"g_{i}_0"))
-        edges.append((f"g_{i}_0", f"u_{i}", f"g_{i}_1"))
-        edges.append((f"g_{i}_1", "k", f"g_{i}_2"))
+        _chain(edges, f"g_{i}", [f"u_{i}", "k"])
+    # the edges so far carry every generated event; the clause paths follow
+    _check_fresh_variables(formula, edges)
+    for i, clause in enumerate(formula.clauses):
+        _chain(edges, f"t_{i}", clause)
     ts = validate_ts(edges, spine[0])
     return ReductionInstance(ts=ts, alpha=(spine[m], spine[m + 1]), formula=formula)
 
@@ -335,73 +342,49 @@ def gen_nop_inp_witness(
 # generator under {swap, free}
 
 
-def _nop_free_reserved(m: int) -> set[str]:
-    names = {"k0", "k1"}
-    for j in range(7 * m):
-        names.update((f"v_{j}", f"w_{j}", f"vp_{j}", f"wp_{j}"))
-    for j in range(14 * m):
-        names.update((f"OTIMES_{j}", f"ODOT_{j}", f"ODOTp_{j}"))
-    for j in range(2 * m):
-        names.update((f"OPLUS_{j}", f"OMINUS_{j}", f"OMINUSp_{j}"))
-    return names
-
-
-def _prime(name: str) -> str:
-    return name + "'"
-
-
-def _pair_chain(
-    pairs: list[tuple[str, str, str]],
-    states: Sequence[str],
-    events: Sequence[str],
-) -> None:
-    for k, e in enumerate(events):
-        pairs.append((states[k], e, states[k + 1]))
-
-
-def _gadget_states(kind: str, j: int) -> list[str]:
-    return [f"{kind}_{j}_{p}" for p in range(5)]
-
-
-def _t0_states(i: int, primed: bool) -> list[str]:
-    pre = "tp" if primed else "t"
-    return [f"{pre}_{i}_0_{p}" for p in range(12)]
-
-
-def _t1_states(i: int, primed: bool) -> list[str]:
-    pre = "tp" if primed else "t"
-    return [f"{pre}_{i}_1_{p}" for p in range(4)]
-
-
 def _vw(j: int, primed: bool) -> tuple[str, str]:
     if primed:
         return f"vp_{j}", f"wp_{j}"
     return f"v_{j}", f"w_{j}"
 
 
-def _t0_events(clause: Sequence[str], i: int, primed: bool) -> list[str]:
+def _link_pairs(m: int) -> list[tuple[str, str]]:
+    """Every link pair (v, w) and (vp, wp), by index."""
+    return [_vw(j, primed) for j in range(7 * m) for primed in (False, True)]
+
+
+def _spellers(formula: CmFormula, i: int, primed: bool) -> tuple[list[str], list[str]]:
+    """Clause ``i``'s two speller event lists, T0 and T1, on one side.
+
+    T0 spells the clause's three variables between the side's link events
+    7i .. 7i+5 inside two brackets; T1 spells its first and last variable
+    around the link event 7i+6.  The primed side spells primed variables.
+    """
+    mark = "'" if primed else ""
+    a, b, c = (x + mark for x in formula.clauses[i])
+    v = [_vw(7 * i + q, primed)[0] for q in range(7)]
     bracket = "k1" if primed else "k0"
-    var = (lambda x: _prime(x)) if primed else (lambda x: x)
-    v = [_vw(7 * i + q, primed)[0] for q in range(6)]
-    return [
-        bracket,
-        v[0],
-        v[1],
-        var(clause[0]),
-        v[2],
-        var(clause[1]),
-        v[3],
-        var(clause[2]),
-        v[4],
-        v[5],
-        bracket,
-    ]
+    t0 = [bracket, v[0], v[1], a, v[2], b, v[3], c, v[4], v[5], bracket]
+    return t0, [a, v[6], c]
 
 
-def _t1_events(clause: Sequence[str], i: int, primed: bool) -> list[str]:
-    var = (lambda x: _prime(x)) if primed else (lambda x: x)
-    v6 = _vw(7 * i + 6, primed)[0]
-    return [var(clause[0]), v6, var(clause[2])]
+def _connectors(m: int) -> list[tuple[str, str, str]]:
+    """Every (station, connector, gadget start) edge from the spine.
+
+    ``ODOT_j`` and ``ODOTp_j`` join the outer station ``TOP_j`` to link
+    gadget j // 2: ``g`` and ``gp`` for even j, ``f`` and ``fp`` for odd.
+    ``OMINUS_j`` and ``OMINUSp_j`` join the inner station ``BOT_j`` to
+    clause j // 2's spellers on either side: T0 for even j, T1 for odd.
+    The witness family's connector regions come in this order.
+    """
+    out = []
+    for p in ("", "p"):
+        for j in range(14 * m):
+            out.append((f"TOP_{j}", f"ODOT{p}_{j}", f"{'gf'[j % 2]}{p}_{j // 2}_0"))
+    for p in ("", "p"):
+        for j in range(2 * m):
+            out.append((f"BOT_{j}", f"OMINUS{p}_{j}", f"t{p}_{j // 2}_{j % 2}_0"))
+    return out
 
 
 def nop_free_expected_sizes(m: int) -> tuple[int, int, int]:
@@ -443,125 +426,30 @@ def gen_nop_free(formula: CmFormula) -> ReductionInstance:
     a region exactly when one variable per clause escapes the flip role.
     """
     m = formula.m
-    _check_fresh_variables(formula, _nop_free_reserved(m))
     pairs: list[tuple[str, str, str]] = []
-
     for j in range(7 * m):
         v, w = _vw(j, False)
         vp, wp = _vw(j, True)
-        _pair_chain(pairs, _gadget_states("g", j), [v, w, "k0", "k1"])
-        _pair_chain(pairs, _gadget_states("f", j), [v, w, "k1", "k0"])
-        _pair_chain(pairs, _gadget_states("gp", j), [vp, wp, "k1", "k0"])
-        _pair_chain(pairs, _gadget_states("fp", j), [vp, wp, "k0", "k1"])
-
-    for i, clause in enumerate(formula.clauses):
-        _pair_chain(pairs, _t0_states(i, False), _t0_events(clause, i, False))
-        _pair_chain(pairs, _t1_states(i, False), _t1_events(clause, i, False))
-        _pair_chain(pairs, _t0_states(i, True), _t0_events(clause, i, True))
-        _pair_chain(pairs, _t1_states(i, True), _t1_events(clause, i, True))
-
-    tops = [f"TOP_{j}" for j in range(14 * m)]
-    bots = [f"BOT_{j}" for j in range(2 * m)]
-    prev = "iota"
-    for j, top in enumerate(tops):
-        pairs.append((prev, f"OTIMES_{j}", top))
-        prev = top
-    prev = "iota"
-    for j, bot in enumerate(bots):
-        pairs.append((prev, f"OPLUS_{j}", bot))
-        prev = bot
-    for j, top in enumerate(tops):
-        kind = "g" if j % 2 == 0 else "f"
-        start = _gadget_states(kind, j // 2)[0]
-        pairs.append((top, f"ODOT_{j}", start))
-        startp = _gadget_states(kind + "p", j // 2)[0]
-        pairs.append((top, f"ODOTp_{j}", startp))
-    for j, bot in enumerate(bots):
-        i = j // 2
-        if j % 2 == 0:
-            pairs.append((bot, f"OMINUS_{j}", _t0_states(i, False)[0]))
-            pairs.append((bot, f"OMINUSp_{j}", _t0_states(i, True)[0]))
-        else:
-            pairs.append((bot, f"OMINUS_{j}", _t1_states(i, False)[0]))
-            pairs.append((bot, f"OMINUSp_{j}", _t1_states(i, True)[0]))
-
-    edges = [(a, e, b) for a, e, b in pairs]
-    edges += [(b, e, a) for a, e, b in pairs]
+        _chain(pairs, f"g_{j}", [v, w, "k0", "k1"])
+        _chain(pairs, f"f_{j}", [v, w, "k1", "k0"])
+        _chain(pairs, f"gp_{j}", [vp, wp, "k1", "k0"])
+        _chain(pairs, f"fp_{j}", [vp, wp, "k0", "k1"])
+    # the spine: two chains of stations from the root
+    for station, step, count in (("TOP", "OTIMES", 14 * m), ("BOT", "OPLUS", 2 * m)):
+        prev = "iota"
+        for j in range(count):
+            pairs.append((prev, f"{step}_{j}", f"{station}_{j}"))
+            prev = f"{station}_{j}"
+    pairs += _connectors(m)
+    # the pairs so far carry every generated event; the spellers follow
+    _check_fresh_variables(formula, pairs)
+    for i in range(m):
+        for p, primed in (("", False), ("p", True)):
+            for kind, events in enumerate(_spellers(formula, i, primed)):
+                _chain(pairs, f"t{p}_{i}_{kind}", events)
+    edges = pairs + [(b, e, a) for a, e, b in pairs]
     ts = validate_ts(edges, "iota")
     return ReductionInstance(ts=ts, alpha=("g_0_2", "g_0_4"), formula=formula)
-
-
-def _attach_connectors(m: int) -> list[str]:
-    out = [f"ODOT_{j}" for j in range(14 * m)]
-    out += [f"ODOTp_{j}" for j in range(14 * m)]
-    out += [f"OMINUS_{j}" for j in range(2 * m)]
-    out += [f"OMINUSp_{j}" for j in range(2 * m)]
-    return out
-
-
-def _spine_events(m: int) -> list[str]:
-    return [f"OTIMES_{j}" for j in range(14 * m)] + [
-        f"OPLUS_{j}" for j in range(2 * m)
-    ]
-
-
-def _occurrence_records(
-    formula: CmFormula,
-) -> dict[str, list[tuple[int, str, int]]]:
-    """variable -> [(clause index, speller kind, clause position), ...]."""
-    records: dict[str, list[tuple[int, str, int]]] = {
-        v: [] for v in formula.variables
-    }
-    for i, clause in enumerate(formula.clauses):
-        for p, var in enumerate(clause):
-            records[var].append((i, "T0", p))
-            if p in (0, 2):
-                records[var].append((i, "T1", p))
-    return records
-
-
-def _selected_v_index(record: tuple[int, str, int]) -> int:
-    i, kind, p = record
-    if kind == "T0":
-        return 7 * i + 1 + p
-    return 7 * i + 6
-
-
-def _pulse_swapset(
-    formula: CmFormula,
-    i: int,
-    kind: str,
-    pos: int,
-    primed: bool,
-) -> set[str]:
-    clause = formula.clauses[i]
-    if kind == "T0":
-        events = _t0_events(clause, i, primed)
-        var_pos_of_index = {3: 0, 5: 1, 7: 2}
-    else:
-        events = _t1_events(clause, i, primed)
-        var_pos_of_index = {0: 0, 2: 2}
-    base_indices = (pos - 1, pos)
-    chosen: set[str] = set()
-    records = _occurrence_records(formula)
-    strip = (lambda x: x[:-1]) if primed else (lambda x: x)
-    for idx in base_indices:
-        name = events[idx]
-        if idx in var_pos_of_index:
-            var = strip(name)
-            chosen.add(name)
-            home = (i, kind, var_pos_of_index[idx])
-            for record in records[var]:
-                if record == home:
-                    continue
-                v, w = _vw(_selected_v_index(record), primed)
-                chosen.update((v, w))
-        else:
-            # a v event; its partnered w keeps the link gadgets consistent
-            j = int(name.rsplit("_", 1)[1])
-            v, w = _vw(j, primed)
-            chosen.update((v, w))
-    return chosen
 
 
 def gen_nop_free_alpha_region(
@@ -585,18 +473,17 @@ def _nop_free_alpha_region(
 ) -> Region:
     """:func:`gen_nop_free_alpha_region` on the instance ``inst`` of
     ``formula`` and the checked model ``chosen``."""
-    m = formula.m
-    swap: set[str] = {"k1"}
-    for j in range(7 * m):
-        v, w = _vw(j, False)
-        vp, wp = _vw(j, True)
-        swap.update((v, w, vp, wp))
+    swap = {"k1"}
+    for pair in _link_pairs(formula.m):
+        swap.update(pair)
     for var in formula.variables:
         if var not in chosen:
             swap.add(var)
-        swap.add(_prime(var))
-    swap.update(f"ODOT_{j}" for j in range(14 * m) if j % 2 == 1)
-    swap.update(f"ODOTp_{j}" for j in range(14 * m) if j % 2 == 0)
+        swap.add(var + "'")
+    # the connectors into the link gadgets that pass k1 before k0
+    swap.update(
+        c for _, c, start in _connectors(formula.m) if start.startswith(("f_", "gp_"))
+    )
     region = _witness_region(inst.ts, SWAP_FREE, swap)
     if not region.solves(inst.alpha):
         raise InternalCheckFailed("designated pair left unseparated")
@@ -612,30 +499,18 @@ def gen_nop_free_witness(
     inst = gen_nop_free(formula)
     ts = inst.ts
     m = formula.m
-    internal: set[str] = {"k0", "k1"}
-    vs: list[str] = []
-    ws: list[str] = []
-    for j in range(7 * m):
-        for primed in (False, True):
-            v, w = _vw(j, primed)
-            vs.append(v)
-            ws.append(w)
-    variables = list(formula.variables) + [
-        _prime(v) for v in formula.variables
-    ]
-    internal.update(vs)
-    internal.update(ws)
-    internal.update(variables)
-    infrastructure = set(_spine_events(m)) | set(_attach_connectors(m))
+    connectors = _connectors(m)
+    brackets = {"k0", "k1"}
+    pair_of = {pair[0]: pair for pair in _link_pairs(m)}
+    variables = set(formula.variables) | {x + "'" for x in formula.variables}
+    internal = brackets | {e for pair in pair_of.values() for e in pair} | variables
 
     regions = [_witness_region(ts, SWAP_FREE, internal)]
-    for connector in _attach_connectors(m):
+    for _, connector, _ in connectors:
         regions.append(_witness_region(ts, SWAP_FREE, internal | {connector}))
 
-    spine_states = ["iota"] + [f"TOP_{j}" for j in range(14 * m)] + [
-        f"BOT_{j}" for j in range(2 * m)
-    ]
-    for state in spine_states:
+    stations = dict.fromkeys(station for station, _, _ in connectors)
+    for state in ["iota", *stations]:
         ks = ts.state_arcs[ts.sidx[state]]
         incident = {ts.events[ts.arcs[k][1]] for k in ks}
         support = {s: (1 if s == state else 0) for s in ts.states}
@@ -647,27 +522,48 @@ def gen_nop_free_witness(
             raise InternalCheckFailed(f"station region failed at {state!r}")
         regions.append(region)
 
-    brackets = {"k0", "k1"}
-    ominus = {f"OMINUS{p}_{2 * i}" for i in range(m) for p in ("", "p")}
-    odot = {f"ODOT{p}_{j}" for j in range(14 * m) for p in ("", "p")}
+    # the connectors into the link gadgets, and those into the T0 spellers
+    odot = {c for station, c, _ in connectors if station.startswith("TOP_")}
+    ominus = {
+        c for _, c, start in connectors if start[0] == "t" and start.endswith("_0_0")
+    }
     for swapset in (
         brackets | ominus,
-        brackets | odot | set(vs) | set(variables),
-        brackets | set(vs) | set(ws) | set(variables),
+        brackets | odot | set(pair_of) | variables,  # the v of every link pair
+        internal,
     ):
         regions.append(_witness_region(ts, SWAP_FREE, swapset))
     regions.append(_nop_free_alpha_region(formula, chosen, inst))
 
-    for i in range(m):
-        for primed in (False, True):
-            for kind, positions in (("T0", range(2, 10)), ("T1", (1, 2))):
-                for pos in positions:
-                    swapset = _pulse_swapset(formula, i, kind, pos, primed)
-                    regions.append(_witness_region(ts, SWAP_FREE, swapset))
-    # the infrastructure events never flip in the bulk regions above; spot
-    # check the bookkeeping rather than trust it
-    if infrastructure & internal:
-        raise InternalCheckFailed("event classified as both link and spine")
+    spellers = [
+        (i, kind, speller)
+        for i in range(m)
+        for primed in (False, True)
+        for kind, speller in enumerate(_spellers(formula, i, primed))
+    ]
+    # each variable occurrence, as its speller place, with the link pair
+    # spelled next to it: before it, or after it at the start of T1
+    partners: dict[str, list[tuple[tuple[int, int, int], tuple[str, str]]]] = {}
+    for i, kind, speller in spellers:
+        for at, name in enumerate(speller):
+            if name in variables:
+                link = pair_of[speller[at - 1] if at else speller[1]]
+                partners.setdefault(name, []).append(((i, kind, at), link))
+    for i, kind, speller in spellers:
+        for pos in (range(2, 10), (1, 2))[kind]:
+            # a pulse over speller places pos - 1 and pos: a variable flips
+            # with the link pairs of its other occurrences, a v with its w
+            swapset = set()
+            for at in (pos - 1, pos):
+                name = speller[at]
+                if name in variables:
+                    swapset.add(name)
+                    for home, pair in partners[name]:
+                        if home != (i, kind, at):
+                            swapset.update(pair)
+                else:
+                    swapset.update(pair_of[name])
+            regions.append(_witness_region(ts, SWAP_FREE, swapset))
     return regions
 
 
@@ -697,25 +593,28 @@ def nop_free_gadget_facts(
     clause leaves exactly one variable out of the flip role.  Extracts that
     variable set, verifies it hits every clause once, and returns the facts.
     """
-    m = formula.m
     sig = region.signature
+    links = [name for pair in _link_pairs(formula.m) for name in pair]
+    read = ["k0", "k1", *links, *formula.variables]
+    read += [var + "'" for var in formula.variables]
+    missing = [e for e in read if e not in sig]
+    if missing:
+        raise PartialAssignment(f"signature missing events {missing!r}")
     k0, k1 = sig["k0"], sig["k1"]
     flips = [k for k in (k0, k1) if k is I.SWAP]
     if len(flips) != 1:
         raise FactCheckFailed(
             f"bracket events must split roles, got {k0.value}/{k1.value}"
         )
-    for j in range(7 * m):
-        for primed in (False, True):
-            for name in _vw(j, primed):
-                if sig[name] is not I.SWAP:
-                    raise FactCheckFailed(f"pairing event {name!r} does not flip")
+    for name in links:
+        if sig[name] is not I.SWAP:
+            raise FactCheckFailed(f"pairing event {name!r} does not flip")
     model_side_primed = k0 is I.SWAP
     model: list[str] = []
     for clause in formula.clauses:
         holders = []
         for var in clause:
-            name = _prime(var) if model_side_primed else var
+            name = var + "'" if model_side_primed else var
             if sig[name] is not I.SWAP:
                 holders.append(var)
         if len(holders) != 1:

@@ -96,7 +96,7 @@ class TestSolveAtom:
         verdict = solve_atom(ts, frozenset(), ("r0", "r1"))
         assert verdict.status is AtomStatus.UNSOLVABLE
 
-    def test_searches_share_the_system_index(self):
+    def test_searches_share_the_system_descents(self):
         ts = fixture_parallel_pair()
         first = solve_atom(ts, NOP_INP, ("r0", "r1"))
         descents = ts.descents
@@ -398,7 +398,7 @@ class ClosureCheckingSearch(_AtomSearch):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(search_systems, st.integers(0, 255))
 def test_propagation_is_a_closure(ts, mask):
-    # the first search checks the type's roots as it computes them; every
+    # the first search checks the type's descents as it computes them; every
     # search checks its root with the atom added and each branch it tries
     for atom in ts.atoms():
         ClosureCheckingSearch(ts, mask, None).run(atom)

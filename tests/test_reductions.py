@@ -1,4 +1,7 @@
+import hashlib
+import json
 import random
+import re
 
 import pytest
 
@@ -6,6 +9,7 @@ from ssp_kit.classify import flip_region, flip_type
 from ssp_kit.core import (
     Interaction,
     NondeterministicEdge,
+    PartialAssignment,
     is_region,
     type_of,
 )
@@ -15,6 +19,7 @@ from ssp_kit.engine import (
     embedding_certificate,
     solve_atom,
 )
+from ssp_kit.formats import region_to_dict, serialize_ts
 from ssp_kit.reductions import (
     DuplicateClause,
     ExtensionKind,
@@ -131,15 +136,6 @@ class TestNopInpGenerator:
         assert ts.loop_free
         assert not ts.bi_directed
 
-    def test_name_clash_rejected(self):
-        base = example_formula()
-        renamed = [
-            tuple("k" if v == "X0" else v for v in clause)
-            for clause in base.clauses
-        ]
-        with pytest.raises(GadgetNameClash):
-            gen_nop_inp(cm_validate(renamed))
-
     def test_witness_regions_valid_and_covering(self, phi6):
         inst = gen_nop_inp(phi6)
         witness = gen_nop_inp_witness(phi6, ("X0", "X4"))
@@ -198,6 +194,14 @@ class TestNopFreeGenerator:
         assert set(facts.bracket_signatures) == {I.SWAP, I.FREE}
         assert facts.model == ("X0", "X4")
 
+    def test_gadget_facts_reject_partial_regions(self, phi6):
+        region = gen_nop_free_alpha_region(phi6, ("X0", "X4"))
+        signature = dict(region.signature)
+        del signature["v_3"], signature["X2'"]
+        partial = Region(support=dict(region.support), signature=signature)
+        with pytest.raises(PartialAssignment, match=re.escape("['v_3', \"X2'\"]")):
+            nop_free_gadget_facts(phi6, partial)
+
     def test_gadget_facts_reject_tampering(self, phi6):
         region = gen_nop_free_alpha_region(phi6, ("X0", "X4"))
         broken = Region(
@@ -228,6 +232,63 @@ class TestNopFreeGenerator:
         # one-shot iterator still yields the designated pair's region
         once = gen_nop_free_witness(phi6, iter(("X0", "X4")))
         assert gen_nop_free_alpha_region(phi6, ("X0", "X4")) in once
+
+
+#: Variable names each generator must reject as one of its own events, and
+#: for the nop-free generator two names only the other generator uses.
+CLASHES = [
+    pytest.param(generator, name, clashes, id=f"{flavor}-{name}")
+    for flavor, generator, names, clashes in (
+        ("nop-inp", gen_nop_inp, ("k", "v", "w_2", "u_0", "y_5"), True),
+        (
+            "nop-free",
+            gen_nop_free,
+            ("k0", "k1", "v_0", "wp_3", "OTIMES_0", "ODOT_3", "ODOTp_0",
+             "OPLUS_1", "OMINUS_0", "OMINUSp_1"),
+            True,
+        ),
+        ("nop-free", gen_nop_free, ("k", "u_0"), False),
+    )
+    for name in names
+]
+
+
+@pytest.mark.parametrize("generator, name, clashes", CLASHES)
+def test_name_clash_rejected(generator, name, clashes):
+    renamed = cm_validate(
+        [
+            tuple(name if v == "X0" else v for v in clause)
+            for clause in example_formula().clauses
+        ]
+    )
+    if clashes:
+        message = f"variable names collide with generated events: {[name]!r}"
+        with pytest.raises(GadgetNameClash, match=re.escape(message)):
+            generator(renamed)
+    else:
+        assert name in generator(renamed).ts.events
+
+
+#: SHA-256 of the generators' output on the two fixtures: renaming a
+#: generated state or event, or changing a witness region, moves it.
+PINNED_OUTPUT = "dc3a425b0cc0b37f03d42fdbec891dcc830c084d2c93c64d0361e070c9d23e0a"
+
+
+def test_generated_output_is_pinned(phi6, phi4_unsat):
+    # both instances of both fixtures, both witness families and the
+    # designated pair's region, byte for byte
+    digest = hashlib.sha256()
+    for formula in (phi6, phi4_unsat):
+        for generator in (gen_nop_inp, gen_nop_free):
+            digest.update(serialize_ts(generator(formula).ts).encode())
+    model = ("X0", "X4")
+    for regions in (
+        gen_nop_inp_witness(phi6, model),
+        gen_nop_free_witness(phi6, model),
+        [gen_nop_free_alpha_region(phi6, model)],
+    ):
+        digest.update(json.dumps([region_to_dict(r) for r in regions]).encode())
+    assert digest.hexdigest() == PINNED_OUTPUT
 
 
 class TestExtensions:
