@@ -4,7 +4,9 @@
 backtracking over event signatures with constraint propagation: event
 domains are pruned per edge, and state supports live in a union-find with
 parity so equalities/disequalities between supports propagate before any
-value is known.
+value is known.  It checks the region it returns with ``is_region``;
+``decide_ssp`` runs the same search per atom and checks all the regions of
+its sweep at once, in one pass over the edges, bit-parallel across regions.
 
 "No region splits s and t" is an equivalence relation, and a system has
 the SSP iff its partition is discrete.  ``decide_ssp`` refines it by one
@@ -19,14 +21,16 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache
 from itertools import product
-from operator import add
+from operator import add, attrgetter
 from typing import Iterable, Mapping, Sequence
 
 from .core import (
     INTERACTION_ORDER,
     InternalCheckFailed,
     Interaction,
+    PartialAssignment,
     Region,
     SspKitError,
     TransitionSystem,
@@ -527,9 +531,15 @@ class _AtomSearch:
         the pair with parity 1 before it propagates each child.
         """
         order = self.ts.order
+        n_order = len(order)
+        event_arcs = self.ts.event_arcs
         dom = self.dom
         parent = self.parent
         par = self.par
+        trail = self.trail
+        inq = self.inq
+        queue = self.queue
+        max_nodes = self.max_nodes
         a, b = pair
         enter = descent
         while True:
@@ -537,28 +547,37 @@ class _AtomSearch:
                 # entering a node; an atom search's nodes keep a != b
                 if parent[a] == parent[b] and par[a] == par[b]:
                     return None
-                if self.max_nodes is not None and self.expanded >= self.max_nodes:
+                if max_nodes is not None and self.expanded >= max_nodes:
                     raise _Exhausted
                 self.expanded += 1
                 pos = stack[-1][0]
-                while pos < len(order) and not dom[order[pos]] & (dom[order[pos]] - 1):
+                while pos < n_order and not dom[order[pos]] & (dom[order[pos]] - 1):
                     pos += 1
-                if pos == len(order):
+                if pos == n_order:
                     return self._build_region()
-                stack.append((pos, dom[order[pos]], len(self.trail)))
+                stack.append((pos, dom[order[pos]], len(trail)))
             enter = True
             # find the next child that propagates, backtracking as needed
             while stack:
                 pos, untried, mark = stack.pop()
                 self._rollback(mark)
-                if not untried or not (descent or self._union(a, b, 1)):
+                if not untried:
                     continue
+                if not descent:
+                    # the atom's disequality; two classes always unite
+                    if parent[a] != parent[b]:
+                        self._union(a, b, 1)
+                    elif par[a] == par[b]:
+                        continue
                 pref = untried & _FIRST
                 low = pref & -pref if pref else untried & -untried
                 stack.append((pos, untried ^ low, mark))
                 ei = order[pos]
                 self._set_dom(ei, low)
-                self._enqueue_all(self.ts.event_arcs[ei])
+                for k in event_arcs[ei]:
+                    if not inq[k]:
+                        inq[k] = 1
+                        queue.append(k)
                 if self._propagate():
                     break
             else:
@@ -600,6 +619,22 @@ class _AtomSearch:
         return None, False
 
 
+def _search(
+    ts: TransitionSystem, mask: int, atom: tuple[str, str], budget: int | None
+) -> AtomVerdict:
+    """The verdict of one search for ``atom`` under the type ``mask``,
+    its region not yet checked."""
+    search = _AtomSearch(ts, mask, budget)
+    region, exhausted = search.run(atom)
+    if region is not None:
+        status = AtomStatus.SOLVED
+    elif exhausted:
+        status = AtomStatus.EXHAUSTED
+    else:
+        status = AtomStatus.UNSOLVABLE
+    return AtomVerdict(status, region, search.expanded, search.revisions)
+
+
 def solve_atom(
     ts: TransitionSystem,
     tau: frozenset[Interaction],
@@ -609,9 +644,10 @@ def solve_atom(
     """Search for a tau-region separating ``atom``.
 
     ``budget`` caps the search nodes expanded; None means unlimited.
-    Returns SOLVED with a validated region, UNSOLVABLE after exhausting the
-    search space, or EXHAUSTED when the node budget ran out first; ``nodes``
-    reports expansions spent either way.  A search resumes the type's
+    Returns SOLVED with a region that :func:`is_region` has checked,
+    UNSOLVABLE after exhausting the search space, or EXHAUSTED when the
+    node budget ran out first; ``nodes`` reports expansions spent either
+    way.  A search resumes the type's
     descents kept with the system (see ``TransitionSystem.descents``), starting
     the ones no earlier search on the system did, and advances them as far
     as its atom needs, then backtracks from there with the atom added; the
@@ -623,17 +659,13 @@ def solve_atom(
     a, b = atom
     if a == b or a not in ts.sidx or b not in ts.sidx:
         raise InvalidAtom(f"atom must be two distinct states: {atom!r}")
-    search = _AtomSearch(ts, type_mask(tau), budget)
-    region, exhausted = search.run(atom)
-    if region is not None:
-        if not is_region(ts, tau, region) or not region.solves(atom):
-            raise InternalCheckFailed("search produced an invalid region")
-        status = AtomStatus.SOLVED
-    elif exhausted:
-        status = AtomStatus.EXHAUSTED
-    else:
-        status = AtomStatus.UNSOLVABLE
-    return AtomVerdict(status, region, search.expanded, search.revisions)
+    verdict = _search(ts, type_mask(tau), atom, budget)
+    region = verdict.region
+    if region is not None and not (
+        is_region(ts, tau, region) and region.solves(atom)
+    ):
+        raise InternalCheckFailed("search produced an invalid region")
+    return verdict
 
 
 def _refine(cls: list[int], bits: Iterable[int]) -> list[int]:
@@ -682,6 +714,102 @@ def _partition_report(ts: TransitionSystem, cls: list[int]) -> SeparationReport:
     return report
 
 
+# checking all of a sweep's regions at once
+
+_cells_of = attrgetter("cells")
+#: Every cell, the steps of no interaction: they stand in for a region that
+#: ``is_region`` checked instead, so the batch check lets every arc through.
+_ALL_CELLS = 15
+
+
+@cache
+def _blocked_digits(mask: int) -> tuple[bytes, ...]:
+    """Per cell c, a ``bytes.translate`` table taking an interaction's step
+    cells to the digit b"1" where it is outside the type ``mask`` or has no
+    step through c, and to b"0" where it has one, as :data:`_ALL_CELLS` has."""
+    steps = {i.cells for i in INTERACTION_ORDER if i.bit & mask} | {_ALL_CELLS}
+    return tuple(
+        bytes.maketrans(
+            bytes(range(16)),
+            bytes(b"01"[v not in steps or not v >> c & 1] for v in range(16)),
+        )
+        for c in range(4)
+    )
+
+
+def _batch_row(region: Region, states: list[str], events: list[str]) -> bytes | None:
+    """The step cells of ``region``'s signature in event order, or None
+    unless its support and signature are keyed in system order and hold
+    only int 0/1 and :class:`Interaction` values."""
+    support = region.support
+    signature = region.signature
+    bits = list(support.values())
+    if (
+        list(support) == states
+        and list(signature) == events
+        and set(map(type, bits)) <= {int}
+        and bits.count(0) + bits.count(1) == len(bits)
+        and set(map(type, signature.values())) <= {Interaction}
+    ):
+        return bytes(map(_cells_of, signature.values()))
+    return None
+
+
+def _all_regions(
+    ts: TransitionSystem,
+    tau: frozenset[Interaction],
+    regions: Sequence[Region],
+    cls: list[int],
+) -> bool:
+    """``all(is_region(ts, tau, r) for r in regions)``, in one pass over the
+    arcs for all the regions, bit-parallel across them.
+
+    ``cls`` is what :func:`_refine` makes of the regions' supports in turn,
+    so bit R-1-k of ``cls[i]`` is state i's support under region k of R.
+    Per event and cell c = 2x+y, the pass parses the R-bit mask of the
+    regions whose interaction there has no step through c, an interaction
+    outside ``tau`` none at all; an arc (s, e, t) is carried by every
+    region iff no region has its bit set in the mask of the cell that its
+    supports in ``cls[s]`` and ``cls[t]`` select.  A region whose support
+    or signature is not keyed in system order, or holds other values than
+    int 0/1 and interactions, is checked by ``is_region`` itself first,
+    raising :class:`PartialAssignment` as it does, and the pass lets it
+    through.
+    """
+    if not regions:
+        return True  # and no empty column for int() to parse
+    states = list(ts.states)
+    events = list(ts.events)
+    n_events = len(events)
+    rows = []
+    for region in regions:
+        row = _batch_row(region, states, events)
+        if row is None:
+            if not is_region(ts, tau, region):
+                return False
+            row = bytes([_ALL_CELLS]) * n_events
+        rows.append(row)
+    # row k holds region k's step cells per event, so an event's column,
+    # every n_events-th byte, holds its regions' cells, region 0 first
+    cells = b"".join(rows)
+    digits = _blocked_digits(type_mask(tau))
+    blocked = []
+    for e in range(n_events):
+        column = cells[e::n_events]
+        b00, b01, b10, b11 = [int(column.translate(d), 2) for d in digits]
+        blocked.append((b00, b00 ^ b10, b01, b01 ^ b11))
+    for si, ei, ti in ts.arcs:
+        b00, d0, b01, d1 = blocked[ei]
+        source = cls[si]
+        # the masks of the cells (x, 0) and (x, 1), x each region's source
+        # value; then the one of (x, y), y its target value
+        y0 = b00 ^ (d0 & source)
+        y1 = b01 ^ (d1 & source)
+        if y0 ^ ((y0 ^ y1) & cls[ti]):
+            return False
+    return True
+
+
 def decide_ssp(
     ts: TransitionSystem,
     tau: frozenset[Interaction],
@@ -690,11 +818,11 @@ def decide_ssp(
     """Decide whether every pair of distinct states is separable.
 
     Atoms are visited in sorted order.  An atom that a region found earlier
-    already separates needs no search; any other atom gets a ``solve_atom``
-    search under the node cap ``budget`` (None: unlimited), and the region
-    it finds joins ``report.regions``.  The searches share the type's
-    descents toward its first region, so each one repeats little of what
-    the searches before it did; ``stats`` counts the nodes and revisions
+    already separates needs no search; any other atom gets a search under
+    the node cap ``budget`` (None: unlimited), the one :func:`solve_atom`
+    runs, and the region it finds joins ``report.regions``.  The searches
+    share the type's descents toward its first region, so each one repeats
+    little of what the searches before it did; ``stats`` counts the nodes and revisions
     of each search, descent steps included.  The sweep starts the type's
     descents afresh and drops them when it returns, so its stats depend
     only on the system, type and budget.  The sweep stops at the first
@@ -702,6 +830,13 @@ def decide_ssp(
     the atoms in sorted order up to and including the witness, all of them
     when there is none.  If a search ran out of budget and no atom was
     unsolvable, the decision is UNKNOWN and no regions are reported.
+
+    Each region must separate the atom it was searched for.  Where
+    ``solve_atom`` runs ``is_region`` on the region it returns, the sweep
+    checks all the regions it found in one bit-parallel pass over the arcs
+    before it returns, those an UNKNOWN decision drops included (see
+    :func:`_all_regions`).  A failed check raises
+    :class:`InternalCheckFailed`.
     """
     t0 = time.perf_counter()
     report = SeparationReport(decision=Decision.HAS_SSP, witness_atom=None)
@@ -720,14 +855,17 @@ def decide_ssp(
         while pair is not None:
             i, j = pair
             atom = (states[i], states[j])
-            verdict = solve_atom(ts, tau, atom, budget)
+            verdict = _search(ts, mask, atom, budget)
             stats.atoms_searched += 1
             stats.nodes_expanded += verdict.nodes
             stats.revisions += verdict.revisions
             if verdict.status is AtomStatus.SOLVED:
-                report.regions.append(verdict.region)
+                region = verdict.region
+                if not region.solves(atom):
+                    raise InternalCheckFailed("search produced an invalid region")
+                report.regions.append(region)
                 # the search's support is in state order
-                cls = _refine(cls, verdict.region.support.values())
+                cls = _refine(cls, region.support.values())
             elif verdict.status is AtomStatus.EXHAUSTED:
                 exhausted_any = True
             else:
@@ -737,6 +875,12 @@ def decide_ssp(
             pair = _same_class(cls, i, j + 1)
     finally:
         descents.pop(mask, None)
+    try:
+        valid = _all_regions(ts, tau, report.regions, cls)
+    except PartialAssignment as exc:
+        raise InternalCheckFailed("search produced an invalid region") from exc
+    if not valid:
+        raise InternalCheckFailed("search produced an invalid region")
     stats.atoms_checked = _atoms_up_to(len(states), pair)
     if report.decision is not Decision.LACKS_SSP and exhausted_any:
         report.decision = Decision.UNKNOWN

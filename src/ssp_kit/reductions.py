@@ -600,6 +600,9 @@ def nop_free_gadget_facts(
     missing = [e for e in read if e not in sig]
     if missing:
         raise PartialAssignment(f"signature missing events {missing!r}")
+    foreign = [e for e in read if not isinstance(sig[e], I)]
+    if foreign:
+        raise FactCheckFailed(f"signature of {foreign!r} is not an interaction")
     k0, k1 = sig["k0"], sig["k1"]
     flips = [k for k in (k0, k1) if k is I.SWAP]
     if len(flips) != 1:

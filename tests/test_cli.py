@@ -22,9 +22,12 @@ from ssp_kit.formats import (
     parse_type_spec,
     serialize_ts,
 )
+from ssp_kit.reductions import example_formula, gen_nop_inp
 
 CYCLE = "initial s0\ns0 a s1\ns1 a s0\n"
 FORK = "initial r0\nr0 b r1\nr0 c r1\n"
+CHAIN = "initial r0\nr0 b r1\nr1 c r2\n"
+NOP_INP_45 = serialize_ts(gen_nop_inp(example_formula()).ts)
 
 
 @pytest.fixture
@@ -185,32 +188,53 @@ class TestCheckSspCommand:
             "search produced an invalid region\n"
         )
 
-    @pytest.mark.parametrize("corrupt", ["support bit", "signature"])
+    @pytest.mark.parametrize(
+        "text, leaf, corrupt",
+        [
+            pytest.param(CHAIN, 0, "support bit", id="support bit"),
+            pytest.param(CHAIN, 0, "signature", id="signature"),
+            pytest.param(NOP_INP_45, 9, "support bit", id="mid-sweep support bit"),
+            pytest.param(NOP_INP_45, 9, "signature", id="mid-sweep signature"),
+            pytest.param(NOP_INP_45, 9, "no split", id="mid-sweep no split"),
+        ],
+    )
     def test_corrupted_search_region_fails_the_self_check(
-        self, ts_file, capsys, monkeypatch, corrupt
+        self, ts_file, capsys, monkeypatch, text, leaf, corrupt
     ):
-        # the sweep runs is_region on every region a search returns, so a
-        # leaf that builds a wrong one stops it with InternalCheckFailed;
-        # the first leaf is the region for the first atom, (r0, r1), which
-        # either corruption leaves separated
-        chain = "initial r0\nr0 b r1\nr1 c r2\n"
+        # the sweep checks every region a search returns before it reports,
+        # so a leaf that builds a wrong one stops it with InternalCheckFailed:
+        # the first leaf of a chain, or the 10th of the 18 that the sweep of
+        # the 45-state nop-inp instance builds.  The complement of a
+        # support keeps every atom separated, and is no nop,inp region's
+        # support: the region steps some edge from 1 to 0, which the
+        # complement steps from 0 to 1; swap is not in nop,inp.  The
+        # support 0 with nop everywhere is a region, but splits no atom
         build = _AtomSearch._build_region
         leaves = []
 
         def corrupted(search):
             region = build(search)
-            if not leaves and corrupt == "support bit":
-                region.support["r2"] ^= 1  # r1 = 0, so c is nop
-            elif not leaves:
-                region.signature["b"] = Interaction.SWAP  # not in nop,inp
+            if len(leaves) == leaf and corrupt == "support bit":
+                for state in region.support:
+                    region.support[state] ^= 1
+            elif len(leaves) == leaf and corrupt == "no split":
+                region.support.update(dict.fromkeys(region.support, 0))
+                region.signature.update(
+                    dict.fromkeys(region.signature, Interaction.NOP)
+                )
+            elif len(leaves) == leaf:
+                region.signature[next(iter(region.signature))] = (
+                    Interaction.SWAP
+                )
             leaves.append(region)
             return region
 
         monkeypatch.setattr(_AtomSearch, "_build_region", corrupted)
         with pytest.raises(InternalCheckFailed):
-            decide_ssp(parse_ts_text(chain), parse_type_spec("nop,inp"))
+            decide_ssp(parse_ts_text(text), parse_type_spec("nop,inp"))
+        assert len(leaves) > leaf
         leaves.clear()
-        code = main(["check-ssp", "--type", "nop,inp", ts_file(chain)])
+        code = main(["check-ssp", "--type", "nop,inp", ts_file(text)])
         captured = capsys.readouterr()
         assert code == EXIT_INTERNAL
         assert captured.out == ""

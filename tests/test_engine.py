@@ -1,5 +1,8 @@
+import hashlib
+import json
 import random
 from itertools import combinations, product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +11,7 @@ from ssp_kit.classify import enumerate_types
 from ssp_kit.core import (
     INTERACTION_ORDER,
     Interaction,
+    PartialAssignment,
     Region,
     is_region,
     type_mask,
@@ -38,7 +42,10 @@ from ssp_kit.engine import (
     _STEPS,
     _TARGET_IS,
     _AtomSearch,
+    _all_regions,
+    _refine,
 )
+from ssp_kit.formats import report_to_dict
 from ssp_kit.reductions import (
     example_formula,
     gen_nop_free,
@@ -46,6 +53,7 @@ from ssp_kit.reductions import (
     unsat_formula_m4,
 )
 from ssp_kit.verify import (
+    enumerate_small_ts,
     fixture_event_cycle,
     fixture_parallel_pair,
     fixture_single_loop,
@@ -260,6 +268,11 @@ class TestDecideSsp:
         ) == (Decision.LACKS_SSP, ("f_0_2", "f_0_4"), 47489, 16048, 193)
         # a union revisits only its class's boundary edges; 315116 before
         assert report.stats.revisions == 57130
+        # the regions themselves, as check-ssp --json writes them
+        regions = json.dumps(report_to_dict(report)["regions"], sort_keys=True)
+        assert hashlib.sha256(regions.encode()).hexdigest() == (
+            "c4460a02225df826bcf527f66e352f37c9240bc18b804d110c81eaa37adbd23a"
+        )
 
     def test_each_sweep_starts_and_drops_its_descents(self):
         ts = gen_nop_inp(example_formula()).ts
@@ -646,6 +659,98 @@ def test_sweep_matches_the_region_scan_under_budgets():
             assert sweep_by_region_scan(ts, tau, budget) == got, (ts, tau, budget)
             statuses.add((budget, got[0]))
     assert {(1, Decision.UNKNOWN), (3, Decision.UNKNOWN)} <= statuses
+
+
+def corrupt_region(region, how, ts, tau, rng):
+    """A copy of ``region`` with one corruption ``how``, or None when the
+    system has no event or the type no interaction outside it that the
+    corruption needs."""
+    support, signature = dict(region.support), dict(region.signature)
+    state = rng.choice(ts.states)
+    if how == "flipped bit":
+        support[state] ^= 1
+    elif how == "outside tau":
+        outside = [i for i in INTERACTION_ORDER if i not in tau]
+        if not outside or not signature:
+            return None
+        signature[rng.choice(ts.events)] = rng.choice(outside)
+    elif how == "reordered":
+        support = dict(reversed(support.items()))
+        signature = dict(reversed(signature.items()))
+    elif how == "impostor":
+        # an object with an interaction's step cells, but no interaction
+        if not signature:
+            return None
+        event = rng.choice(ts.events)
+        signature[event] = SimpleNamespace(cells=signature[event].cells)
+    elif how == "value 2":
+        support[state] = 2
+    elif how == "value 1.0":
+        support[state] = float(support[state])
+    elif how == "missing key" and signature and rng.random() < 0.5:
+        del signature[rng.choice(ts.events)]
+    elif how == "missing key":
+        del support[state]
+    return Region(support, signature)
+
+
+def outcome(check):
+    try:
+        return check()
+    except PartialAssignment:
+        return PartialAssignment
+
+
+@pytest.mark.parametrize(
+    "how",
+    [
+        "none",
+        "reordered",
+        "flipped bit",
+        "outside tau",
+        "impostor",
+        "value 2",
+        "value 1.0",
+        "missing key",
+    ],
+)
+def test_batch_check_agrees_with_is_region(how):
+    # every system of up to 3 states and 2 events, each under a random
+    # type, with one of its regions corrupted; the class codes are those
+    # the sweep builds from the supports it gets.  A region keyed out of
+    # system order is still one, checked by is_region and let through
+    rng = random.Random(f"batch check {how}")
+    seen = []
+    for ts in enumerate_small_ts(3, 2):
+        tau = random_type(rng)
+        regions = brute_force_regions(ts, tau)
+        if not regions:
+            continue
+        k = rng.randrange(len(regions))
+        if how != "none":
+            regions[k] = corrupt_region(regions[k], how, ts, tau, rng)
+            if regions[k] is None:
+                continue
+        cls = [0] * len(ts.states)
+        for region in regions:
+            cls = _refine(cls, region.support.values())
+        want = outcome(lambda: all(is_region(ts, tau, r) for r in regions))
+        assert outcome(lambda: _all_regions(ts, tau, regions, cls)) == want, (
+            ts, tau, k
+        )
+        seen.append(want)
+    assert len(seen) > 200
+    expected = {
+        "none": {True},
+        "reordered": {True},
+        "flipped bit": {True, False},
+        "outside tau": {False},
+        "impostor": {False},
+        "value 2": {PartialAssignment},
+        "value 1.0": {PartialAssignment},
+        "missing key": {PartialAssignment},
+    }[how]
+    assert set(seen) == expected
 
 
 SWAP_FAMILY = [

@@ -202,6 +202,19 @@ class TestNopFreeGenerator:
         with pytest.raises(PartialAssignment, match=re.escape("['v_3', \"X2'\"]")):
             nop_free_gadget_facts(phi6, partial)
 
+    @pytest.mark.parametrize(
+        "edits, named",
+        [({"k0": "free"}, "['k0']"), ({"k0": "free", "k1": "swap"}, "['k0', 'k1']")],
+    )
+    def test_gadget_facts_reject_foreign_signature_values(self, phi6, edits, named):
+        region = gen_nop_free_alpha_region(phi6, ("X0", "X4"))
+        broken = Region(
+            support=dict(region.support),
+            signature={**region.signature, **edits},
+        )
+        with pytest.raises(FactCheckFailed, match=re.escape(named)):
+            nop_free_gadget_facts(phi6, broken)
+
     def test_gadget_facts_reject_tampering(self, phi6):
         region = gen_nop_free_alpha_region(phi6, ("X0", "X4"))
         broken = Region(
