@@ -13,7 +13,6 @@ import sys
 from typing import Sequence
 
 from . import formats
-from .classify import classify_type
 from .core import InternalCheckFailed, SspKitError, type_name
 from .engine import (
     DEFAULT_MAX_NODES,
@@ -22,17 +21,14 @@ from .engine import (
     decide_ssp,
     solve_atom,
 )
-from .reductions import (
-    ExtensionKind,
-    cm_oracle,
-    extend,
-    gen_nop_free,
-    gen_nop_free_alpha_region,
-    gen_nop_free_witness,
-    gen_nop_inp,
-    gen_nop_inp_witness,
+
+# Each subcommand imports classify, reductions or verify only when it runs, so
+# check-ssp loads just formats, core and engine.  The parser's help therefore
+# spells out the values of reductions.ExtensionKind and verify.SUITES' keys.
+_EXTENSION_KINDS = ("backward", "oneway-loop", "loop")
+_SUITE_NAMES = (
+    "interactions", "classification", "fixtures", "engine", "reductions", "fast-path",
 )
-from .verify import SUITES, run_suites
 
 EXIT_SEPARATED = 0
 EXIT_NOT_SEPARATED = 1
@@ -90,7 +86,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("transform", help="extend a loop-free system")
     p.add_argument("file")
     p.add_argument("--kind", required=True,
-                   choices=[k.value for k in ExtensionKind])
+                   choices=_EXTENSION_KINDS)
     p.add_argument("-o", "--output", default="-")
 
     p = sub.add_parser("witness", help="witness regions for an instance")
@@ -107,7 +103,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="run self-check suites")
     p.add_argument("suites", nargs="*", metavar="suite",
-                   help=f"subset of: {', '.join(SUITES)}")
+                   help=f"subset of: {', '.join(_SUITE_NAMES)}")
 
     p = sub.add_parser("dot", help="render a system file as DOT")
     p.add_argument("file")
@@ -143,6 +139,8 @@ def _decision_exit(decision: Decision) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .classify import classify_type
+
     tau = formats.parse_type_spec(args.type)
     cls = classify_type(tau)
     if args.json:
@@ -206,6 +204,8 @@ def _cmd_solve_atom(args) -> int:
 
 
 def _generate(flavor: str, formula):
+    from .reductions import gen_nop_free, gen_nop_inp
+
     if flavor == "nop-inp":
         return gen_nop_inp(formula)
     return gen_nop_free(formula)
@@ -236,6 +236,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_transform(args) -> int:
+    from .reductions import ExtensionKind, extend
+
     ts = formats.parse_ts_text(_read_text(args.file))
     kind = ExtensionKind(args.kind)
     _write_text(args.output, formats.serialize_ts(extend(ts, kind)))
@@ -243,6 +245,13 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_witness(args) -> int:
+    from .reductions import (
+        cm_oracle,
+        gen_nop_free_alpha_region,
+        gen_nop_free_witness,
+        gen_nop_inp_witness,
+    )
+
     formula = formats.parse_formula_text(_read_text(args.formula))
     if args.model is not None:
         model: tuple[str, ...] = tuple(
@@ -272,6 +281,8 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .reductions import cm_oracle
+
     formula = formats.parse_formula_text(_read_text(args.formula))
     model = cm_oracle(formula)
     if model is None:
@@ -282,10 +293,12 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_suites
+
     try:
         results = run_suites(args.suites or None)
     except KeyError as exc:
-        raise _UsageError(str(exc)) from exc
+        raise _UsageError(exc.args[0]) from exc
     failed = 0
     for result in results:
         mark = "PASS" if result.ok else "FAIL"

@@ -9,6 +9,7 @@ round-trips are identities on the canonical form.
 from __future__ import annotations
 
 import json
+from typing import TYPE_CHECKING
 
 from .core import (
     INTERACTION_BY_NAME,
@@ -18,8 +19,10 @@ from .core import (
     TransitionSystem,
     validate_ts,
 )
-from .engine import SeparationReport
-from .reductions import CmFormula, cm_validate
+
+if TYPE_CHECKING:
+    from .engine import SeparationReport
+    from .reductions import CmFormula
 
 
 class TsParseError(SspKitError):
@@ -87,6 +90,8 @@ def parse_type_spec(spec: str) -> frozenset[Interaction]:
 
 
 def parse_formula_text(text: str) -> CmFormula:
+    from .reductions import cm_validate
+
     clauses: list[tuple[str, ...]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()

@@ -454,10 +454,9 @@ SUITES: dict[str, Callable[[], list[CheckResult]]] = {
 
 
 def run_suites(names: Sequence[str] | None = None) -> list[CheckResult]:
+    """Run the named suites, all by default; an unknown name runs none."""
     picked = list(names) if names else list(SUITES)
-    results: list[CheckResult] = []
     for name in picked:
         if name not in SUITES:
             raise KeyError(f"unknown check suite {name!r}")
-        results.extend(SUITES[name]())
-    return results
+    return [result for name in picked for result in SUITES[name]()]

@@ -22,7 +22,8 @@ from ssp_kit.formats import (
     parse_type_spec,
     serialize_ts,
 )
-from ssp_kit.reductions import example_formula, gen_nop_inp
+from ssp_kit.reductions import ExtensionKind, example_formula, gen_nop_inp
+from ssp_kit.verify import SUITES
 
 CYCLE = "initial s0\ns0 a s1\ns1 a s0\n"
 FORK = "initial r0\nr0 b r1\nr0 c r1\n"
@@ -391,6 +392,19 @@ class TestVerifyAndDot:
     def test_verify_unknown_suite(self, capsys):
         assert main(["verify", "nosuchsuite"]) == EXIT_USAGE
 
+    def test_verify_checks_every_name_before_running_a_suite(
+        self, capsys, monkeypatch
+    ):
+        ran = []
+        for name in SUITES:
+            monkeypatch.setitem(SUITES, name, lambda name=name: ran.append(name))
+        code = main(["verify", "engine", "nosuch"])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert ran == []
+        assert captured.out == ""
+        assert captured.err == "usage error: unknown check suite 'nosuch'\n"
+
     def test_dot_output(self, ts_file, capsys):
         code = main(["dot", ts_file(CYCLE)])
         out = capsys.readouterr().out
@@ -421,3 +435,34 @@ class TestUsageErrors:
         assert code == EXIT_USAGE
         assert captured.out == ""
         assert captured.err.startswith("usage error: argument --budget")
+
+
+class TestHelp:
+    @staticmethod
+    def _help(capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        return " ".join(capsys.readouterr().out.split())
+
+    def test_transform_lists_every_extension_kind(self, capsys):
+        kinds = ",".join(kind.value for kind in ExtensionKind)
+        assert f"--kind {{{kinds}}}" in self._help(capsys, "transform")
+
+    def test_verify_lists_every_suite(self, capsys):
+        assert f"subset of: {', '.join(SUITES)}" in self._help(capsys, "verify")
+
+    def test_spelled_out_names_match_their_modules(self):
+        assert cli._EXTENSION_KINDS == tuple(kind.value for kind in ExtensionKind)
+        assert cli._SUITE_NAMES == tuple(SUITES)
+
+    def test_unknown_kind_is_an_invalid_choice(self, ts_file, capsys):
+        code = main(["transform", "--kind", "bogus", ts_file(CHAIN)])
+        captured = capsys.readouterr()
+        assert code == EXIT_USAGE
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "usage error: argument --kind: invalid choice: 'bogus' (choose from "
+        )
+        for kind in ExtensionKind:
+            assert kind.value in captured.err
