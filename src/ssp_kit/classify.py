@@ -10,8 +10,8 @@ too, at type level and at region level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .core import (
     INTERACTION_ORDER,
@@ -71,8 +71,7 @@ class Complexity(Enum):
     NP_COMPLETE = "np-complete"
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     row: int
     complexity: Complexity
 

@@ -113,13 +113,18 @@ def _build_parser() -> _Parser:
 
 
 def _read_text(path: str) -> str:
+    """The text of ``path``, or of stdin for ``-``, without a leading
+    byte-order mark, which editors on some systems write at the start of
+    UTF-8 files."""
     try:
         if path == "-":
-            return sys.stdin.read()
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as handle:
+                text = handle.read()
     except UnicodeDecodeError as exc:
         raise SspKitError(f"{path}: not UTF-8 text: {exc}") from None
+    return text.removeprefix("\ufeff")
 
 
 def _write_text(path: str, text: str) -> None:

@@ -9,10 +9,9 @@ system together with propagation, path images, and normalization.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, NoReturn, Sequence
 
 
 class SspKitError(Exception):
@@ -153,7 +152,6 @@ _IDENT_RE = re.compile(r"[A-Za-z0-9_.'-]+\Z")
 Edge = tuple[str, str, str]
 
 
-@dataclass(frozen=True, slots=True, repr=False)
 class TransitionSystem:
     """A finite, deterministic, initialized, fully reachable labeled system.
 
@@ -163,35 +161,90 @@ class TransitionSystem:
     and events are numbered by their position in the sorted ``states`` and
     ``events``, and the search, the region checks and the oracles walk its
     ``arcs``; by name it only answers :meth:`delta`.  Equality and hashing
-    go by content, so regenerating a system yields an equal one; the
-    integer form takes no part in either.  The integer form's sequences are
-    lists: as small tuples, freed with their system, they would stay in
-    CPython's tuple free lists, which kept the peak resident memory of a few
-    thousand decisions on small systems about 1 MB higher.
+    go by content, the tuple ``(states, events, edges, initial)``, so
+    regenerating a system yields an equal one; the integer form takes no
+    part in either.  The fields are ``__slots__``, set once by ``__init__``;
+    assigning or deleting one raises ``dataclasses.FrozenInstanceError``,
+    as on a frozen dataclass.  The integer form's sequences are lists: as
+    small tuples, freed with their system, they would stay in CPython's
+    tuple free lists, which kept the peak resident memory of a few thousand
+    decisions on small systems about 1 MB higher.
     """
+
+    __slots__ = (
+        "states", "events", "edges", "initial", "loop_free", "bi_directed",
+        "sidx", "arcs", "event_arcs", "state_arcs", "order", "descents",
+    )
 
     states: tuple[str, ...]
     events: tuple[str, ...]
     #: (source, event, target) per edge, sorted by name
     edges: tuple[Edge, ...]
     initial: str
-    loop_free: bool = field(compare=False)
-    bi_directed: bool = field(compare=False)
+    loop_free: bool
+    bi_directed: bool
     #: state name -> state id
-    sidx: dict[str, int] = field(compare=False)
+    sidx: dict[str, int]
     #: (source id, event id, target id) per edge, grouped by event, so not
     #: in the order of ``edges``
-    arcs: list[tuple[int, int, int]] = field(compare=False)
+    arcs: list[tuple[int, int, int]]
     #: positions in ``arcs`` per event id
-    event_arcs: list[list[int]] = field(compare=False)
+    event_arcs: list[list[int]]
     #: positions in ``arcs`` per state id (a loop once)
-    state_arcs: list[list[int]] = field(compare=False)
+    state_arcs: list[list[int]]
     #: event ids in branching order: busiest first, ties by name
-    order: list[int] = field(compare=False)
+    order: list[int]
     #: the one mutable part, whose contents a sweep changes: per type mask,
     #: what searches under the type share; starts empty, and a
     #: ``decide_ssp`` sweep keeps its type's entry only while it runs
-    descents: dict[int, dict] = field(compare=False)
+    descents: dict[int, dict]
+
+    def __init__(
+        self,
+        *,
+        states: tuple[str, ...],
+        events: tuple[str, ...],
+        edges: tuple[Edge, ...],
+        initial: str,
+        loop_free: bool,
+        bi_directed: bool,
+        sidx: dict[str, int],
+        arcs: list[tuple[int, int, int]],
+        event_arcs: list[list[int]],
+        state_arcs: list[list[int]],
+        order: list[int],
+        descents: dict[int, dict],
+    ) -> None:
+        init = object.__setattr__
+        init(self, "states", states)
+        init(self, "events", events)
+        init(self, "edges", edges)
+        init(self, "initial", initial)
+        init(self, "loop_free", loop_free)
+        init(self, "bi_directed", bi_directed)
+        init(self, "sidx", sidx)
+        init(self, "arcs", arcs)
+        init(self, "event_arcs", event_arcs)
+        init(self, "state_arcs", state_arcs)
+        init(self, "order", order)
+        init(self, "descents", descents)
+
+    def _content(self) -> tuple:
+        return (self.states, self.events, self.edges, self.initial)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._content() == other._content()
+
+    def __hash__(self) -> int:
+        return hash(self._content())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        _frozen(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        _frozen(f"cannot delete field {name!r}")
 
     def delta(self, state: str, event: str) -> str | None:
         """Target of the ``event``-edge out of ``state``, or None."""
@@ -217,6 +270,14 @@ class TransitionSystem:
             f"{len(self.events)} events, {len(self.edges)} edges, "
             f"initial={self.initial!r})"
         )
+
+
+def _frozen(message: str) -> NoReturn:
+    # dataclasses costs a process about 10 ms to import, inspect included;
+    # only this error path needs it
+    from dataclasses import FrozenInstanceError
+
+    raise FrozenInstanceError(message)
 
 
 def validate_ts(edges: Iterable[Sequence[str]], initial: str) -> TransitionSystem:
@@ -320,8 +381,7 @@ def validate_ts(edges: Iterable[Sequence[str]], initial: str) -> TransitionSyste
 # regions
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(NamedTuple):
     """A support (state -> {0,1}) plus a signature (event -> interaction).
 
     A region of a system maps every edge s --e--> s' to a defined step
@@ -453,8 +513,7 @@ def propagate_region(
     return Region(support=dict(zip(ts.states, bits)), signature=dict(signature))
 
 
-@dataclass(frozen=True)
-class PathImage:
+class PathImage(NamedTuple):
     """Image of a walk under a region: support bits and interactions seen."""
 
     bits: tuple[int, ...]

@@ -19,12 +19,11 @@ in sorted order whose states share a class.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache
 from itertools import product
 from operator import add, attrgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .core import (
     INTERACTION_ORDER,
@@ -68,8 +67,7 @@ class AtomStatus(Enum):
     EXHAUSTED = "exhausted"
 
 
-@dataclass(frozen=True)
-class AtomVerdict:
+class AtomVerdict(NamedTuple):
     status: AtomStatus
     region: Region | None
     nodes: int
@@ -78,21 +76,63 @@ class AtomVerdict:
     revisions: int = 0
 
 
-@dataclass
-class SearchStats:
-    atoms_checked: int = 0
-    atoms_searched: int = 0
-    nodes_expanded: int = 0
-    revisions: int = 0
-    wall_ms: float = 0.0
+class _Record:
+    """Equality and a ``Name(field=value, ...)`` repr over ``__slots__``, and
+    no hash: what a mutable dataclass gives, for the records a sweep fills in."""
+
+    __slots__ = ()
+    __hash__ = None  # type: ignore[assignment]
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()  # type: ignore[attr-defined]
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={value!r}" for name, value in zip(self.__slots__, self._values())
+        )
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass
-class SeparationReport:
-    decision: Decision
-    witness_atom: tuple[str, str] | None
-    regions: list[Region] = field(default_factory=list)
-    stats: SearchStats = field(default_factory=SearchStats)
+class SearchStats(_Record):
+    __slots__ = (
+        "atoms_checked", "atoms_searched", "nodes_expanded", "revisions", "wall_ms"
+    )
+
+    def __init__(
+        self,
+        atoms_checked: int = 0,
+        atoms_searched: int = 0,
+        nodes_expanded: int = 0,
+        revisions: int = 0,
+        wall_ms: float = 0.0,
+    ) -> None:
+        self.atoms_checked = atoms_checked
+        self.atoms_searched = atoms_searched
+        self.nodes_expanded = nodes_expanded
+        self.revisions = revisions
+        self.wall_ms = wall_ms
+
+
+class SeparationReport(_Record):
+    __slots__ = ("decision", "witness_atom", "regions", "stats")
+
+    def __init__(
+        self,
+        decision: Decision,
+        witness_atom: tuple[str, str] | None,
+        regions: list[Region] | None = None,
+        stats: SearchStats | None = None,
+    ) -> None:
+        self.decision = decision
+        self.witness_atom = witness_atom
+        #: a fresh list and fresh stats per report unless given
+        self.regions = [] if regions is None else regions
+        self.stats = SearchStats() if stats is None else stats
 
 
 # ---------------------------------------------------------------------------
@@ -1044,8 +1084,7 @@ def fast_path_swap_core(
 # embeddings
 
 
-@dataclass(frozen=True)
-class EmbeddingCertificate:
+class EmbeddingCertificate(NamedTuple):
     vectors: Mapping[str, tuple[int, ...]]
     injective: bool
 

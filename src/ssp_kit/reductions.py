@@ -13,10 +13,9 @@ edges and loops so that separation transfers to further types.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import (
     InternalCheckFailed,
@@ -82,8 +81,7 @@ class GadgetNameClash(FormulaError):
 _VAR_RE = re.compile(r"[A-Za-z0-9_.-]+\Z")
 
 
-@dataclass(frozen=True)
-class CmFormula:
+class CmFormula(NamedTuple):
     """Clauses of three distinct variables; every variable in exactly three."""
 
     variables: tuple[str, ...]
@@ -236,8 +234,7 @@ def unsat_formula_m4() -> CmFormula:
 # generator under {nop, inp}
 
 
-@dataclass(frozen=True)
-class ReductionInstance:
+class ReductionInstance(NamedTuple):
     ts: TransitionSystem
     alpha: tuple[str, str]
     formula: CmFormula
@@ -575,8 +572,7 @@ class FactCheckFailed(SspKitError):
     """A region violates a structural necessity of the generated instance."""
 
 
-@dataclass(frozen=True)
-class GadgetFacts:
+class GadgetFacts(NamedTuple):
     bracket_signatures: tuple[Interaction, Interaction]
     model_side_primed: bool
     model: tuple[str, ...]

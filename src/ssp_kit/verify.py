@@ -9,9 +9,8 @@ deduplication.  ``run_suites`` drives named check groups for the CLI.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import permutations, product
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .classify import (
     ROW_SIZES,
@@ -283,8 +282,7 @@ def _canonical_key(
 # named check suites
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str = ""

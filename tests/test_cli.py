@@ -1,5 +1,6 @@
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -159,6 +160,22 @@ class TestCheckSspCommand:
             assert main(argv) == EXIT_INVALID, argv
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys, monkeypatch):
+        data = "\ufeff".encode() + FORK.encode()
+        path = tmp_path / "system.ts"
+        path.write_bytes(data)
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), "utf-8"))
+        for source in (str(path), "-"):
+            argv = ["check-ssp", "--type", "nop,inp,out", "--json", source]
+            assert main(argv) == EXIT_SEPARATED, argv
+            assert json.loads(capsys.readouterr().out)["decision"] == "has-ssp"
+
+    def test_only_one_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        path = tmp_path / "system.ts"
+        path.write_bytes(("\ufeff" * 2 + FORK).encode())
+        assert main(["check-ssp", "--type", "nop", str(path)]) == EXIT_INVALID
+        assert "expected 'initial <state>' first" in capsys.readouterr().err
 
     def test_crash_is_an_internal_error(self, ts_file, capsys, monkeypatch):
         def crash(*args, **kwargs):
@@ -356,6 +373,15 @@ class TestGenAndWitnessCommands:
         code = main(["witness", "nop-inp", str(path)])
         assert code == EXIT_NOT_SEPARATED
         assert "no exact-cover model" in capsys.readouterr().err
+
+    def test_formula_with_byte_order_mark(self, formula_file, tmp_path, capsys):
+        path = tmp_path / "bom.cm"
+        path.write_bytes("\ufeff".encode() + Path(formula_file).read_bytes())
+        assert main(["oracle", str(path)]) == EXIT_SEPARATED
+        assert "X0 X4" in capsys.readouterr().out
+        code = main(["gen", "nop-inp", str(path), "-o", str(tmp_path / "bom.ts")])
+        assert code == EXIT_SEPARATED
+        assert "designated pair t_6_0,t_7_0" in capsys.readouterr().err
 
     def test_oracle_command(self, formula_file, tmp_path, capsys):
         assert main(["oracle", formula_file]) == EXIT_SEPARATED

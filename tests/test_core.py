@@ -156,6 +156,24 @@ class TestIntegerForm:
             with pytest.raises(FrozenInstanceError):
                 setattr(ts, name, value)
 
+    def test_every_field_is_frozen(self):
+        ts = validate_ts(self.EDGES, "a")
+        assert not hasattr(ts, "__dict__")
+        assert len(ts.__slots__) == 12
+        for name in ts.__slots__:
+            value = getattr(ts, name)
+            with pytest.raises(FrozenInstanceError):
+                setattr(ts, name, value)
+            with pytest.raises(FrozenInstanceError):
+                delattr(ts, name)
+            assert getattr(ts, name) is value
+        with pytest.raises(FrozenInstanceError):
+            ts.extra = None
+
+    def test_repr_counts_the_parts(self):
+        ts = validate_ts(self.EDGES, "a")
+        assert repr(ts) == "TransitionSystem(3 states, 2 events, 4 edges, initial='a')"
+
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(st.randoms(use_true_random=False))
     def test_index_lists_every_edge_once(self, rng):
@@ -185,6 +203,10 @@ class TestIntegerForm:
         assert first.descents and not second.descents
         assert first == second and hash(first) == hash(second)
         assert first != validate_ts(self.EDGES[1:], "a")
+        twin = validate_ts(self.EDGES, "a")
+        assert twin.arcs is not first.arcs and len({first, second, twin}) == 1
+        content = (first.states, first.events, first.edges, first.initial)
+        assert hash(first) == hash(content) and first != content
 
 
 class TestRegions:
@@ -265,6 +287,12 @@ class TestRegions:
         assert region.solves(("s1", "s2"))
         assert not region.solves(("s0", "s1"))
         assert ("s2", "s3") in region.separated_atoms(self.ts)
+
+    def test_region_with_dict_fields_is_unhashable(self):
+        region = Region({"s0": 0}, {"a": I.NOP})
+        assert region == Region(support={"s0": 0}, signature={"a": I.NOP})
+        with pytest.raises(TypeError):
+            hash(region)
 
     def test_image_of_path(self):
         region = propagate_region(

@@ -24,6 +24,8 @@ from ssp_kit.engine import (
     Decision,
     InvalidAtom,
     OracleCapExceeded,
+    SearchStats,
+    SeparationReport,
     WrongTypeFamily,
     brute_force_decide,
     brute_force_regions,
@@ -825,6 +827,39 @@ class TestFastPath:
         report = fast_path_swap_core(fork, type_of(I.SWAP))
         assert report.decision is Decision.LACKS_SSP
         assert report.witness_atom == ("b", "c")
+
+
+class TestReportRecords:
+    def test_reports_share_no_regions_or_stats(self):
+        first, second = (
+            SeparationReport(decision=Decision.HAS_SSP, witness_atom=None)
+            for _ in range(2)
+        )
+        assert first == second
+        assert first.regions is not second.regions
+        assert first.stats is not second.stats
+        first.regions.append(None)
+        first.stats.nodes_expanded += 1
+        assert second.regions == [] and second.stats == SearchStats()
+        assert first != second
+
+    def test_repr_names_every_field(self):
+        report = SeparationReport(decision=Decision.LACKS_SSP, witness_atom=("a", "b"))
+        assert repr(report) == (
+            "SeparationReport(decision=<Decision.LACKS_SSP: 'lacks-ssp'>, "
+            "witness_atom=('a', 'b'), regions=[], stats=SearchStats("
+            "atoms_checked=0, atoms_searched=0, nodes_expanded=0, revisions=0, "
+            "wall_ms=0.0))"
+        )
+
+    def test_reports_compare_by_class_and_do_not_hash(self):
+        stats = SearchStats(nodes_expanded=3)
+        assert stats == SearchStats(0, 0, 3)
+        fields = {name: getattr(stats, name) for name in stats.__slots__}
+        assert stats != SimpleNamespace(**fields)
+        for record in (stats, SeparationReport(Decision.UNKNOWN, None)):
+            with pytest.raises(TypeError):
+                hash(record)
 
 
 class TestEmbeddingCertificate:

@@ -44,6 +44,8 @@ class TestImportFootprint:
         assert result["codes"] == [0, 0, 0]
         assert "ssp_kit.engine" in result["modules"]
         assert not set(OPTIONAL) & set(result["modules"])
+        # dataclasses would cost each process about 10 ms, inspect included
+        assert not {"dataclasses", "inspect"} & set(result["modules"])
 
     def test_importing_the_package_loads_no_submodule(self, tmp_path):
         result = _run(

@@ -90,6 +90,12 @@ class TestFormulaValidation:
         with pytest.raises(VariableCountMismatch):
             cm_validate(phi6.clauses, variables=["X0", "X1"])
 
+    def test_formula_is_hashable_and_equal_across_regenerations(self):
+        first, second = example_formula(), example_formula()
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
+        assert len({first, second, cm_validate(first.clauses)}) == 1
+
     def test_size_cap(self):
         # 25 disjoint pseudo-clauses would exceed the cap, but occurrence
         # counts fail first; build a large valid formula instead by tiling
