@@ -9,9 +9,11 @@ system together with propagation, path images, and normalization.
 from __future__ import annotations
 
 import re
+from collections.abc import ItemsView, Mapping, ValuesView
 from enum import Enum
+from itertools import islice
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, NamedTuple, NoReturn, Sequence
+from typing import Iterable, Iterator, NamedTuple, NoReturn, Sequence
 
 
 class SspKitError(Exception):
@@ -159,8 +161,10 @@ class TransitionSystem:
     plain strings, edges are (source, event, target) triples.  The system
     also holds its integer form, built in the pass that checks it: states
     and events are numbered by their position in the sorted ``states`` and
-    ``events``, and the search, the region checks and the oracles walk its
-    ``arcs``; by name it only answers :meth:`delta`.  Equality and hashing
+    ``events``, as ``sidx`` and ``eidx`` record, and the search, the region
+    checks and the oracles walk its ``arcs``; by name it only answers
+    :meth:`delta`.  The regions the search builds share ``sidx`` and
+    ``eidx`` as their keys (see :class:`PackedMap`).  Equality and hashing
     go by content, the tuple ``(states, events, edges, initial)``, so
     regenerating a system yields an equal one; the integer form takes no
     part in either.  The fields are ``__slots__``, set once by ``__init__``;
@@ -173,7 +177,7 @@ class TransitionSystem:
 
     __slots__ = (
         "states", "events", "edges", "initial", "loop_free", "bi_directed",
-        "sidx", "arcs", "event_arcs", "state_arcs", "order", "descents",
+        "sidx", "eidx", "arcs", "event_arcs", "state_arcs", "order", "descents",
     )
 
     states: tuple[str, ...]
@@ -185,6 +189,8 @@ class TransitionSystem:
     bi_directed: bool
     #: state name -> state id
     sidx: dict[str, int]
+    #: event name -> event id
+    eidx: dict[str, int]
     #: (source id, event id, target id) per edge, grouped by event, so not
     #: in the order of ``edges``
     arcs: list[tuple[int, int, int]]
@@ -209,6 +215,7 @@ class TransitionSystem:
         loop_free: bool,
         bi_directed: bool,
         sidx: dict[str, int],
+        eidx: dict[str, int],
         arcs: list[tuple[int, int, int]],
         event_arcs: list[list[int]],
         state_arcs: list[list[int]],
@@ -223,6 +230,7 @@ class TransitionSystem:
         init(self, "loop_free", loop_free)
         init(self, "bi_directed", bi_directed)
         init(self, "sidx", sidx)
+        init(self, "eidx", eidx)
         init(self, "arcs", arcs)
         init(self, "event_arcs", event_arcs)
         init(self, "state_arcs", state_arcs)
@@ -369,6 +377,7 @@ def validate_ts(edges: Iterable[Sequence[str]], initial: str) -> TransitionSyste
         loop_free=loop_free,
         bi_directed=bi_directed,
         sidx=sidx,
+        eidx=eidx,
         arcs=arcs,
         event_arcs=event_arcs,
         state_arcs=state_arcs,
@@ -381,12 +390,95 @@ def validate_ts(edges: Iterable[Sequence[str]], initial: str) -> TransitionSyste
 # regions
 
 
+class PackedMap(Mapping):
+    """A read-only mapping packed over a shared name index: the value of
+    key k is byte ``index[k]`` of the ``bytes`` object ``row``.
+
+    ``index`` maps its keys, in order, to 0, 1, 2, ...; a key whose
+    position lies past the end of the row has no value.  The regions the
+    search builds pack their support over the system's ``sidx``, so one
+    index serves every region of a system and each support costs a byte
+    per state.  ``values()`` and ``items()`` iterate the row in C.  The map
+    equals, and prints as, the dict of its items; ``dict(m)`` is an
+    editable copy.
+    """
+
+    __slots__ = ("index", "row")
+
+    def __init__(self, index: Mapping[str, int], row: bytes) -> None:
+        self.index = index
+        self.row = row
+
+    def _values(self) -> Iterator:
+        return iter(self.row[: len(self.index)])
+
+    def __getitem__(self, key: str):
+        try:
+            return self.row[self.index[key]]
+        except IndexError:
+            raise KeyError(key) from None
+
+    def __iter__(self) -> Iterator[str]:
+        return islice(self.index, len(self.row))
+
+    def __len__(self) -> int:
+        return min(len(self.index), len(self.row))
+
+    def values(self) -> ValuesView:
+        return _PackedValues(self)
+
+    def items(self) -> ItemsView:
+        return _PackedItems(self)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
+#: The value of each byte of a packed signature: the interaction of that
+#: ordinal in INTERACTION_ORDER, None for a byte that is no ordinal.  A
+#: dict's ``__getitem__`` maps a row faster than a tuple's.
+_BY_ORDINAL = dict(
+    enumerate(INTERACTION_ORDER + (None,) * (256 - len(INTERACTION_ORDER)))
+)
+
+
+class PackedSignature(PackedMap):
+    """A :class:`PackedMap` of interactions, as the search packs a signature
+    over the system's ``eidx``: each byte is an ordinal in
+    ``INTERACTION_ORDER``."""
+
+    __slots__ = ()
+
+    def _values(self) -> Iterator:
+        return map(_BY_ORDINAL.__getitem__, super()._values())
+
+    def __getitem__(self, key: str):
+        return _BY_ORDINAL[super().__getitem__(key)]
+
+
+class _PackedValues(ValuesView):
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator:
+        return self._mapping._values()
+
+
+class _PackedItems(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self) -> Iterator[tuple]:
+        return zip(self._mapping.index, self._mapping._values())
+
+
 class Region(NamedTuple):
     """A support (state -> {0,1}) plus a signature (event -> interaction).
 
     A region of a system maps every edge s --e--> s' to a defined step
     sig(e): sup(s) -> sup(s') of the interaction table; :func:`is_region`
-    checks exactly that.
+    checks exactly that.  Either part may be any mapping.  The search
+    returns read-only ones, a :class:`PackedMap` over the system's ``sidx``
+    and a :class:`PackedSignature` over its ``eidx``; ``dict(region.support)``
+    is an editable copy.
     """
 
     support: Mapping[str, int]

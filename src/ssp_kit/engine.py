@@ -22,13 +22,15 @@ import time
 from enum import Enum
 from functools import cache
 from itertools import product
-from operator import add, attrgetter
+from operator import add
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .core import (
     INTERACTION_ORDER,
     InternalCheckFailed,
     Interaction,
+    PackedMap,
+    PackedSignature,
     PartialAssignment,
     Region,
     SspKitError,
@@ -175,8 +177,11 @@ _PROJ = [
 #: searches for separable atoms deep under res or set, past budgets of
 #: 300,000 nodes that this order does not need.
 _FIRST = Interaction.NOP.bit | Interaction.SWAP.bit
-#: The interaction of each type-mask bit.
-_BY_BIT = {i.bit: i for i in INTERACTION_ORDER}
+#: A ``bytes.translate`` table from each interaction's type-mask bit to its
+#: ordinal in INTERACTION_ORDER, the byte a packed signature holds.
+_ORDINAL_OF_BIT = bytes.maketrans(
+    bytes(i.bit for i in INTERACTION_ORDER), bytes(range(len(INTERACTION_ORDER)))
+)
 
 
 #: The search state: the union-find's root and parity of every node, its
@@ -528,24 +533,25 @@ class _AtomSearch:
     # -- search
 
     def _build_region(self) -> Region:
-        states = self.ts.states
+        ts = self.ts
         parent = self.parent
         zero = self.zero
         if parent.count(zero) != len(parent):
             # cannot happen: the initial state is pinned and every other
             # state has an incoming edge whose singleton interaction forces
             # its value or its parity to the source
-            name = next(s for s, r in zip(states, parent) if r != zero)
+            name = next(s for s, r in zip(ts.states, parent) if r != zero)
             raise InternalCheckFailed(
                 f"state {name!r} left unvalued at a search leaf"
             )
         # the zero node is every state's root, so a state's parity is its
-        # value; a copy of the state index has the keys in state order already
-        support = self.ts.sidx.copy()
-        support.update(zip(states, self.par))
-        # every domain is a single interaction's bit
-        signature = dict(zip(self.ts.events, map(_BY_BIT.__getitem__, self.dom)))
-        return Region(support=support, signature=signature)
+        # value; every domain is a single interaction's bit
+        return Region(
+            support=PackedMap(ts.sidx, bytes(self.par[: self.n])),
+            signature=PackedSignature(
+                ts.eidx, bytes(self.dom).translate(_ORDINAL_OF_BIT)
+            ),
+        )
 
     def _expand(
         self, stack: list[_Frame], pair: tuple[int, int], descent: bool
@@ -756,43 +762,25 @@ def _partition_report(ts: TransitionSystem, cls: list[int]) -> SeparationReport:
 
 # checking all of a sweep's regions at once
 
-_cells_of = attrgetter("cells")
-#: Every cell, the steps of no interaction: they stand in for a region that
-#: ``is_region`` checked instead, so the batch check lets every arc through.
-_ALL_CELLS = 15
+#: The ordinal that stands in for a region ``is_region`` checked instead,
+#: so the batch check lets every arc through; none of an interaction.
+_CHECKED = len(INTERACTION_ORDER)
+#: The bytes a packed support and a packed signature may hold.
+_BITS = bytes(range(2))
+_ORDINALS = bytes(range(_CHECKED))
 
 
 @cache
 def _blocked_digits(mask: int) -> tuple[bytes, ...]:
-    """Per cell c, a ``bytes.translate`` table taking an interaction's step
-    cells to the digit b"1" where it is outside the type ``mask`` or has no
-    step through c, and to b"0" where it has one, as :data:`_ALL_CELLS` has."""
-    steps = {i.cells for i in INTERACTION_ORDER if i.bit & mask} | {_ALL_CELLS}
+    """Per cell c, a ``bytes.translate`` table taking an interaction's
+    ordinal to the digit b"1" where it is outside the type ``mask`` or has
+    no step through c, and to b"0" where it has one, as :data:`_CHECKED`
+    has in every cell."""
+    steps = [i.cells if i.bit & mask else 0 for i in INTERACTION_ORDER] + [15]
     return tuple(
-        bytes.maketrans(
-            bytes(range(16)),
-            bytes(b"01"[v not in steps or not v >> c & 1] for v in range(16)),
-        )
+        bytes(b"01"[not cells >> c & 1] for cells in steps).ljust(256, b"1")
         for c in range(4)
     )
-
-
-def _batch_row(region: Region, states: list[str], events: list[str]) -> bytes | None:
-    """The step cells of ``region``'s signature in event order, or None
-    unless its support and signature are keyed in system order and hold
-    only int 0/1 and :class:`Interaction` values."""
-    support = region.support
-    signature = region.signature
-    bits = list(support.values())
-    if (
-        list(support) == states
-        and list(signature) == events
-        and set(map(type, bits)) <= {int}
-        and bits.count(0) + bits.count(1) == len(bits)
-        and set(map(type, signature.values())) <= {Interaction}
-    ):
-        return bytes(map(_cells_of, signature.values()))
-    return None
 
 
 def _all_regions(
@@ -810,32 +798,42 @@ def _all_regions(
     regions whose interaction there has no step through c, an interaction
     outside ``tau`` none at all; an arc (s, e, t) is carried by every
     region iff no region has its bit set in the mask of the cell that its
-    supports in ``cls[s]`` and ``cls[t]`` select.  A region whose support
-    or signature is not keyed in system order, or holds other values than
-    int 0/1 and interactions, is checked by ``is_region`` itself first,
-    raising :class:`PartialAssignment` as it does, and the pass lets it
-    through.
+    supports in ``cls[s]`` and ``cls[t]`` select.  The pass reads the rows
+    of a region packed as the search packs it: a :class:`PackedMap` support
+    and a :class:`PackedSignature` over the system's own ``sidx`` and
+    ``eidx``, a byte per state and per event, the support's bytes bits
+    and the signature's ordinals.  Any other region is checked by
+    ``is_region`` itself first, raising :class:`PartialAssignment` as it
+    does, and the pass lets it through.
     """
     if not regions:
         return True  # and no empty column for int() to parse
-    states = list(ts.states)
-    events = list(ts.events)
-    n_events = len(events)
+    n_events = len(ts.events)
     rows = []
     for region in regions:
-        row = _batch_row(region, states, events)
-        if row is None:
-            if not is_region(ts, tau, region):
-                return False
-            row = bytes([_ALL_CELLS]) * n_events
-        rows.append(row)
-    # row k holds region k's step cells per event, so an event's column,
-    # every n_events-th byte, holds its regions' cells, region 0 first
-    cells = b"".join(rows)
+        support, signature = region
+        if (
+            type(support) is PackedMap
+            and type(signature) is PackedSignature
+            and support.index is ts.sidx
+            and signature.index is ts.eidx
+            and len(support.row) == len(ts.states)
+            and len(signature.row) == n_events
+            and not support.row.translate(None, _BITS)
+            and not signature.row.translate(None, _ORDINALS)
+        ):
+            rows.append(signature.row)
+        elif is_region(ts, tau, region):
+            rows.append(bytes([_CHECKED]) * n_events)
+        else:
+            return False
+    # row k holds region k's ordinals per event, so an event's column,
+    # every n_events-th byte, holds its regions' ordinals, region 0 first
+    ordinals = b"".join(rows)
     digits = _blocked_digits(type_mask(tau))
     blocked = []
     for e in range(n_events):
-        column = cells[e::n_events]
+        column = ordinals[e::n_events]
         b00, b01, b10, b11 = [int(column.translate(d), 2) for d in digits]
         blocked.append((b00, b00 ^ b10, b01, b01 ^ b11))
     for si, ei, ti in ts.arcs:
@@ -904,7 +902,7 @@ def decide_ssp(
                 if not region.solves(atom):
                     raise InternalCheckFailed("search produced an invalid region")
                 report.regions.append(region)
-                # the search's support is in state order
+                # the search's support is packed in state order
                 cls = _refine(cls, region.support.values())
             elif verdict.status is AtomStatus.EXHAUSTED:
                 exhausted_any = True

@@ -119,7 +119,7 @@ def parse_atom(spec: str, ts: TransitionSystem) -> tuple[str, str]:
 
 def region_to_dict(region: Region) -> dict:
     return {
-        "support": {s: v for s, v in sorted(region.support.items())},
+        "support": dict(sorted(region.support.items())),
         "signature": {
             e: i.value for e, i in sorted(region.signature.items())
         },

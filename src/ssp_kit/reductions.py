@@ -491,7 +491,8 @@ def gen_nop_free_witness(
     formula: CmFormula,
     model: Iterable[str],
 ) -> list[Region]:
-    """Region family separating every pair of the bi-directed instance."""
+    """Region family separating every pair of the bi-directed instance:
+    60m + 5 regions for m clauses, none of them twice."""
     chosen = check_one_in_three(formula, model)
     inst = gen_nop_free(formula)
     ts = inst.ts
@@ -524,10 +525,10 @@ def gen_nop_free_witness(
     ominus = {
         c for _, c, start in connectors if start[0] == "t" and start.endswith("_0_0")
     }
+    # the third bracket region, over ``internal``, is the first region
     for swapset in (
         brackets | ominus,
         brackets | odot | set(pair_of) | variables,  # the v of every link pair
-        internal,
     ):
         regions.append(_witness_region(ts, SWAP_FREE, swapset))
     regions.append(_nop_free_alpha_region(formula, chosen, inst))
@@ -546,10 +547,12 @@ def gen_nop_free_witness(
             if name in variables:
                 link = pair_of[speller[at - 1] if at else speller[1]]
                 partners.setdefault(name, []).append(((i, kind, at), link))
+    pulses: set[frozenset[str]] = set()
     for i, kind, speller in spellers:
         for pos in (range(2, 10), (1, 2))[kind]:
             # a pulse over speller places pos - 1 and pos: a variable flips
-            # with the link pairs of its other occurrences, a v with its w
+            # with the link pairs of its other occurrences, a v with its w;
+            # places that spell the same pair pulse once
             swapset = set()
             for at in (pos - 1, pos):
                 name = speller[at]
@@ -560,7 +563,9 @@ def gen_nop_free_witness(
                             swapset.update(pair)
                 else:
                     swapset.update(pair_of[name])
-            regions.append(_witness_region(ts, SWAP_FREE, swapset))
+            if frozenset(swapset) not in pulses:
+                pulses.add(frozenset(swapset))
+                regions.append(_witness_region(ts, SWAP_FREE, swapset))
     return regions
 
 

@@ -14,7 +14,14 @@ from ssp_kit.cli import (
     EXIT_USAGE,
     main,
 )
-from ssp_kit.core import Interaction, InternalCheckFailed
+from ssp_kit.core import (
+    INTERACTION_ORDER,
+    Interaction,
+    InternalCheckFailed,
+    PackedMap,
+    PackedSignature,
+    Region,
+)
 from ssp_kit.engine import _AtomSearch, decide_ssp, solve_atom
 from ssp_kit.formats import (
     TsParseError,
@@ -226,23 +233,29 @@ class TestCheckSspCommand:
         # support keeps every atom separated, and is no nop,inp region's
         # support: the region steps some edge from 1 to 0, which the
         # complement steps from 0 to 1; swap is not in nop,inp.  The
-        # support 0 with nop everywhere is a region, but splits no atom
+        # support 0 with nop everywhere is a region, but splits no atom.
+        # A leaf's region is read-only, so the leaf returns a corrupted
+        # copy, packed over the same indexes as the search packs it
         build = _AtomSearch._build_region
         leaves = []
 
         def corrupted(search):
             region = build(search)
+            support, signature = region
             if len(leaves) == leaf and corrupt == "support bit":
-                for state in region.support:
-                    region.support[state] ^= 1
+                flipped = bytes(bit ^ 1 for bit in support.row)
+                region = region._replace(support=PackedMap(support.index, flipped))
             elif len(leaves) == leaf and corrupt == "no split":
-                region.support.update(dict.fromkeys(region.support, 0))
-                region.signature.update(
-                    dict.fromkeys(region.signature, Interaction.NOP)
+                nop = bytes([INTERACTION_ORDER.index(Interaction.NOP)])
+                region = Region(
+                    PackedMap(support.index, bytes(len(support.row))),
+                    PackedSignature(signature.index, nop * len(signature.row)),
                 )
             elif len(leaves) == leaf:
-                region.signature[next(iter(region.signature))] = (
-                    Interaction.SWAP
+                swap = INTERACTION_ORDER.index(Interaction.SWAP)
+                row = bytes([swap]) + signature.row[1:]
+                region = region._replace(
+                    signature=PackedSignature(signature.index, row)
                 )
             leaves.append(region)
             return region

@@ -13,6 +13,7 @@ from ssp_kit.core import (
     NopNotInType,
     PartialAssignment,
     Region,
+    TransitionSystem,
     UnreachableState,
     image_of_path,
     is_normalized,
@@ -130,6 +131,7 @@ class TestIntegerForm:
     def test_integer_form(self):
         ts = validate_ts(self.EDGES, "a")
         assert ts.sidx == {"a": 0, "b": 1, "c": 2}
+        assert ts.eidx == {"x": 0, "y": 1}
         # events x = 0, y = 1; arcs grouped by event in sorted edge order
         assert ts.arcs == [(0, 0, 1), (1, 0, 2), (2, 0, 2), (0, 1, 1)]
         assert ts.event_arcs == [[0, 1, 2], [3]]
@@ -159,7 +161,7 @@ class TestIntegerForm:
     def test_every_field_is_frozen(self):
         ts = validate_ts(self.EDGES, "a")
         assert not hasattr(ts, "__dict__")
-        assert len(ts.__slots__) == 12
+        assert len(ts.__slots__) == 13
         for name in ts.__slots__:
             value = getattr(ts, name)
             with pytest.raises(FrozenInstanceError):
@@ -207,6 +209,12 @@ class TestIntegerForm:
         assert twin.arcs is not first.arcs and len({first, second, twin}) == 1
         content = (first.states, first.events, first.edges, first.initial)
         assert hash(first) == hash(content) and first != content
+        # nor does the event index: a copy with another one is equal
+        fields = {name: getattr(first, name) for name in first.__slots__}
+        other = TransitionSystem(**{**fields, "eidx": {"y": 0, "x": 1}})
+        assert other.eidx != first.eidx
+        assert other == first and hash(other) == hash(first)
+        assert repr(other) == repr(first)
 
 
 class TestRegions:

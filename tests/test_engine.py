@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import json
+import pickle
 import random
 from itertools import combinations, product
 from types import SimpleNamespace
@@ -7,10 +9,13 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ssp_kit import engine
 from ssp_kit.classify import enumerate_types
 from ssp_kit.core import (
     INTERACTION_ORDER,
     Interaction,
+    PackedMap,
+    PackedSignature,
     PartialAssignment,
     Region,
     is_region,
@@ -66,6 +71,14 @@ from ssp_kit.verify import (
 
 I = Interaction
 NOP_INP = type_of(I.NOP, I.INP)
+SWAP_FREE = type_of(I.SWAP, I.FREE)
+
+
+@pytest.fixture(scope="module")
+def m4_sweep():
+    """The 753-state {swap, free} sweep and its system, run once."""
+    ts = gen_nop_free(unsat_formula_m4()).ts
+    return ts, decide_ssp(ts, SWAP_FREE)
 
 
 class TestSolveAtom:
@@ -256,11 +269,9 @@ class TestDecideSsp:
         ) == (Decision.UNKNOWN, None, 990, nodes, 0)
 
     @pytest.mark.slow
-    def test_nop_free_sweep_is_pinned(self):
+    def test_nop_free_sweep_is_pinned(self, m4_sweep):
         # the 753-state {swap, free} sweep: 47489 atoms, 194 of them searched
-        report = decide_ssp(
-            gen_nop_free(unsat_formula_m4()).ts, type_of(I.SWAP, I.FREE)
-        )
+        _, report = m4_sweep
         assert (
             report.decision,
             report.witness_atom,
@@ -275,6 +286,28 @@ class TestDecideSsp:
         assert hashlib.sha256(regions.encode()).hexdigest() == (
             "c4460a02225df826bcf527f66e352f37c9240bc18b804d110c81eaa37adbd23a"
         )
+
+    @pytest.mark.slow
+    def test_search_regions_are_packed_over_the_system_index(self, m4_sweep):
+        # a byte per state and per event, over the system's own indexes,
+        # read-only, and otherwise the mapping its dict form is
+        ts, report = m4_sweep
+        verdict = solve_atom(ts, SWAP_FREE, ts.states[:2])
+        for region in [*report.regions, verdict.region]:
+            support, signature = region
+            assert support.index is ts.sidx and signature.index is ts.eidx
+            assert len(support.row) == len(ts.states)
+            assert len(signature.row) == len(ts.events)
+            plain = Region(dict(support), dict(signature))
+            assert region == plain and plain == region
+            assert repr(support) == repr(plain.support)
+            assert repr(signature) == repr(plain.signature)
+            for twin in (copy.deepcopy(region), pickle.loads(pickle.dumps(region))):
+                assert twin == region and type(twin.support) is PackedMap
+            with pytest.raises(TypeError):
+                support[ts.states[0]] = 0
+            with pytest.raises(TypeError):
+                signature[ts.events[0]] = I.SWAP
 
     def test_each_sweep_starts_and_drops_its_descents(self):
         ts = gen_nop_inp(example_formula()).ts
@@ -696,6 +729,53 @@ def corrupt_region(region, how, ts, tau, rng):
     return Region(support, signature)
 
 
+def pack(region, ts):
+    """``region`` packed as the search packs one, over the system's indexes."""
+    return Region(
+        PackedMap(ts.sidx, bytes(region.support[s] for s in ts.states)),
+        PackedSignature(
+            ts.eidx,
+            bytes(INTERACTION_ORDER.index(region.signature[e]) for e in ts.events),
+        ),
+    )
+
+
+def corrupt_packed(region, how, ts, tau, rng):
+    """A copy of the packed ``region`` with one corruption ``how`` of its
+    rows or indexes, or None when the system has no event or the type no
+    interaction outside it that the corruption needs."""
+    support, signature = region
+    sup_row, sig_row = bytearray(support.row), bytearray(signature.row)
+    sup_index, sig_index = support.index, signature.index
+    on_signature = bool(sig_row) and rng.random() < 0.5
+    if how == "packed flipped bit":
+        sup_row[rng.randrange(len(sup_row))] ^= 1
+    elif how == "packed value 2":
+        sup_row[rng.randrange(len(sup_row))] = 2
+    elif how == "packed short row" and on_signature:
+        del sig_row[-1]
+    elif how == "packed short row":
+        del sup_row[-1]
+    elif how == "packed equal index":
+        # another system's index, equal to this one's but not the same object
+        twin = validate_ts(ts.edges, ts.initial)
+        if on_signature:
+            sig_index = twin.eidx
+        else:
+            sup_index = twin.sidx
+    else:
+        outside = [o for o, i in enumerate(INTERACTION_ORDER) if i not in tau]
+        if how == "packed ordinal 8":
+            outside = [len(INTERACTION_ORDER)]
+        if not outside or not sig_row:
+            return None
+        sig_row[rng.randrange(len(sig_row))] = rng.choice(outside)
+    return Region(
+        PackedMap(sup_index, bytes(sup_row)),
+        PackedSignature(sig_index, bytes(sig_row)),
+    )
+
+
 def outcome(check):
     try:
         return check()
@@ -714,23 +794,43 @@ def outcome(check):
         "value 2",
         "value 1.0",
         "missing key",
+        "packed",
+        "packed flipped bit",
+        "packed value 2",
+        "packed short row",
+        "packed equal index",
+        "packed outside tau",
+        "packed ordinal 8",
     ],
 )
-def test_batch_check_agrees_with_is_region(how):
+def test_batch_check_agrees_with_is_region(how, monkeypatch):
     # every system of up to 3 states and 2 events, each under a random
     # type, with one of its regions corrupted; the class codes are those
     # the sweep builds from the supports it gets.  A region keyed out of
-    # system order is still one, checked by is_region and let through
+    # system order is still one, checked by is_region and let through.
+    # The packed cases pack every region as the search does and corrupt
+    # one's rows or indexes
     rng = random.Random(f"batch check {how}")
+    packed = how.startswith("packed")
+    corrupt = corrupt_packed if packed else corrupt_region
+    if how == "packed":
+        # regions packed over the system's own indexes are read by the
+        # batch pass alone
+        def refuse(*args):
+            raise AssertionError("is_region called on a packed region")
+
+        monkeypatch.setattr(engine, "is_region", refuse)
     seen = []
     for ts in enumerate_small_ts(3, 2):
         tau = random_type(rng)
         regions = brute_force_regions(ts, tau)
         if not regions:
             continue
+        if packed:
+            regions = [pack(r, ts) for r in regions]
         k = rng.randrange(len(regions))
-        if how != "none":
-            regions[k] = corrupt_region(regions[k], how, ts, tau, rng)
+        if how not in ("none", "packed"):
+            regions[k] = corrupt(regions[k], how, ts, tau, rng)
             if regions[k] is None:
                 continue
         cls = [0] * len(ts.states)
@@ -751,6 +851,13 @@ def test_batch_check_agrees_with_is_region(how):
         "value 2": {PartialAssignment},
         "value 1.0": {PartialAssignment},
         "missing key": {PartialAssignment},
+        "packed": {True},
+        "packed flipped bit": {True, False},
+        "packed value 2": {PartialAssignment},
+        "packed short row": {PartialAssignment},
+        "packed equal index": {True},
+        "packed outside tau": {False},
+        "packed ordinal 8": {False},
     }[how]
     assert set(seen) == expected
 
