@@ -64,10 +64,6 @@ class NopNotInType(SspKitError):
     """Normalization requires the identity interaction to be available."""
 
 
-class DisconnectedPath(SspKitError):
-    """A path walked through a transition system left its edge relation."""
-
-
 # ---------------------------------------------------------------------------
 # interactions
 
@@ -97,9 +93,6 @@ class Interaction(Enum):
     def apply(self, x: int) -> int | None:
         """Value of this interaction at ``x``, or None where undefined."""
         return _APPLY[self][x]
-
-    def defined_at(self, x: int) -> bool:
-        return _APPLY[self][x] is not None
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
@@ -162,17 +155,17 @@ class TransitionSystem:
     also holds its integer form, built in the pass that checks it: states
     and events are numbered by their position in the sorted ``states`` and
     ``events``, as ``sidx`` and ``eidx`` record, and the search, the region
-    checks and the oracles walk its ``arcs``; by name it only answers
-    :meth:`delta`.  The regions the search builds share ``sidx`` and
-    ``eidx`` as their keys (see :class:`PackedMap`).  Equality and hashing
-    go by content, the tuple ``(states, events, edges, initial)``, so
-    regenerating a system yields an equal one; the integer form takes no
-    part in either.  The fields are ``__slots__``, set once by ``__init__``;
-    assigning or deleting one raises ``dataclasses.FrozenInstanceError``,
-    as on a frozen dataclass.  The integer form's sequences are lists: as
-    small tuples, freed with their system, they would stay in CPython's
-    tuple free lists, which kept the peak resident memory of a few thousand
-    decisions on small systems about 1 MB higher.
+    checks and the oracles walk its ``arcs``.  The regions the search
+    builds share ``sidx`` and ``eidx`` as their keys (see
+    :class:`PackedMap`).  Equality and hashing go by content, the tuple
+    ``(states, events, edges, initial)``, so regenerating a system yields
+    an equal one; the integer form takes no part in either.  The fields
+    are ``__slots__``, set once by ``__init__``; assigning or deleting one
+    raises ``dataclasses.FrozenInstanceError``, as on a frozen dataclass.
+    The integer form's sequences are lists: as small tuples, freed with
+    their system, they would stay in CPython's tuple free lists, which kept
+    the peak resident memory of a few thousand decisions on small systems
+    about 1 MB higher.
     """
 
     __slots__ = (
@@ -253,17 +246,6 @@ class TransitionSystem:
 
     def __delattr__(self, name: str) -> None:
         _frozen(f"cannot delete field {name!r}")
-
-    def delta(self, state: str, event: str) -> str | None:
-        """Target of the ``event``-edge out of ``state``, or None."""
-        si = self.sidx.get(state)
-        if si is None:
-            return None
-        for k in self.state_arcs[si]:
-            source, ei, ti = self.arcs[k]
-            if source == si and self.events[ei] == event:
-                return self.states[ti]
-        return None
 
     def atoms(self) -> Iterator[tuple[str, str]]:
         """All unordered state pairs, each as a sorted tuple, in sorted order."""
@@ -603,50 +585,6 @@ def propagate_region(
                 bits[ti] = val
                 frontier.append(ti)
     return Region(support=dict(zip(ts.states, bits)), signature=dict(signature))
-
-
-class PathImage(NamedTuple):
-    """Image of a walk under a region: support bits and interactions seen."""
-
-    bits: tuple[int, ...]
-    interactions: tuple[Interaction, ...]
-    changing_events: frozenset[str]
-
-
-def image_of_path(
-    ts: TransitionSystem,
-    region: Region,
-    path: Sequence[str],
-    start: str | None = None,
-) -> PathImage:
-    """Walk ``path`` (a list of events) from ``start`` and record the image.
-
-    Raises :class:`DisconnectedPath` when an event has no edge at the current
-    state.  ``start`` defaults to the initial state.
-    """
-    here = ts.initial if start is None else start
-    if here not in region.support:
-        raise PartialAssignment(f"no support for state {here!r}")
-    bits = [region.support[here]]
-    inters: list[Interaction] = []
-    changing: set[str] = set()
-    for e in path:
-        nxt = ts.delta(here, e)
-        if nxt is None:
-            raise DisconnectedPath(f"no {e!r}-edge at state {here!r}")
-        if e not in region.signature:
-            raise PartialAssignment(f"no signature for event {e!r}")
-        i = region.signature[e]
-        inters.append(i)
-        if region.support[nxt] != region.support[here]:
-            changing.add(e)
-        here = nxt
-        bits.append(region.support[here])
-    return PathImage(
-        bits=tuple(bits),
-        interactions=tuple(inters),
-        changing_events=frozenset(changing),
-    )
 
 
 def _changing_events(ts: TransitionSystem, support: Mapping[str, int]) -> set[str]:

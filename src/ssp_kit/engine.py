@@ -201,15 +201,50 @@ _State = tuple[
 #: A search frame: the position in ``order`` of the event a node branches
 #: on, the interaction bits not yet tried there, and the node's trail mark.
 _Frame = tuple[int, int, int]
-#: A type's descent from one initial value, kept per type mask and initial
-#: value in :attr:`TransitionSystem.descents`, None where the value leaves no
-#: region: the depth-first search without any atom, from the fixpoint of
-#: that value alone toward the type's first region.  It is the state of the
-#: node it stopped at and the frames of that node's ancestors, and a search
-#: starts it when first needed and advances it in place.  A search that
-#: backtracks from it does so on a copy that owns no class's lists, so the
-#: descent's lists stay as they are.
-_Descent = tuple[_State, list[_Frame]]
+#: A checkpoint of a descent: the state of a node on its path, as it was on
+#: entering the node, and the node's stack length, so the descent's frames
+#: up to it are those of the node's ancestors.
+_Checkpoint = tuple[_State, int]
+
+#: Trail entries a descent grows by, at first, between two checkpoints.
+_CHECKPOINT_SPACING = 16
+#: The most checkpoints a descent holds.
+_CHECKPOINT_CAP = 32
+
+
+class _Descent:
+    """A type's descent from one initial value, kept per type mask and
+    initial value in :attr:`TransitionSystem.descents`, None where the
+    value leaves no region: the depth-first search without any atom, from
+    the fixpoint of that value alone toward the type's first region.
+
+    It is the ``state`` of the node it stopped at and the ``stack`` of that
+    node's ancestors' frames, and a search starts it when first needed and
+    advances it in place.  A search that backtracks from it does so on a
+    copy that owns no class's lists, so the descent's lists stay as they
+    are.
+
+    On its way down it keeps ``checkpoints``, shallowest first, all on its
+    current path: on entering a node once its trail has grown by
+    ``spacing`` entries since the last checkpoint, it keeps the node's
+    state and goes on with a copy, so each checkpoint stays as it was
+    taken.  When it holds :data:`_CHECKPOINT_CAP` of them it drops every
+    other one, the last one kept, and doubles ``spacing``; when it pops a
+    frame above a checkpoint, that checkpoint is dropped.
+    """
+
+    __slots__ = ("state", "stack", "checkpoints", "spacing")
+
+    def __init__(self, state: _State, stack: list[_Frame]) -> None:
+        self.state = state
+        self.stack = stack
+        self.checkpoints: list[_Checkpoint] = []
+        self.spacing = _CHECKPOINT_SPACING
+
+    def due(self) -> int:
+        """The trail length at which the next checkpoint is due."""
+        last = len(self.checkpoints[-1][0][6]) if self.checkpoints else 0
+        return last + self.spacing
 
 
 class _Exhausted(Exception):
@@ -270,6 +305,15 @@ class _AtomSearch:
     copy-on-write: it copies the arrays and the outer lists of members and
     boundaries, and a class's two lists only when a union or undo first
     changes them there, as ``own`` records.
+
+    The backtracking drops every frame whose node has a and b forced
+    equal.  Unions only accumulate down a path, so forced equality only
+    grows with depth, and those frames are the deepest ones.  So the
+    search starts from the shallowest of the descent's checkpoints where
+    a and b are already forced equal, with the descent's frames up to it,
+    rather than from where the descent stopped: it tries the same frames
+    in the same order, and skips only unwinding the trail of the ones
+    below.
     """
 
     def __init__(
@@ -528,7 +572,19 @@ class _AtomSearch:
         if not self._propagate():
             return None
         self.trail = []
-        return self._state(), [(0, 0, 0)]
+        return _Descent(self._state(), [(0, 0, 0)])
+
+    def _checkpoint(self, descent: _Descent, depth: int) -> None:
+        """Keep the state of the node being entered, whose stack length is
+        ``depth``, as ``descent``'s last checkpoint, thinning them when
+        they are full, and go on with a copy that the descent follows."""
+        checkpoints = descent.checkpoints
+        checkpoints.append((self._state(), depth))
+        if len(checkpoints) >= _CHECKPOINT_CAP:
+            del checkpoints[-2::-2]
+            descent.spacing *= 2
+        self._detach()
+        descent.state = self._state()
 
     # -- search
 
@@ -554,7 +610,7 @@ class _AtomSearch:
         )
 
     def _expand(
-        self, stack: list[_Frame], pair: tuple[int, int], descent: bool
+        self, stack: list[_Frame], pair: tuple[int, int], descent: _Descent | None
     ) -> Region | None:
         """Depth-first search from the current, propagated node: the first
         leaf's region, or None once the stack's first frame is popped.
@@ -569,12 +625,14 @@ class _AtomSearch:
         and stays one below it, so a child looks for its branch event from
         its parent's position on.
 
-        A ``descent`` enters the current node first, and returns None at
-        the first node where the two state ids ``pair`` are forced equal,
-        before entering it, leaving that node's state and its ancestors'
-        frames as they are.  Otherwise the search is for the atom ``pair``:
-        it starts by backtracking into the stack's top frame, and unites
-        the pair with parity 1 before it propagates each child.
+        Given the ``descent`` whose stack ``stack`` is, the search enters
+        the current node first, and returns None at the first node where
+        the two state ids ``pair`` are forced equal, before entering it,
+        leaving that node's state and its ancestors' frames as they are; it
+        takes and drops the descent's checkpoints as :class:`_Descent` says.
+        Otherwise the search is for the atom ``pair``: it starts by
+        backtracking into the stack's top frame, and unites the pair with
+        parity 1 before it propagates each child.
         """
         order = self.ts.order
         n_order = len(order)
@@ -587,7 +645,13 @@ class _AtomSearch:
         queue = self.queue
         max_nodes = self.max_nodes
         a, b = pair
-        enter = descent
+        enter = descent is not None
+        if enter:
+            checkpoints = descent.checkpoints
+            due = descent.due()
+        else:
+            checkpoints = ()
+            due = float("inf")
         while True:
             if enter:
                 # entering a node; an atom search's nodes keep a != b
@@ -596,6 +660,11 @@ class _AtomSearch:
                 if max_nodes is not None and self.expanded >= max_nodes:
                     raise _Exhausted
                 self.expanded += 1
+                if len(trail) >= due:
+                    self._checkpoint(descent, len(stack))
+                    dom, parent, par = self.dom, self.parent, self.par
+                    trail = self.trail
+                    due = descent.due()
                 pos = stack[-1][0]
                 while pos < n_order and not dom[order[pos]] & (dom[order[pos]] - 1):
                     pos += 1
@@ -606,10 +675,16 @@ class _AtomSearch:
             # find the next child that propagates, backtracking as needed
             while stack:
                 pos, untried, mark = stack.pop()
-                self._rollback(mark)
+                if checkpoints and checkpoints[-1][1] > len(stack):
+                    # the descent leaves the nodes of its deepest checkpoints
+                    while checkpoints and checkpoints[-1][1] > len(stack):
+                        checkpoints.pop()
+                    due = descent.due()
+                if len(trail) != mark:
+                    self._rollback(mark)
                 if not untried:
                     continue
-                if not descent:
+                if descent is None:
                     # the atom's disequality; two classes always unite
                     if parent[a] != parent[b]:
                         self._union(a, b, 1)
@@ -632,32 +707,41 @@ class _AtomSearch:
     def run(self, atom: tuple[str, str]) -> tuple[Region | None, bool]:
         """Returns (region-or-None, exhausted-flag).  Under each initial
         value, the search advances the type's descent, then searches for
-        the atom from where it stopped, on a copy."""
+        the atom on a copy, from the descent's shallowest checkpoint where
+        the atom's states are forced equal, or else from where it
+        stopped."""
         if self.max_nodes is not None and self.max_nodes <= 0:
             return None, True
         descents = self.ts.descents.setdefault(self.full_mask, {})
         sidx = self.ts.sidx
-        pair = (sidx[atom[0]], sidx[atom[1]])
+        a, b = pair = (sidx[atom[0]], sidx[atom[1]])
         try:
             for init_value in (0, 1):
                 if init_value not in descents:
                     descents[init_value] = self._root(init_value)
-                if descents[init_value] is None:
+                descent = descents[init_value]
+                if descent is None:
                     continue
-                state, stack = descents[init_value]
-                self._bind(state)
+                self._bind(descent.state)
                 try:
-                    region = self._expand(stack, pair, True)
+                    region = self._expand(descent.stack, pair, descent)
                 except _Exhausted:
                     raise  # raised on entering a node, so the descent is whole
                 except BaseException:
                     del descents[init_value]  # it may have stopped mid-propagation
                     raise
-                if region is None and not stack:
+                if region is None and not descent.stack:
                     descents[init_value] = None  # no region under this value
                 elif region is None:
-                    self._detach()  # the descent stays where it stopped
-                    region = self._expand(stack[:], pair, False)
+                    depth = len(descent.stack)
+                    for state, at in descent.checkpoints:
+                        parent, par = state[0], state[1]
+                        if parent[a] == parent[b] and par[a] == par[b]:
+                            self._bind(state)
+                            depth = at
+                            break
+                    self._detach()  # the descent and checkpoints stay as they are
+                    region = self._expand(descent.stack[:depth], pair, None)
                 if region is not None:
                     return region, False
         except _Exhausted:
@@ -696,7 +780,9 @@ def solve_atom(
     way.  A search resumes the type's
     descents kept with the system (see ``TransitionSystem.descents``), starting
     the ones no earlier search on the system did, and advances them as far
-    as its atom needs, then backtracks from there with the atom added; the
+    as its atom needs, then backtracks with the atom added, from the
+    shallowest checkpoint of the descent where the atom's states are forced
+    equal, or else from where it stopped (see :class:`_Descent`); the
     nodes and revisions that costs count here and against ``budget``.  So
     the status and region depend only on the system, type and atom, while
     ``nodes`` and ``revisions`` also depend on the searches run on the

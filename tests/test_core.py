@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from ssp_kit.classify import enumerate_types
 from ssp_kit.core import (
-    DisconnectedPath,
     Interaction,
     InvalidIdentifier,
     NondeterministicEdge,
@@ -15,7 +14,6 @@ from ssp_kit.core import (
     Region,
     TransitionSystem,
     UnreachableState,
-    image_of_path,
     is_normalized,
     is_region,
     normalize_region,
@@ -44,7 +42,6 @@ APPLY_TABLE = {
 def test_interaction_table_all_sixteen_cells():
     for (interaction, x), expected in APPLY_TABLE.items():
         assert interaction.apply(x) == expected
-        assert interaction.defined_at(x) == (expected is not None)
 
 
 def test_type_name_canonical_order():
@@ -58,8 +55,6 @@ class TestValidateTs:
         assert ts.states == ("a", "b")
         assert ts.events == ("x", "y")
         assert ts.edges == (("a", "x", "b"), ("b", "y", "a"))
-        assert ts.delta("a", "x") == "b"
-        assert ts.delta("a", "y") is None
 
     def test_duplicate_edges_collapse(self):
         ts = validate_ts([("a", "x", "b"), ("a", "x", "b")], "a")
@@ -301,17 +296,6 @@ class TestRegions:
         assert region == Region(support={"s0": 0}, signature={"a": I.NOP})
         with pytest.raises(TypeError):
             hash(region)
-
-    def test_image_of_path(self):
-        region = propagate_region(
-            self.ts, 1, {"a": I.USED, "b": I.SWAP, "c": I.SET}
-        )
-        image = image_of_path(self.ts, region, ["a", "b", "c"])
-        assert image.bits == (1, 1, 0, 1)
-        assert image.interactions == (I.USED, I.SWAP, I.SET)
-        assert image.changing_events == frozenset({"b", "c"})
-        with pytest.raises(DisconnectedPath):
-            image_of_path(self.ts, region, ["b"])
 
 
 class TestNormalization:

@@ -5,6 +5,7 @@ import pickle
 import random
 from itertools import combinations, product
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -163,6 +164,62 @@ class TestSolveAtom:
         fresh = solve_atom(copy, NOP_INP, ("r0", "r1"))
         assert (verdict.status, verdict.region) == (fresh.status, fresh.region)
 
+    def test_an_interrupted_descent_drops_its_checkpoints(self):
+        taken = []
+
+        class Interrupted(_AtomSearch):
+            def _checkpoint(self, descent, depth):
+                super()._checkpoint(descent, depth)
+                taken.append(descent)
+
+            def _set_dom(self, ei, mask):
+                if taken:
+                    raise KeyboardInterrupt
+                super()._set_dom(ei, mask)
+
+        ts = gen_nop_inp(example_formula()).ts
+        mask = type_mask(NOP_INP)
+        atom = ts.states[:2]
+        with dense_checkpoints():
+            with pytest.raises(KeyboardInterrupt):
+                Interrupted(ts, mask, None).run(atom)
+            # the descent stopped between two nodes, so it is dropped with
+            # its checkpoints, and the next search starts it afresh
+            assert taken[0].checkpoints
+            assert taken[0] not in ts.descents[mask].values()
+            verdict = solve_atom(ts, NOP_INP, atom)
+        assert (verdict.status, verdict.region) == reference_search(
+            validate_ts(ts.edges, ts.initial), mask, atom
+        )
+
+    def test_a_budget_spent_at_a_checkpoint_leaves_a_whole_descent(self):
+        # a search whose budget runs out on entering the node after a
+        # checkpoint leaves a descent that the next searches resume and
+        # answer from as a search from the root does
+        reference = gen_nop_inp(example_formula()).ts
+        edges, initial = reference.edges, reference.initial
+        mask = type_mask(NOP_INP)
+        atoms = list(reference.atoms())[::37]
+        at = []
+
+        class Counting(_AtomSearch):
+            def _checkpoint(self, descent, depth):
+                super()._checkpoint(descent, depth)
+                at.append(self.expanded)
+
+        with dense_checkpoints():
+            Counting(validate_ts(edges, initial), mask, None).run(atoms[0])
+            assert at
+            for budget in at:
+                ts = validate_ts(edges, initial)
+                spent = solve_atom(ts, NOP_INP, atoms[0], budget=budget)
+                assert spent.status is AtomStatus.EXHAUSTED
+                for atom in atoms:
+                    verdict = solve_atom(ts, NOP_INP, atom, budget=None)
+                    assert (verdict.status, verdict.region) == reference_search(
+                        reference, mask, atom
+                    ), (budget, atom)
+
     @pytest.mark.parametrize("leaves", [1500, 5000])
     def test_deep_star(self, leaves):
         # each leaf event is branched on at its own level, so the search
@@ -178,6 +235,20 @@ class TestSolveAtom:
         verdict = solve_atom(star, frozenset(Interaction), ("c", "l0"))
         assert verdict.status is AtomStatus.SOLVED
         assert verdict.nodes == leaves + 1
+        # the descent for the leaf branched on last runs a level per leaf
+        # event, taking, thinning and dropping checkpoints, and never
+        # holds more than the cap
+        held = []
+
+        class Capped(_AtomSearch):
+            def _checkpoint(self, descent, depth):
+                super()._checkpoint(descent, depth)
+                held.append(len(descent.checkpoints))
+
+        last = star.events[star.order[-1]].replace("e", "l")
+        Capped(star, type_mask(frozenset(Interaction)), None).run(("c", last))
+        assert len(held) > engine._CHECKPOINT_CAP
+        assert max(held) <= engine._CHECKPOINT_CAP
 
 
 class TestDecideSsp:
@@ -267,6 +338,40 @@ class TestDecideSsp:
             report.stats.nodes_expanded,
             len(report.regions),
         ) == (Decision.UNKNOWN, None, 990, nodes, 0)
+
+    @pytest.mark.parametrize(
+        "formula, tau, budget, expected",
+        [
+            (example_formula, NOP_INP, None, (Decision.HAS_SSP, None, 990, 90, 18)),
+            (
+                unsat_formula_m4,
+                NOP_INP,
+                None,
+                (Decision.LACKS_SSP, ("g_0_1", "g_0_2"), 60, 37, 9),
+            ),
+            (
+                example_formula,
+                frozenset(Interaction),
+                None,
+                (Decision.HAS_SSP, None, 990, 320, 20),
+            ),
+            (example_formula, NOP_INP, 5, (Decision.UNKNOWN, None, 990, 308, 0)),
+            (example_formula, NOP_INP, 10, (Decision.UNKNOWN, None, 990, 91, 0)),
+        ],
+        ids=["example", "m4", "example-all-eight", "budget-5", "budget-10"],
+    )
+    def test_pins_hold_at_dense_checkpoints(self, formula, tau, budget, expected):
+        # the pins above, with checkpoints at every trail entry and at most
+        # two per descent: searching from them changes no count
+        with dense_checkpoints():
+            report = decide_ssp(gen_nop_inp(formula()).ts, tau, budget=budget)
+        assert (
+            report.decision,
+            report.witness_atom,
+            report.stats.atoms_checked,
+            report.stats.nodes_expanded,
+            len(report.regions),
+        ) == expected
 
     @pytest.mark.slow
     def test_nop_free_sweep_is_pinned(self, m4_sweep):
@@ -477,7 +582,7 @@ def union_find_state(state):
 
 class InvariantCheckingSearch(_AtomSearch):
     """A search that checks its union-find after every union, propagation
-    and rollback.
+    and rollback, and the descents' checkpoints after every search.
 
     Every node's ``parent`` is a root, its own parent with parity 0, and
     every root but the zero node, whose class keeps no lists, lists the
@@ -485,27 +590,38 @@ class InvariantCheckingSearch(_AtomSearch):
     from its class to another and every edge inside it whose event's
     domain holds an interaction without both steps of the edge's parity.
     A rollback to a mark restores ``parent``, ``par``, ``members``,
-    ``bound`` and ``dom`` exactly as they were when the mark was taken:
-    ``_expand`` takes a node's mark and rolls back to it at once, which
-    records that state here.
+    ``bound`` and ``dom`` exactly as they were when the mark was taken: a
+    node's mark is its trail's length on entering it, so the state is
+    recorded at that length when a propagation succeeds, and at the root.
 
-    Records are kept per trail in ``records``, shared by every search on
-    the system, so those of a stored descent outlive the search that made
-    them.  A copy of the state starts with a copy of its trail's records,
-    so a rollback into one of the descent's frames, in a later search, is
-    checked against the state recorded when that frame's node was entered.
-    The copy shares the descent's lists until it changes them, so the
-    descent must end the search as it was when the copy was made.
+    Records are kept per trail in ``records.trails``, shared by every
+    search on the system, so those of a stored descent outlive the search
+    that made them.  A copy of the state starts with a copy of its trail's
+    records, so a rollback into one of the descent's frames, in a later
+    search, is checked against the state recorded when that frame's node
+    was entered.  The copy shares the descent's lists until it changes
+    them, so the descent must end the search as it was when the copy was
+    made.  A checkpoint is a state the descent copies and leaves, so it
+    must stay as it was taken across every later search on the system,
+    which ``records.checkpoints`` holds; and a climb from it, on a copy,
+    through the descent's frames up to it must restore the state recorded
+    on entering each frame's node.  No descent may hold more checkpoints
+    than the cap.
     """
 
     def __init__(self, ts, mask, records):
         super().__init__(ts, mask, None)
         self.records = records
         self.detached = []
+        self.taken = []
 
     def at_mark(self):
         # keyed by id; the trail is kept in the value so no id is reused
-        return self.records.setdefault(id(self.trail), (self.trail, {}))[1]
+        trails = self.records.trails
+        return trails.setdefault(id(self.trail), (self.trail, {}))[1]
+
+    def record(self):
+        self.at_mark()[len(self.trail)] = union_find_state(self._state())
 
     def check(self):
         parent, par, members = self.parent, self.par, self.members
@@ -537,36 +653,137 @@ class InvariantCheckingSearch(_AtomSearch):
     def _propagate(self):
         propagated = super()._propagate()
         self.check()
+        if propagated:
+            self.record()
         return propagated
+
+    def _root(self, init_value):
+        descent = super()._root(init_value)
+        if descent is not None:
+            self.record()
+        return descent
 
     def _detach(self):
         at_mark = self.at_mark()
         descent = self._state()
         self.detached.append((descent, union_find_state(descent)))
         super()._detach()
-        self.records[id(self.trail)] = (self.trail, dict(at_mark))
+        self.records.trails[id(self.trail)] = (self.trail, dict(at_mark))
+
+    def _checkpoint(self, descent, depth):
+        state = self._state()
+        taken = (state, union_find_state(state), descent.stack[:depth])
+        self.records.checkpoints.append(taken)
+        self.taken.append(taken)
+        before = {id(cp[6]) for cp, _ in descent.checkpoints}
+        super()._checkpoint(descent, depth)
+        assert descent.checkpoints[-1][0][6] is state[6]
+        assert len(descent.checkpoints) <= engine._CHECKPOINT_CAP
+        self.records.thinned |= before - {id(cp[6]) for cp, _ in descent.checkpoints}
 
     def _rollback(self, mark):
         at_mark = self.at_mark()
-        if len(self.trail) == mark:
-            at_mark[mark] = union_find_state(self._state())
         super()._rollback(mark)
         self.check()
         assert union_find_state(self._state()) == at_mark[mark], mark
 
+    def climb(self, state, frames):
+        """Roll a copy of ``state`` back through ``frames``, deepest first,
+        checking each mark's state."""
+        self._bind(state)
+        self._detach()
+        for _, _, mark in reversed(frames):
+            self._rollback(mark)
+
     def run(self, atom):
         result = super().run(atom)
+        for state, _, frames in self.taken:
+            self.climb(state, frames)
         for descent, when_copied in self.detached:
             assert union_find_state(descent) == when_copied
+        frames_of = {}
+        for state, when_taken, frames in self.records.checkpoints:
+            assert union_find_state(state) == when_taken
+            frames_of[id(state[6])] = frames
+        # a checkpoint is held only while its node is on the descent's path
+        for descent in self.ts.descents[self.full_mask].values():
+            for state, depth in descent.checkpoints if descent else ():
+                assert descent.stack[:depth] == frames_of[id(state[6])]
         return result
+
+
+def search_records():
+    """Per trail its records; the checkpoints taken, and the trails of
+    those dropped by thinning."""
+    return SimpleNamespace(trails={}, checkpoints=[], thinned=set())
+
+
+def dense_checkpoints():
+    """Checkpoints at every trail entry, at most two per descent, so that
+    small systems take them, thin them and search from them."""
+    return mock.patch.multiple(engine, _CHECKPOINT_SPACING=1, _CHECKPOINT_CAP=2)
+
+
+def check_union_find(ts, mask):
+    records = search_records()
+    for atom in ts.atoms():
+        InvariantCheckingSearch(ts, mask, records).run(atom)
+    return records
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(search_systems, st.integers(0, 255))
 def test_union_find_holds_its_invariant(ts, mask):
-    records = {}
-    for atom in ts.atoms():
-        InvariantCheckingSearch(ts, mask, records).run(atom)
+    check_union_find(ts, mask)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(search_systems, st.integers(0, 255))
+def test_union_find_holds_its_invariant_at_dense_checkpoints(ts, mask):
+    with dense_checkpoints():
+        check_union_find(ts, mask)
+
+
+def test_a_descent_that_backtracks_drops_the_checkpoints_it_leaves():
+    # under {res, set, swap}, a descent on this system backtracks out of a
+    # node whose children all fail, above checkpoints taken below it
+    ts = validate_ts(
+        [
+            ("s0", "e1", "s1"), ("s1", "e0", "s2"), ("s1", "e1", "s4"),
+            ("s2", "e0", "s3"), ("s4", "e0", "s1"), ("s4", "e1", "s2"),
+        ],
+        "s0",
+    )
+    mask = type_mask(type_of(I.RES, I.SET, I.SWAP))
+    with dense_checkpoints():
+        records = check_union_find(ts, mask)
+    taken = {id(state[6]) for state, _, _ in records.checkpoints}
+    held = {
+        id(cp[6])
+        for descent in ts.descents[mask].values()
+        if descent
+        for cp, _ in descent.checkpoints
+    }
+    assert taken - records.thinned - held
+
+
+def test_sweeps_search_from_checkpoints(monkeypatch):
+    # under dense checkpoints the 45-state nop-inp sweep starts atom
+    # searches from them (test_pins_hold_at_dense_checkpoints pins it)
+    resumed = []
+
+    class Resuming(_AtomSearch):
+        def _bind(self, state):
+            descents = self.ts.descents[self.full_mask].values()
+            trails = [cp[6] for d in descents if d for cp, _ in d.checkpoints]
+            if any(state[6] is trail for trail in trails):
+                resumed.append(state)
+            super()._bind(state)
+
+    monkeypatch.setattr(engine, "_AtomSearch", Resuming)
+    with dense_checkpoints():
+        decide_ssp(gen_nop_inp(example_formula()).ts, NOP_INP)
+    assert resumed
 
 
 def reference_search(ts, mask, atom):
@@ -614,6 +831,17 @@ def reference_search(ts, mask, atom):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(search_systems, st.randoms(use_true_random=False))
 def test_resumed_searches_match_the_root_search(ts, rng):
+    check_resumed_searches(ts, rng)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(search_systems, st.randoms(use_true_random=False))
+def test_resumed_searches_match_the_root_search_at_dense_checkpoints(ts, rng):
+    with dense_checkpoints():
+        check_resumed_searches(ts, rng)
+
+
+def check_resumed_searches(ts, rng):
     # every search runs on the one system, so under each type the atoms,
     # in the drawn order, advance and resume the same descents
     atoms = list(ts.atoms())
