@@ -162,15 +162,17 @@ class TransitionSystem:
     an equal one; the integer form takes no part in either.  The fields
     are ``__slots__``, set once by ``__init__``; assigning or deleting one
     raises ``dataclasses.FrozenInstanceError``, as on a frozen dataclass.
-    The integer form's sequences are lists: as small tuples, freed with
-    their system, they would stay in CPython's tuple free lists, which kept
-    the peak resident memory of a few thousand decisions on small systems
-    about 1 MB higher.
+    Nothing changes a system once built: the searches keep their state to
+    themselves and only read the integer form, so searches in several
+    threads may share one system.  The integer form's sequences are lists:
+    as small tuples, freed with their system, they would stay in CPython's
+    tuple free lists, which kept the peak resident memory of a few
+    thousand decisions on small systems about 1 MB higher.
     """
 
     __slots__ = (
         "states", "events", "edges", "initial", "loop_free", "bi_directed",
-        "sidx", "eidx", "arcs", "event_arcs", "state_arcs", "order", "descents",
+        "sidx", "eidx", "arcs", "event_arcs", "state_arcs", "order",
     )
 
     states: tuple[str, ...]
@@ -193,10 +195,6 @@ class TransitionSystem:
     state_arcs: list[list[int]]
     #: event ids in branching order: busiest first, ties by name
     order: list[int]
-    #: the one mutable part, whose contents a sweep changes: per type mask,
-    #: what searches under the type share; starts empty, and a
-    #: ``decide_ssp`` sweep keeps its type's entry only while it runs
-    descents: dict[int, dict]
 
     def __init__(
         self,
@@ -213,7 +211,6 @@ class TransitionSystem:
         event_arcs: list[list[int]],
         state_arcs: list[list[int]],
         order: list[int],
-        descents: dict[int, dict],
     ) -> None:
         init = object.__setattr__
         init(self, "states", states)
@@ -228,7 +225,6 @@ class TransitionSystem:
         init(self, "event_arcs", event_arcs)
         init(self, "state_arcs", state_arcs)
         init(self, "order", order)
-        init(self, "descents", descents)
 
     def _content(self) -> tuple:
         return (self.states, self.events, self.edges, self.initial)
@@ -364,7 +360,6 @@ def validate_ts(edges: Iterable[Sequence[str]], initial: str) -> TransitionSyste
         event_arcs=event_arcs,
         state_arcs=state_arcs,
         order=order,
-        descents={},
     )
 
 

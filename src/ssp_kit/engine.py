@@ -73,8 +73,8 @@ class AtomVerdict(NamedTuple):
     status: AtomStatus
     region: Region | None
     nodes: int
-    #: edges revised by propagation, including the descents this search
-    #: started and the steps it advanced them
+    #: edges revised by propagation, including the descents this atom's
+    #: search started and the steps it advanced them
     revisions: int = 0
 
 
@@ -213,16 +213,16 @@ _CHECKPOINT_CAP = 32
 
 
 class _Descent:
-    """A type's descent from one initial value, kept per type mask and
-    initial value in :attr:`TransitionSystem.descents`, None where the
-    value leaves no region: the depth-first search without any atom, from
-    the fixpoint of that value alone toward the type's first region.
+    """A type's descent from one initial value, kept per initial value in
+    :attr:`_AtomSearch.descents`, None where the value leaves no region:
+    the depth-first search without any atom, from the fixpoint of that
+    value alone toward the type's first region.
 
     It is the ``state`` of the node it stopped at and the ``stack`` of that
-    node's ancestors' frames, and a search starts it when first needed and
-    advances it in place.  A search that backtracks from it does so on a
-    copy that owns no class's lists, so the descent's lists stay as they
-    are.
+    node's ancestors' frames, and the search starts it when an atom first
+    needs it and advances it in place.  An atom's search that backtracks
+    from it does so on a copy that owns no class's lists, so the descent's
+    lists stay as they are.
 
     On its way down it keeps ``checkpoints``, shallowest first, all on its
     current path: on entering a node once its trail has grown by
@@ -252,7 +252,8 @@ class _Exhausted(Exception):
 
 
 class _AtomSearch:
-    """One search for a region separating an atom under one type.
+    """The search for regions separating atoms under one type, run on one
+    atom after another.
 
     States are variables over {0,1} kept in a parity union-find against a
     virtual constant-0 node; events are variables over subsets of the type,
@@ -292,10 +293,11 @@ class _AtomSearch:
     lexicographic order of their signatures under it, and it returns the
     first region with the atom.
 
-    Every search under a type therefore shares the type's descent (see
-    :data:`_Descent`).  A search for the atom (a, b) advances it, counting
-    the nodes it enters, until it reaches a leaf or a node where a and b
-    are forced equal.  A leaf that is not such a node separates the atom
+    Every atom's search under a type therefore shares the type's descent
+    (see :data:`_Descent`), which this object keeps for the atoms it is
+    run on.  The search for the atom (a, b) advances it, counting the
+    nodes it enters, until it reaches a leaf or a node where a and b are
+    forced equal.  A leaf that is not such a node separates the atom
     and is its answer.  Otherwise no leaf below that node separates the
     atom, and no leaf left of the descent's path is a region at all.  So
     the search backtracks from there, on a copy of the descent, adding the
@@ -314,6 +316,13 @@ class _AtomSearch:
     rather than from where the descent stopped: it tries the same frames
     in the same order, and skips only unwinding the trail of the ones
     below.
+
+    The search keeps all its state here and only reads the system: the
+    singletons' boundary lists are the system's ``state_arcs``, and
+    ``own`` has a class's lists copied before they first change.  So
+    several searches, in several threads, may run on one system.  A
+    search whose run raised anything but running out of budget may have
+    stopped mid-propagation, and is not run again.
     """
 
     def __init__(
@@ -329,6 +338,8 @@ class _AtomSearch:
         self.max_nodes = max_nodes
         self.expanded = 0
         self.revisions = 0
+        #: the type's descent per initial value, started when first needed
+        self.descents: dict[int, _Descent | None] = {}
         self.queue: list[int] = []
         self.inq = bytearray(len(ts.arcs))
 
@@ -704,18 +715,22 @@ class _AtomSearch:
             else:
                 return None
 
-    def run(self, atom: tuple[str, str]) -> tuple[Region | None, bool]:
-        """Returns (region-or-None, exhausted-flag).  Under each initial
+    def run(self, atom: tuple[str, str]) -> AtomVerdict:
+        """The verdict of the search for ``atom``, its region not yet
+        checked, counting only what this atom costs.  Under each initial
         value, the search advances the type's descent, then searches for
         the atom on a copy, from the descent's shallowest checkpoint where
         the atom's states are forced equal, or else from where it
         stopped."""
-        if self.max_nodes is not None and self.max_nodes <= 0:
-            return None, True
-        descents = self.ts.descents.setdefault(self.full_mask, {})
+        self.expanded = self.revisions = 0
+        descents = self.descents
         sidx = self.ts.sidx
         a, b = pair = (sidx[atom[0]], sidx[atom[1]])
+        region = None
+        status = AtomStatus.UNSOLVABLE
         try:
+            if self.max_nodes is not None and self.max_nodes <= 0:
+                raise _Exhausted
             for init_value in (0, 1):
                 if init_value not in descents:
                     descents[init_value] = self._root(init_value)
@@ -723,13 +738,7 @@ class _AtomSearch:
                 if descent is None:
                     continue
                 self._bind(descent.state)
-                try:
-                    region = self._expand(descent.stack, pair, descent)
-                except _Exhausted:
-                    raise  # raised on entering a node, so the descent is whole
-                except BaseException:
-                    del descents[init_value]  # it may have stopped mid-propagation
-                    raise
+                region = self._expand(descent.stack, pair, descent)
                 if region is None and not descent.stack:
                     descents[init_value] = None  # no region under this value
                 elif region is None:
@@ -743,26 +752,12 @@ class _AtomSearch:
                     self._detach()  # the descent and checkpoints stay as they are
                     region = self._expand(descent.stack[:depth], pair, None)
                 if region is not None:
-                    return region, False
+                    status = AtomStatus.SOLVED
+                    break
         except _Exhausted:
-            return None, True
-        return None, False
-
-
-def _search(
-    ts: TransitionSystem, mask: int, atom: tuple[str, str], budget: int | None
-) -> AtomVerdict:
-    """The verdict of one search for ``atom`` under the type ``mask``,
-    its region not yet checked."""
-    search = _AtomSearch(ts, mask, budget)
-    region, exhausted = search.run(atom)
-    if region is not None:
-        status = AtomStatus.SOLVED
-    elif exhausted:
-        status = AtomStatus.EXHAUSTED
-    else:
-        status = AtomStatus.UNSOLVABLE
-    return AtomVerdict(status, region, search.expanded, search.revisions)
+            # raised on entering a node, so the descent is whole
+            status = AtomStatus.EXHAUSTED
+        return AtomVerdict(status, region, self.expanded, self.revisions)
 
 
 def solve_atom(
@@ -777,21 +772,16 @@ def solve_atom(
     Returns SOLVED with a region that :func:`is_region` has checked,
     UNSOLVABLE after exhausting the search space, or EXHAUSTED when the
     node budget ran out first; ``nodes`` reports expansions spent either
-    way.  A search resumes the type's
-    descents kept with the system (see ``TransitionSystem.descents``), starting
-    the ones no earlier search on the system did, and advances them as far
-    as its atom needs, then backtracks with the atom added, from the
-    shallowest checkpoint of the descent where the atom's states are forced
-    equal, or else from where it stopped (see :class:`_Descent`); the
-    nodes and revisions that costs count here and against ``budget``.  So
-    the status and region depend only on the system, type and atom, while
-    ``nodes`` and ``revisions`` also depend on the searches run on the
-    system before.
+    way.  The search starts the type's descents, advances them as far as
+    its atom needs, then backtracks with the atom added (see
+    :class:`_AtomSearch`); the nodes and revisions that costs count here
+    and against ``budget``.  The verdict, counts included, depends only on
+    the system, type, atom and budget.
     """
     a, b = atom
     if a == b or a not in ts.sidx or b not in ts.sidx:
         raise InvalidAtom(f"atom must be two distinct states: {atom!r}")
-    verdict = _search(ts, type_mask(tau), atom, budget)
+    verdict = _AtomSearch(ts, type_mask(tau), budget).run(atom)
     region = verdict.region
     if region is not None and not (
         is_region(ts, tau, region) and region.solves(atom)
@@ -944,12 +934,13 @@ def decide_ssp(
     Atoms are visited in sorted order.  An atom that a region found earlier
     already separates needs no search; any other atom gets a search under
     the node cap ``budget`` (None: unlimited), the one :func:`solve_atom`
-    runs, and the region it finds joins ``report.regions``.  The searches
-    share the type's descents toward its first region, so each one repeats
-    little of what the searches before it did; ``stats`` counts the nodes and revisions
-    of each search, descent steps included.  The sweep starts the type's
-    descents afresh and drops them when it returns, so its stats depend
-    only on the system, type and budget.  The sweep stops at the first
+    runs, and the region it finds joins ``report.regions``.  The sweep runs
+    one :class:`_AtomSearch` on every atom it searches, so they share the
+    type's descents toward its first region and each one repeats little of
+    what the searches before it did; ``stats`` counts the nodes and
+    revisions of each search, descent steps included.  The descents live
+    and die with the sweep, so its stats depend only on the system, type
+    and budget.  The sweep stops at the first
     provably unsolvable atom, the witness; ``stats.atoms_checked`` counts
     the atoms in sorted order up to and including the witness, all of them
     when there is none.  If a search ran out of budget and no atom was
@@ -967,38 +958,34 @@ def decide_ssp(
     stats = report.stats
     exhausted_any = False
     states = ts.states
-    descents = ts.descents
-    mask = type_mask(tau)
-    descents.pop(mask, None)
+    search = _AtomSearch(ts, type_mask(tau), budget)
     # two states share a class iff every region found so far gives them the
     # same support, i.e. iff no found region separates them; the atoms that
     # _same_class passes over are the ones a found region separates
     cls = [0] * len(states)
     pair = _same_class(cls, 0, 1)
-    try:
-        while pair is not None:
-            i, j = pair
-            atom = (states[i], states[j])
-            verdict = _search(ts, mask, atom, budget)
-            stats.atoms_searched += 1
-            stats.nodes_expanded += verdict.nodes
-            stats.revisions += verdict.revisions
-            if verdict.status is AtomStatus.SOLVED:
-                region = verdict.region
-                if not region.solves(atom):
-                    raise InternalCheckFailed("search produced an invalid region")
-                report.regions.append(region)
-                # the search's support is packed in state order
-                cls = _refine(cls, region.support.values())
-            elif verdict.status is AtomStatus.EXHAUSTED:
-                exhausted_any = True
-            else:
-                report.decision = Decision.LACKS_SSP
-                report.witness_atom = atom
-                break
-            pair = _same_class(cls, i, j + 1)
-    finally:
-        descents.pop(mask, None)
+    while pair is not None:
+        i, j = pair
+        atom = (states[i], states[j])
+        verdict = search.run(atom)
+        stats.atoms_searched += 1
+        stats.nodes_expanded += verdict.nodes
+        stats.revisions += verdict.revisions
+        if verdict.status is AtomStatus.SOLVED:
+            region = verdict.region
+            if not region.solves(atom):
+                raise InternalCheckFailed("search produced an invalid region")
+            report.regions.append(region)
+            # the search's support is packed in state order
+            cls = _refine(cls, region.support.values())
+        elif verdict.status is AtomStatus.EXHAUSTED:
+            exhausted_any = True
+        else:
+            report.decision = Decision.LACKS_SSP
+            report.witness_atom = atom
+            break
+        pair = _same_class(cls, i, j + 1)
+    del search  # and its descents, before the batch check allocates
     try:
         valid = _all_regions(ts, tau, report.regions, cls)
     except PartialAssignment as exc:

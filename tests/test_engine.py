@@ -1,8 +1,12 @@
 import copy
+import gc
 import hashlib
 import json
 import pickle
 import random
+import sys
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations, product
 from types import SimpleNamespace
 from unittest import mock
@@ -120,29 +124,29 @@ class TestSolveAtom:
         verdict = solve_atom(ts, frozenset(), ("r0", "r1"))
         assert verdict.status is AtomStatus.UNSOLVABLE
 
-    def test_searches_share_the_system_descents(self):
+    def test_a_search_resumes_its_descents_across_atoms(self):
         ts = fixture_parallel_pair()
-        first = solve_atom(ts, NOP_INP, ("r0", "r1"))
-        descents = ts.descents
-        stored = descents[type_mask(NOP_INP)]
-        before = dict(stored)
-        again = solve_atom(ts, NOP_INP, ("r0", "r1"))
-        # the second search under the type resumes the stored descents, each
-        # kept as the same object, where the first search left them
-        assert descents[type_mask(NOP_INP)] is stored
-        assert stored.keys() == {0, 1}
-        assert all(stored[v] is before[v] for v in stored)
+        search = _AtomSearch(ts, type_mask(NOP_INP), None)
+        first = search.run(("r0", "r1"))
+        descents = search.descents
+        before = dict(descents)
+        again = search.run(("r0", "r1"))
+        # the second run resumes the search's descents, each kept as the
+        # same object, where the first run left them
+        assert search.descents is descents
+        assert descents.keys() == {0, 1}
+        assert all(descents[v] is before[v] for v in descents)
         assert again.revisions < first.revisions
         assert again.nodes < first.nodes
-        swap = type_mask(type_of(I.SWAP))
-        solve_atom(ts, type_of(I.SWAP), ("r0", "r1"))
-        assert ts.descents is descents
-        assert descents.keys() == {type_mask(NOP_INP), swap}
-        assert descents[swap] is not stored
+        # every other search starts its own, so the system keeps nothing:
+        # solve_atom spends on it what it spends on a fresh copy, and every
+        # search returns the same verdict
+        other = _AtomSearch(ts, type_mask(NOP_INP), None)
+        assert other.descents == {}
+        assert other.run(("r0", "r1")) == first
         copy = validate_ts(ts.edges, ts.initial)
         fresh = solve_atom(copy, NOP_INP, ("r0", "r1"))
-        # the first search on a system spends what a fresh one does, and
-        # every search returns the same verdict
+        assert solve_atom(ts, NOP_INP, ("r0", "r1")) == fresh
         assert (first.nodes, first.revisions) == (fresh.nodes, fresh.revisions)
         for verdict in (first, again):
             assert (verdict.status, verdict.region) == (
@@ -158,11 +162,11 @@ class TestSolveAtom:
         # the descent from 0 stops at its root; the one from 1 branches
         with pytest.raises(KeyboardInterrupt):
             Interrupted(ts, type_mask(NOP_INP), None).run(("r0", "r1"))
-        assert ts.descents[type_mask(NOP_INP)].keys() == {0}
+        # the descents go with the interrupted search: a new search on the
+        # system answers, and spends, what one on a fresh copy does
         verdict = solve_atom(ts, NOP_INP, ("r0", "r1"))
         copy = validate_ts(ts.edges, ts.initial)
-        fresh = solve_atom(copy, NOP_INP, ("r0", "r1"))
-        assert (verdict.status, verdict.region) == (fresh.status, fresh.region)
+        assert verdict == solve_atom(copy, NOP_INP, ("r0", "r1"))
 
     def test_an_interrupted_descent_drops_its_checkpoints(self):
         taken = []
@@ -183,19 +187,19 @@ class TestSolveAtom:
         with dense_checkpoints():
             with pytest.raises(KeyboardInterrupt):
                 Interrupted(ts, mask, None).run(atom)
-            # the descent stopped between two nodes, so it is dropped with
-            # its checkpoints, and the next search starts it afresh
+            # the descent stopped between two nodes, and goes with its
+            # checkpoints and its search: a new search on the system
+            # answers, and spends, what one on a fresh copy does
             assert taken[0].checkpoints
-            assert taken[0] not in ts.descents[mask].values()
             verdict = solve_atom(ts, NOP_INP, atom)
-        assert (verdict.status, verdict.region) == reference_search(
-            validate_ts(ts.edges, ts.initial), mask, atom
-        )
+            copy = validate_ts(ts.edges, ts.initial)
+            assert verdict == solve_atom(copy, NOP_INP, atom)
+        assert (verdict.status, verdict.region) == reference_search(copy, mask, atom)
 
     def test_a_budget_spent_at_a_checkpoint_leaves_a_whole_descent(self):
         # a search whose budget runs out on entering the node after a
-        # checkpoint leaves a descent that the next searches resume and
-        # answer from as a search from the root does
+        # checkpoint leaves a descent that its next runs, unlimited, resume
+        # and answer from as a search from the root does
         reference = gen_nop_inp(example_formula()).ts
         edges, initial = reference.edges, reference.initial
         mask = type_mask(NOP_INP)
@@ -211,11 +215,12 @@ class TestSolveAtom:
             Counting(validate_ts(edges, initial), mask, None).run(atoms[0])
             assert at
             for budget in at:
-                ts = validate_ts(edges, initial)
-                spent = solve_atom(ts, NOP_INP, atoms[0], budget=budget)
+                search = _AtomSearch(validate_ts(edges, initial), mask, budget)
+                spent = search.run(atoms[0])
                 assert spent.status is AtomStatus.EXHAUSTED
+                search.max_nodes = None
                 for atom in atoms:
-                    verdict = solve_atom(ts, NOP_INP, atom, budget=None)
+                    verdict = search.run(atom)
                     assert (verdict.status, verdict.region) == reference_search(
                         reference, mask, atom
                     ), (budget, atom)
@@ -277,11 +282,8 @@ class TestDecideSsp:
         )
         tau = type_of(I.NOP, I.INP, I.OUT)
         report = decide_ssp(ts, tau)
-        # each atom searched on its own copy of the system, sharing nothing
-        every_atom = sum(
-            solve_atom(validate_ts(ts.edges, ts.initial), tau, atom).nodes
-            for atom in ts.atoms()
-        )
+        # each atom searched on its own, sharing nothing
+        every_atom = sum(solve_atom(ts, tau, atom).nodes for atom in ts.atoms())
         assert report.decision is Decision.HAS_SSP
         assert report.stats.nodes_expanded < every_atom
 
@@ -414,27 +416,92 @@ class TestDecideSsp:
             with pytest.raises(TypeError):
                 signature[ts.events[0]] = I.SWAP
 
-    def test_each_sweep_starts_and_drops_its_descents(self):
+    def test_each_sweep_starts_and_drops_its_descents(self, monkeypatch):
         ts = gen_nop_inp(example_formula()).ts
         mask = type_mask(NOP_INP)
-        solve_atom(ts, NOP_INP, ("t_6_0", "t_7_0"))
-        assert mask in ts.descents
+        earlier = _AtomSearch(ts, mask, None)
+        earlier.run(("t_6_0", "t_7_0"))
+        assert earlier.descents
+        built = []
 
-        def counts(report):
-            stats = report.stats
-            return (
-                report.decision,
-                [r.key() for r in report.regions],
-                stats.atoms_checked,
-                stats.atoms_searched,
-                stats.nodes_expanded,
-                stats.revisions,
-            )
+        class Recorded(_AtomSearch):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(weakref.ref(self))
 
-        fresh = counts(decide_ssp(validate_ts(ts.edges, ts.initial), NOP_INP))
-        for _ in range(2):
-            assert counts(decide_ssp(ts, NOP_INP)) == fresh
-            assert mask not in ts.descents
+        fresh = sweep_counts(decide_ssp(validate_ts(ts.edges, ts.initial), NOP_INP))
+        monkeypatch.setattr(engine, "_AtomSearch", Recorded)
+        for sweeps in (1, 2):
+            # one search per sweep, whose descents no other search shares,
+            # freed with them when the sweep returns
+            assert sweep_counts(decide_ssp(ts, NOP_INP)) == fresh
+            gc.collect()
+            assert len(built) == sweeps and built[-1]() is None
+
+    def test_threads_may_share_a_system(self):
+        # searches keep their state to themselves, so sweeps in two threads
+        # on one system each report what a sweep alone does; the short
+        # switch interval interleaves the threads inside their searches
+        ts = gen_nop_inp(example_formula()).ts
+        alone = sweep_counts(decide_ssp(ts, NOP_INP))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            with ThreadPoolExecutor(2) as pool:
+                sweeps = [pool.submit(decide_ssp, ts, NOP_INP) for _ in range(2)]
+                reports = [sweep.result(timeout=60) for sweep in sweeps]
+        finally:
+            sys.setswitchinterval(interval)
+        assert [sweep_counts(report) for report in reports] == [alone, alone]
+        # and a search spends the same on every call
+        atom = ("t_6_0", "t_7_0")
+        first = solve_atom(ts, NOP_INP, atom)
+        assert solve_atom(ts, NOP_INP, atom) == first
+
+    @pytest.mark.parametrize(
+        "system, tau",
+        [
+            (lambda: gen_nop_inp(example_formula()).ts, NOP_INP),
+            (lambda: gen_nop_free(unsat_formula_m4()).ts, SWAP_FREE),
+        ],
+        ids=["45-states", "753-states"],
+    )
+    def test_searches_leave_the_system_as_it_was(self, system, tau, monkeypatch):
+        # a search shares the system's state_arcs as the singletons'
+        # boundary lists, and only ``own`` has them copied before they
+        # change: a sweep, an atom search, and sweeps interrupted between
+        # a union and the rest of its propagation leave the system's
+        # integer form as it was
+        ts = system()
+        fields = ("sidx", "eidx", "arcs", "event_arcs", "state_arcs", "order")
+
+        def integer_form():
+            return {name: getattr(ts, name) for name in fields}
+
+        before = copy.deepcopy(integer_form())
+        decide_ssp(ts, tau)
+        solve_atom(ts, tau, ts.states[-2:])
+        assert integer_form() == before
+
+        class Interrupted(_AtomSearch):
+            unions = 0
+            stop = None
+
+            def _union(self, x, y, parity):
+                united = super()._union(x, y, parity)
+                Interrupted.unions += 1
+                if Interrupted.unions == Interrupted.stop:
+                    raise KeyboardInterrupt
+                return united
+
+        monkeypatch.setattr(engine, "_AtomSearch", Interrupted)
+        decide_ssp(ts, tau)
+        total = Interrupted.unions
+        for stop in (total // 4, total // 2, 3 * total // 4):
+            Interrupted.unions, Interrupted.stop = 0, stop
+            with pytest.raises(KeyboardInterrupt):
+                decide_ssp(ts, tau)
+            assert integer_form() == before
 
     def test_report_region_vectors_separate_all_atoms(self):
         ts = validate_ts(
@@ -551,10 +618,12 @@ class ClosureCheckingSearch(_AtomSearch):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(search_systems, st.integers(0, 255))
 def test_propagation_is_a_closure(ts, mask):
-    # the first search checks the type's descents as it computes them; every
-    # search checks its root with the atom added and each branch it tries
+    # one search runs on every atom: its first run checks the type's
+    # descents as it computes them, later runs the steps they advance them,
+    # and every run its root with the atom added and each branch it tries
+    search = ClosureCheckingSearch(ts, mask, None)
     for atom in ts.atoms():
-        ClosureCheckingSearch(ts, mask, None).run(atom)
+        search.run(atom)
 
 
 def test_propagation_is_a_closure_on_larger_systems():
@@ -564,9 +633,9 @@ def test_propagation_is_a_closure_on_larger_systems():
     rng = random.Random(1)
     for _ in range(1000):
         ts = random_ts(rng, max_states=10, max_events=4)
-        mask = rng.randrange(256)
+        search = ClosureCheckingSearch(ts, rng.randrange(256), None)
         for atom in ts.atoms():
-            ClosureCheckingSearch(ts, mask, None).run(atom)
+            search.run(atom)
 
 
 def union_find_state(state):
@@ -594,18 +663,17 @@ class InvariantCheckingSearch(_AtomSearch):
     node's mark is its trail's length on entering it, so the state is
     recorded at that length when a propagation succeeds, and at the root.
 
-    Records are kept per trail in ``records.trails``, shared by every
-    search on the system, so those of a stored descent outlive the search
-    that made them.  A copy of the state starts with a copy of its trail's
-    records, so a rollback into one of the descent's frames, in a later
-    search, is checked against the state recorded when that frame's node
-    was entered.  The copy shares the descent's lists until it changes
-    them, so the descent must end the search as it was when the copy was
-    made.  A checkpoint is a state the descent copies and leaves, so it
-    must stay as it was taken across every later search on the system,
-    which ``records.checkpoints`` holds; and a climb from it, on a copy,
-    through the descent's frames up to it must restore the state recorded
-    on entering each frame's node.  No descent may hold more checkpoints
+    Records are kept per trail in ``records.trails``, shared by every run
+    of the search, so those of a descent outlive the run that made them.
+    A copy of the state starts with a copy of its trail's records, so a
+    rollback into one of the descent's frames, in a later run, is checked
+    against the state recorded when that frame's node was entered.  The
+    copy shares the descent's lists until it changes them, so the descent
+    must end the run as it was when the copy was made.  A checkpoint is a
+    state the descent copies and leaves, so it must stay as it was taken
+    across every later run, which ``records.checkpoints`` holds; and a
+    climb from it, on a copy, through the descent's frames up to it must
+    restore the state recorded on entering each frame's node.  No descent may hold more checkpoints
     than the cap.
     """
 
@@ -696,6 +764,8 @@ class InvariantCheckingSearch(_AtomSearch):
             self._rollback(mark)
 
     def run(self, atom):
+        self.detached = []
+        self.taken = []
         result = super().run(atom)
         for state, _, frames in self.taken:
             self.climb(state, frames)
@@ -706,7 +776,7 @@ class InvariantCheckingSearch(_AtomSearch):
             assert union_find_state(state) == when_taken
             frames_of[id(state[6])] = frames
         # a checkpoint is held only while its node is on the descent's path
-        for descent in self.ts.descents[self.full_mask].values():
+        for descent in self.descents.values():
             for state, depth in descent.checkpoints if descent else ():
                 assert descent.stack[:depth] == frames_of[id(state[6])]
         return result
@@ -725,10 +795,11 @@ def dense_checkpoints():
 
 
 def check_union_find(ts, mask):
-    records = search_records()
+    """One checking search run on every atom, returned when done."""
+    search = InvariantCheckingSearch(ts, mask, search_records())
     for atom in ts.atoms():
-        InvariantCheckingSearch(ts, mask, records).run(atom)
-    return records
+        search.run(atom)
+    return search
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -756,11 +827,12 @@ def test_a_descent_that_backtracks_drops_the_checkpoints_it_leaves():
     )
     mask = type_mask(type_of(I.RES, I.SET, I.SWAP))
     with dense_checkpoints():
-        records = check_union_find(ts, mask)
+        search = check_union_find(ts, mask)
+    records = search.records
     taken = {id(state[6]) for state, _, _ in records.checkpoints}
     held = {
         id(cp[6])
-        for descent in ts.descents[mask].values()
+        for descent in search.descents.values()
         if descent
         for cp, _ in descent.checkpoints
     }
@@ -774,7 +846,7 @@ def test_sweeps_search_from_checkpoints(monkeypatch):
 
     class Resuming(_AtomSearch):
         def _bind(self, state):
-            descents = self.ts.descents[self.full_mask].values()
+            descents = self.descents.values()
             trails = [cp[6] for d in descents if d for cp, _ in d.checkpoints]
             if any(state[6] is trail for trail in trails):
                 resumed.append(state)
@@ -842,43 +914,49 @@ def test_resumed_searches_match_the_root_search_at_dense_checkpoints(ts, rng):
 
 
 def check_resumed_searches(ts, rng):
-    # every search runs on the one system, so under each type the atoms,
+    # one search per type runs on every atom, so under each type the atoms,
     # in the drawn order, advance and resume the same descents
     atoms = list(ts.atoms())
     rng.shuffle(atoms)
     copy = validate_ts(ts.edges, ts.initial)
     for mask, tau in enumerate(enumerate_types()):
+        search = _AtomSearch(ts, mask, None)
         for atom in atoms:
-            verdict = solve_atom(ts, tau, atom, budget=None)
+            verdict = search.run(atom)
             assert (verdict.status, verdict.region) == reference_search(
                 copy, mask, atom
             ), (mask, atom)
+            assert verdict.region is None or is_region(ts, tau, verdict.region)
 
 
 def sweep_by_region_scan(ts, tau, budget=DEFAULT_MAX_NODES):
     """The sweep with its skip rule spelled out, as a reference.
 
     Every atom in sorted order is checked until the witness.  An atom is
-    skipped when some region found so far separates it; any other atom gets
-    a ``solve_atom`` search on one freshly validated copy of the system,
-    which its searches share as ``decide_ssp``'s do.
+    skipped when some region found so far separates it; any other atom is
+    run through one search of the type, which its atoms share as
+    ``decide_ssp``'s do, and the region found is checked as ``solve_atom``
+    checks it.
     """
     regions, witness, exhausted = [], None, False
-    checked = searched = nodes = 0
-    copy = validate_ts(ts.edges, ts.initial)
+    checked = searched = nodes = revisions = 0
+    search = _AtomSearch(ts, type_mask(tau), budget)
     for atom in combinations(ts.states, 2):
         checked += 1
         if any(r.solves(atom) for r in regions):
             continue
-        verdict = solve_atom(copy, tau, atom, budget)
+        verdict = search.run(atom)
         searched += 1
         nodes += verdict.nodes
+        revisions += verdict.revisions
         if verdict.status is AtomStatus.UNSOLVABLE:
             witness = atom
             break
         if verdict.status is AtomStatus.EXHAUSTED:
             exhausted = True
         else:
+            assert is_region(ts, tau, verdict.region)
+            assert verdict.region.solves(atom)
             regions.append(verdict.region)
     if witness is not None:
         decision = Decision.LACKS_SSP
@@ -887,7 +965,7 @@ def sweep_by_region_scan(ts, tau, budget=DEFAULT_MAX_NODES):
     else:
         decision = Decision.HAS_SSP
     keys = [r.key() for r in regions]
-    return decision, keys, witness, checked, searched, nodes
+    return decision, keys, witness, checked, searched, nodes, revisions
 
 
 def sweep_counts(report):
@@ -899,6 +977,7 @@ def sweep_counts(report):
         stats.atoms_checked,
         stats.atoms_searched,
         stats.nodes_expanded,
+        stats.revisions,
     )
 
 
