@@ -10,10 +10,11 @@ its sweep at once, in one pass over the edges, bit-parallel across regions.
 
 "No region splits s and t" is an equivalence relation, and a system has
 the SSP iff its partition is discrete.  ``decide_ssp`` refines it by one
-search per class it cannot yet split, the oracle ``brute_force_decide`` by
-every feasible support, and ``fast_path_swap_core`` (swap plus inp/out)
-computes it as a two-colouring.  All three name as witness the first atom
-in sorted order whose states share a class.
+search per atom no region found so far splits, the oracle
+``brute_force_decide`` by every feasible support, and
+``fast_path_swap_core`` (swap plus inp/out) by a two-colouring.  All three
+hold supports as ints and name as witness the first atom in sorted order
+that no support splits, found by one scan, :func:`_unseparated`.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from enum import Enum
 from functools import cache
 from itertools import product
 from operator import add
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .core import (
     INTERACTION_ORDER,
@@ -800,19 +801,45 @@ def _refine(cls: list[int], bits: Iterable[int]) -> list[int]:
     return list(map(add, map(add, cls, cls), bits))
 
 
-def _same_class(cls: list[int], i: int, j: int) -> tuple[int, int] | None:
-    """The first atom (i', j') at or after (i, j) in sorted order whose
-    states share a class of ``cls``, or None.  A state's next same-class
-    partner is a scan of ``cls`` in C, so the atoms in between cost no
-    Python step."""
-    last = len(cls) - 1
-    while i < last:
-        try:
-            return i, cls.index(cls[i], j)
-        except ValueError:
-            i += 1
-            j = i + 1
-    return None
+#: The bytes a packed support may hold, and a ``bytes.translate`` table
+#: from them to the digits "0" and "1".
+_BITS = bytes(range(2))
+_DIGITS = bytes.maketrans(_BITS, b"01")
+
+
+def _support_int(row: bytes) -> int:
+    """A support given a byte per state in state order, each 0 or 1, as an
+    int whose bit i is the value of state i."""
+    return int(row.translate(_DIGITS)[::-1], 2)
+
+
+def _unseparated(n: int, supports: list[int]) -> Iterator[tuple[int, int]]:
+    """The atoms (i, j) of ``n`` states, in sorted order, that no support
+    in ``supports`` splits, a support an int with bit i the value of state
+    i.  Supports the caller appends while the scan waits at an atom count
+    from the next atom on.
+
+    For the first state i the scan keeps ``same``, the later states that
+    every support so far puts with i, so a new support costs one AND and
+    the next atom is the lowest set bit of ``same >> j``, found in C.  The
+    next first state folds in every support again, until ``same`` is 0."""
+    full = (1 << n) - 1
+    for i in range(n - 1):
+        same = full >> (i + 1) << (i + 1)
+        used = 0
+        j = i + 1
+        while True:
+            for sup in supports[used:]:
+                same &= sup if sup >> i & 1 else ~sup
+                if not same:
+                    break
+            used = len(supports)
+            rest = same >> j
+            if not rest:
+                break
+            j += (rest & -rest).bit_length() - 1
+            yield i, j
+            j += 1
 
 
 def _atoms_up_to(n: int, pair: tuple[int, int] | None) -> int:
@@ -824,15 +851,17 @@ def _atoms_up_to(n: int, pair: tuple[int, int] | None) -> int:
     return i * n - i * (i + 1) // 2 + (j - i)
 
 
-def _partition_report(ts: TransitionSystem, cls: list[int]) -> SeparationReport:
-    """The decision of a final partition: its first same-class atom in
-    sorted order is the witness, and the atoms up to it are checked."""
+def _partition_report(ts: TransitionSystem, supports: list[int]) -> SeparationReport:
+    """The decision of the final ``supports``, ints as :func:`_unseparated`
+    takes them: the first atom in sorted order that none of them splits is
+    the witness, and the atoms up to it are checked."""
+    n = len(ts.states)
     report = SeparationReport(decision=Decision.HAS_SSP, witness_atom=None)
-    pair = _same_class(cls, 0, 1)
+    pair = next(_unseparated(n, supports), None)
     if pair is not None:
         report.decision = Decision.LACKS_SSP
         report.witness_atom = (ts.states[pair[0]], ts.states[pair[1]])
-    report.stats.atoms_checked = _atoms_up_to(len(cls), pair)
+    report.stats.atoms_checked = _atoms_up_to(n, pair)
     return report
 
 
@@ -841,8 +870,7 @@ def _partition_report(ts: TransitionSystem, cls: list[int]) -> SeparationReport:
 #: The ordinal that stands in for a region ``is_region`` checked instead,
 #: so the batch check lets every arc through; none of an interaction.
 _CHECKED = len(INTERACTION_ORDER)
-#: The bytes a packed support and a packed signature may hold.
-_BITS = bytes(range(2))
+#: The bytes a packed signature may hold.
 _ORDINALS = bytes(range(_CHECKED))
 
 
@@ -859,32 +887,42 @@ def _blocked_digits(mask: int) -> tuple[bytes, ...]:
     )
 
 
+def _state_codes(rows: Sequence[bytes], n: int) -> list[int]:
+    """Per state, its values under the supports ``rows`` of R, a byte per
+    state each: bit R-1-k of state i's code is byte i of row k, as a
+    :func:`_refine` fold of the rows has it."""
+    joined = b"".join(rows)
+    return [int(joined[s::n].translate(_DIGITS), 2) for s in range(n)]
+
+
 def _all_regions(
     ts: TransitionSystem,
     tau: frozenset[Interaction],
     regions: Sequence[Region],
-    cls: list[int],
 ) -> bool:
     """``all(is_region(ts, tau, r) for r in regions)``, in one pass over the
     arcs for all the regions, bit-parallel across them.
 
-    ``cls`` is what :func:`_refine` makes of the regions' supports in turn,
-    so bit R-1-k of ``cls[i]`` is state i's support under region k of R.
-    Per event and cell c = 2x+y, the pass parses the R-bit mask of the
-    regions whose interaction there has no step through c, an interaction
-    outside ``tau`` none at all; an arc (s, e, t) is carried by every
-    region iff no region has its bit set in the mask of the cell that its
-    supports in ``cls[s]`` and ``cls[t]`` select.  The pass reads the rows
-    of a region packed as the search packs it: a :class:`PackedMap` support
-    and a :class:`PackedSignature` over the system's own ``sidx`` and
-    ``eidx``, a byte per state and per event, the support's bytes bits
-    and the signature's ordinals.  Any other region is checked by
-    ``is_region`` itself first, raising :class:`PartialAssignment` as it
-    does, and the pass lets it through.
+    The pass reads the rows of a region packed as the search packs it: a
+    :class:`PackedMap` support and a :class:`PackedSignature` over the
+    system's own ``sidx`` and ``eidx``, a byte per state and per event, the
+    support's bytes bits and the signature's ordinals.  Any other region is
+    checked by ``is_region`` itself first, raising
+    :class:`PartialAssignment` as it does, and the pass lets it through:
+    its support reads as all zeros, and its signature as :data:`_CHECKED`.
+
+    Bit R-1-k of state i's code from :func:`_state_codes` is its support
+    under region k of R.  Per event and cell c = 2x+y, the pass parses the
+    R-bit mask of the regions whose interaction there has no step through
+    c, an interaction outside ``tau`` none at all; an arc (s, e, t) is
+    carried by every region iff no region has its bit set in the mask of
+    the cell that the codes of s and t select.
     """
     if not regions:
         return True  # and no empty column for int() to parse
+    n = len(ts.states)
     n_events = len(ts.events)
+    support_rows = []
     rows = []
     for region in regions:
         support, signature = region
@@ -893,16 +931,19 @@ def _all_regions(
             and type(signature) is PackedSignature
             and support.index is ts.sidx
             and signature.index is ts.eidx
-            and len(support.row) == len(ts.states)
+            and len(support.row) == n
             and len(signature.row) == n_events
             and not support.row.translate(None, _BITS)
             and not signature.row.translate(None, _ORDINALS)
         ):
+            support_rows.append(support.row)
             rows.append(signature.row)
         elif is_region(ts, tau, region):
+            support_rows.append(bytes(n))
             rows.append(bytes([_CHECKED]) * n_events)
         else:
             return False
+    cls = _state_codes(support_rows, n)
     # row k holds region k's ordinals per event, so an event's column,
     # every n_events-th byte, holds its regions' ordinals, region 0 first
     ordinals = b"".join(rows)
@@ -959,12 +1000,11 @@ def decide_ssp(
     exhausted_any = False
     states = ts.states
     search = _AtomSearch(ts, type_mask(tau), budget)
-    # two states share a class iff every region found so far gives them the
-    # same support, i.e. iff no found region separates them; the atoms that
-    # _same_class passes over are the ones a found region separates
-    cls = [0] * len(states)
-    pair = _same_class(cls, 0, 1)
-    while pair is not None:
+    # the supports of the regions found so far: the scan passes over the
+    # atoms one of them splits, and an atom that gets no region, exhausted,
+    # adds none, so the scan goes on from the atom after it
+    supports: list[int] = []
+    for pair in _unseparated(len(states), supports):
         i, j = pair
         atom = (states[i], states[j])
         verdict = search.run(atom)
@@ -976,18 +1016,19 @@ def decide_ssp(
             if not region.solves(atom):
                 raise InternalCheckFailed("search produced an invalid region")
             report.regions.append(region)
-            # the search's support is packed in state order
-            cls = _refine(cls, region.support.values())
+            # the search packs its support a byte per state, in state order
+            supports.append(_support_int(region.support.row))
         elif verdict.status is AtomStatus.EXHAUSTED:
             exhausted_any = True
         else:
             report.decision = Decision.LACKS_SSP
             report.witness_atom = atom
             break
-        pair = _same_class(cls, i, j + 1)
+    else:
+        pair = None  # no witness: every atom is checked
     del search  # and its descents, before the batch check allocates
     try:
-        valid = _all_regions(ts, tau, report.regions, cls)
+        valid = _all_regions(ts, tau, report.regions)
     except PartialAssignment as exc:
         raise InternalCheckFailed("search produced an invalid region") from exc
     if not valid:
@@ -1102,7 +1143,9 @@ def brute_force_decide(
         cls, classes = refined, split
         signature = {e: c[0] for e, c in zip(ts.events, per_event)}
         regions.append(Region(bit_of, signature))
-    report = _partition_report(ts, cls)
+    # each kept support, a dict in state order, as an int
+    supports = [_support_int(bytes(r.support.values())) for r in regions]
+    report = _partition_report(ts, supports)
     report.regions = regions
     report.stats.nodes_expanded = scanned
     report.stats.wall_ms = (time.perf_counter() - t0) * 1000.0
@@ -1143,8 +1186,8 @@ def fast_path_swap_core(
                 colour[t] = 1 - colour[s]
                 stack.append(t)
             elif colour[t] == colour[s]:
-                return _partition_report(ts, [0] * len(ts.states))
-    report = _partition_report(ts, colour)
+                return _partition_report(ts, [])
+    report = _partition_report(ts, [_support_int(bytes(colour))])
     if report.decision is Decision.HAS_SSP:
         swap = dict.fromkeys(ts.events, Interaction.SWAP)
         report.regions.append(Region(dict(zip(ts.states, colour)), swap))

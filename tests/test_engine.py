@@ -12,7 +12,7 @@ from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ssp_kit import engine
 from ssp_kit.classify import enumerate_types
@@ -56,6 +56,9 @@ from ssp_kit.engine import (
     _AtomSearch,
     _all_regions,
     _refine,
+    _state_codes,
+    _support_int,
+    _unseparated,
 )
 from ssp_kit.formats import report_to_dict
 from ssp_kit.reductions import (
@@ -392,6 +395,27 @@ class TestDecideSsp:
         regions = json.dumps(report_to_dict(report)["regions"], sort_keys=True)
         assert hashlib.sha256(regions.encode()).hexdigest() == (
             "c4460a02225df826bcf527f66e352f37c9240bc18b804d110c81eaa37adbd23a"
+        )
+
+    @pytest.mark.slow
+    def test_budgeted_nop_free_sweep_is_pinned(self, m4_sweep):
+        # the same sweep at 40 nodes per atom: atoms before the witness run
+        # out of budget and get no region, so the sweep goes on past each
+        # of them without a new support, and still finds the witness
+        ts, _ = m4_sweep
+        report = decide_ssp(ts, SWAP_FREE, budget=40)
+        assert (
+            report.decision,
+            report.witness_atom,
+            report.stats.atoms_checked,
+            report.stats.atoms_searched,
+            report.stats.nodes_expanded,
+            report.stats.revisions,
+            len(report.regions),
+        ) == (Decision.LACKS_SSP, ("f_0_2", "f_0_4"), 47489, 1189, 46180, 126036, 55)
+        regions = json.dumps(report_to_dict(report)["regions"], sort_keys=True)
+        assert hashlib.sha256(regions.encode()).hexdigest() == (
+            "9ada315d43493a25010a54925dbd9e3ca96aaf9136fab781e730b2c87cd6d1c4"
         )
 
     @pytest.mark.slow
@@ -1003,6 +1027,71 @@ def test_sweep_matches_the_region_scan_under_budgets():
     assert {(1, Decision.UNKNOWN), (3, Decision.UNKNOWN)} <= statuses
 
 
+@st.composite
+def scan_inputs(draw):
+    """A state count n of 1 to 70, the supports a scan starts with, and the
+    ones it is fed atom by atom, None for an atom that gets none: drawn
+    from a few ints over n bits, their complements, and the all-0 and all-1
+    supports, so duplicates and complements come up."""
+    n = draw(st.integers(1, 70))
+    full = (1 << n) - 1
+    some = draw(st.lists(st.integers(0, full), max_size=6))
+    pool = st.sampled_from([0, full, *some, *(full ^ sup for sup in some)])
+    initial = draw(st.lists(pool, max_size=6))
+    fed = draw(st.lists(st.none() | pool, max_size=40))
+    return n, initial, fed
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(scan_inputs())
+@example((1, [], []))
+@example((5, [], []))
+@example((70, [0, (1 << 70) - 1], [None, 0, (1 << 70) - 1]))
+def test_scan_yields_the_atoms_no_support_splits(inputs):
+    # the atoms in sorted order that no support so far splits, where the
+    # support fed after an atom counts from the next atom on and an atom
+    # fed None adds none; the scan must yield the same ones
+    n, initial, fed = inputs
+
+    def walk():
+        supports, feed, atoms = list(initial), iter(fed), []
+        for i, j in combinations(range(n), 2):
+            if any((sup >> i ^ sup >> j) & 1 for sup in supports):
+                continue
+            atoms.append((i, j))
+            sup = next(feed, None)
+            if sup is not None:
+                supports.append(sup)
+        return atoms
+
+    supports, feed, atoms = list(initial), iter(fed), []
+    for atom in _unseparated(n, supports):
+        atoms.append(atom)
+        sup = next(feed, None)
+        if sup is not None:
+            supports.append(sup)
+    assert atoms == walk()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 70).flatmap(
+        lambda n: st.lists(st.binary(min_size=n, max_size=n), min_size=1, max_size=8)
+    )
+)
+def test_state_codes_are_the_refine_fold_of_the_rows(rows):
+    # the batch check's codes, read off the packed support rows at once,
+    # and the support ints of the scan, against the rows bit by bit
+    rows = [bytes(byte & 1 for byte in row) for row in rows]
+    n = len(rows[0])
+    cls = [0] * n
+    for row in rows:
+        cls = _refine(cls, row)
+    assert _state_codes(rows, n) == cls
+    for row in rows:
+        assert _support_int(row) == sum(bit << i for i, bit in enumerate(row))
+
+
 def corrupt_region(region, how, ts, tau, rng):
     """A copy of ``region`` with one corruption ``how``, or None when the
     system has no event or the type no interaction outside it that the
@@ -1108,15 +1197,17 @@ def outcome(check):
         "packed equal index",
         "packed outside tau",
         "packed ordinal 8",
+        "mixed",
     ],
 )
 def test_batch_check_agrees_with_is_region(how, monkeypatch):
     # every system of up to 3 states and 2 events, each under a random
-    # type, with one of its regions corrupted; the class codes are those
-    # the sweep builds from the supports it gets.  A region keyed out of
+    # type, with one of its regions corrupted.  A region keyed out of
     # system order is still one, checked by is_region and let through.
     # The packed cases pack every region as the search does and corrupt
-    # one's rows or indexes
+    # one's rows or indexes.  The mixed case packs every other region in
+    # one call: the dict ones, checked by is_region, read as zero support
+    # bits there, which must block no arc
     rng = random.Random(f"batch check {how}")
     packed = how.startswith("packed")
     corrupt = corrupt_packed if packed else corrupt_region
@@ -1127,6 +1218,12 @@ def test_batch_check_agrees_with_is_region(how, monkeypatch):
             raise AssertionError("is_region called on a packed region")
 
         monkeypatch.setattr(engine, "is_region", refuse)
+    elif how == "mixed":
+        def dict_only(ts, tau, region):
+            assert type(region.support) is not PackedMap
+            return is_region(ts, tau, region)
+
+        monkeypatch.setattr(engine, "is_region", dict_only)
     seen = []
     for ts in enumerate_small_ts(3, 2):
         tau = random_type(rng)
@@ -1135,16 +1232,18 @@ def test_batch_check_agrees_with_is_region(how, monkeypatch):
             continue
         if packed:
             regions = [pack(r, ts) for r in regions]
+        elif how == "mixed":
+            first = rng.randrange(2)
+            regions = [
+                pack(r, ts) if (k + first) % 2 else r for k, r in enumerate(regions)
+            ]
         k = rng.randrange(len(regions))
-        if how not in ("none", "packed"):
+        if how not in ("none", "packed", "mixed"):
             regions[k] = corrupt(regions[k], how, ts, tau, rng)
             if regions[k] is None:
                 continue
-        cls = [0] * len(ts.states)
-        for region in regions:
-            cls = _refine(cls, region.support.values())
         want = outcome(lambda: all(is_region(ts, tau, r) for r in regions))
-        assert outcome(lambda: _all_regions(ts, tau, regions, cls)) == want, (
+        assert outcome(lambda: _all_regions(ts, tau, regions)) == want, (
             ts, tau, k
         )
         seen.append(want)
@@ -1165,6 +1264,7 @@ def test_batch_check_agrees_with_is_region(how, monkeypatch):
         "packed equal index": {True},
         "packed outside tau": {False},
         "packed ordinal 8": {False},
+        "mixed": {True},
     }[how]
     assert set(seen) == expected
 
