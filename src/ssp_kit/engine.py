@@ -172,6 +172,18 @@ _PROJ = [
     )
     for cells in range(16)
 ]
+#: _TEACHES[mask]: bit 2*end + v, end 0 the source and 1 the target, is set
+#: iff revising an edge whose event's domain is ``mask``, with that end of
+#: value v and the other end in an unvalued class, empties or shrinks the
+#: domain or forces the other end's value.
+_TEACHES = [0] * 256
+for _mask in range(256):
+    for _end, _is_value in enumerate((_SOURCE_IS, _TARGET_IS)):
+        for _v in (0, 1):
+            _kept = _mask & _KEEPS[_is_value[_v]]
+            _other = _PROJ[_STEPS[_kept] & _is_value[_v]][1 - _end]
+            if not _kept or _kept != _mask or _other in (1, 2):
+                _TEACHES[_mask] |= 1 << (2 * _end + _v)
 #: The bits of nop and swap, the two total interactions.  A node tries
 #: them first, nop before swap, and then the others in ascending order:
 #: under the ascending order, types holding res or set next to swap sent
@@ -186,15 +198,17 @@ _ORDINAL_OF_BIT = bytes.maketrans(
 
 
 #: The search state: the union-find's root and parity of every node, its
-#: class member lists and boundary lists, the flags of the roots whose two
-#: lists the state owns, the event domains and the trail.  A state shares
-#: the lists it does not own, with the system or with the descent it
-#: was copied from, and copies a root's lists before it first changes them.
+#: class member lists and boundaries, the flags of the roots whose members
+#: and boundary the state owns, the event domains and the trail.  A state
+#: shares what it does not own, with the system or with the descent it was
+#: copied from: a boundary is the system's ``state_arcs`` list until it
+#: first changes, and then an edge-keyed dict, so an edge leaves it in one
+#: step; a dict's order steers only the order edges are queued in.
 _State = tuple[
     list[int],
     list[int],
     list[list[int]],
-    list[list[int]],
+    list[list[int] | dict[int, None]],
     bytearray,
     list[int],
     list[tuple],
@@ -271,19 +285,31 @@ class _AtomSearch:
     That class never moves, so it keeps no lists: ``members[zero]`` is
     only the zero node, and ``bound[zero]`` is empty.
 
-    Each other root r also keeps a boundary list
-    ``bound[r]``: the ids of its class's edges that a merge or valuation
-    of the class can still teach something.  It holds every edge to
-    another class, the zero node's included, and every edge inside the
-    class that some interaction left in its event's domain does not carry
-    with both steps of the edge's parity; it may hold more.  A singleton's
-    list is its ``state_arcs``.  Domains only shrink while a union
-    stands, so an inside edge left out stays one that no revision can
-    change, and a union scans only the moved class's list: a merge of two
-    unvalued classes queues the edges into the surviving class and
-    appends the rest that still cross or still lack a step to its list; a
-    valuation queues every edge except those with both ends valued whose
-    domain carries the cell of their values.  Its undo truncates the list.
+    Each other root r also keeps a boundary ``bound[r]``: the ids of its
+    class's edges that a merge or valuation of the class can still teach
+    something.  It holds every edge to another class, the zero node's
+    included, and every edge inside the class that some interaction left
+    in its event's domain does not carry with both steps of the edge's
+    parity, except such an inside edge while it waits in the queue; it
+    may also hold inside edges that have since lost that lack.  A
+    singleton's boundary is its ``state_arcs``, and any other an
+    edge-keyed dict.  Domains only shrink while a union stands, so an
+    inside edge left out stays one that no revision can change, and a
+    union scans only the moved class's boundary:
+
+    - a merge of two unvalued classes adds to the surviving class's
+      boundary the moved edges that still cross or still lack a step; an
+      edge between the two classes, now inside, leaves it and is queued,
+      and its revision puts it back if it still lacks a step;
+    - a valuation queues an edge with both ends valued only if its domain
+      does not carry the cell of their values, and one with an unvalued
+      end only if :data:`_TEACHES` says that the new value teaches it.
+
+    A merge's undo rebuilds the surviving class's boundary from the moved
+    class's, which stays as it was: it puts back the edges between the
+    two classes and takes out the rest; a revision's put-back has an undo
+    of its own.  Undone, a boundary holds the edges it held, in another
+    order, and the order steers only which edge is revised first.
 
     Propagation is a closure: when it succeeds, revising any edge again
     changes nothing.  Its fixpoint is therefore the same whatever the order
@@ -306,8 +332,8 @@ class _AtomSearch:
     reach the fixpoints a search from the root with the atom reaches, so
     the first region found is the one that search finds.  The copy is
     copy-on-write: it copies the arrays and the outer lists of members and
-    boundaries, and a class's two lists only when a union or undo first
-    changes them there, as ``own`` records.
+    boundaries, and a class's members and boundary only when a union, an
+    undo or a put-back first changes them there, as ``own`` records.
 
     The backtracking drops every frame whose node has a and b forced
     equal.  Unions only accumulate down a path, so forced equality only
@@ -319,8 +345,8 @@ class _AtomSearch:
     below.
 
     The search keeps all its state here and only reads the system: the
-    singletons' boundary lists are the system's ``state_arcs``, and
-    ``own`` has a class's lists copied before they first change.  So
+    singletons' boundaries are the system's ``state_arcs``, and ``own``
+    has a class's members and boundary copied before they first change.  So
     several searches, in several threads, may run on one system.  A
     search whose run raised anything but running out of budget may have
     stopped mid-propagation, and is not run again.
@@ -351,7 +377,7 @@ class _AtomSearch:
         self.parent = list(range(n1))
         self.par = [0] * n1
         self.members: list[list[int]] = [[k] for k in range(n1)]
-        self.bound: list[list[int]] = [*self.ts.state_arcs, []]
+        self.bound: list[list[int] | dict[int, None]] = [*self.ts.state_arcs, []]
         self.own = bytearray(n1)
         self.dom = [self.full_mask] * len(self.ts.events)
         self.trail: list[tuple] = []
@@ -392,10 +418,11 @@ class _AtomSearch:
         ))
 
     def _own(self, root: int) -> None:
-        """Give the state its own copies of ``root``'s two lists."""
+        """Give the state its own copies of ``root``'s members and boundary,
+        the boundary as a dict."""
         self.own[root] = 1
         self.members[root] = self.members[root][:]
-        self.bound[root] = self.bound[root][:]
+        self.bound[root] = dict.fromkeys(self.bound[root])
 
     def _union(self, x: int, y: int, parity: int) -> bool:
         parent = self.parent
@@ -420,9 +447,10 @@ class _AtomSearch:
         arcs = self.ts.arcs
         dom = self.dom
         if rx == zero:
-            # every moved state learns its value: each boundary edge can
-            # learn something unless both its ends are now valued and every
-            # interaction left carries their cell
+            # every moved state learns its value: a boundary edge with both
+            # ends now valued learns something unless every interaction left
+            # carries their cell, and one with an unvalued end if _TEACHES
+            # says the new value teaches it
             for member in moved:
                 parent[member] = zero
                 par[member] ^= want
@@ -430,23 +458,25 @@ class _AtomSearch:
                 if inq[k]:
                     continue
                 si, ei, ti = arcs[k]
-                if (
-                    parent[si] == parent[ti]
-                    and _COVER[dom[ei]] >> (2 * par[si] + par[ti]) & 1
-                ):
+                ra = parent[si]
+                if ra == parent[ti]:
+                    if _COVER[dom[ei]] >> (2 * par[si] + par[ti]) & 1:
+                        continue
+                elif not _TEACHES[dom[ei]] >> (
+                    par[si] if ra == zero else 2 + par[ti]
+                ) & 1:
                     continue
                 inq[k] = 1
                 queue.append(k)
-            self.trail.append(("uf", ry, zero, 0))
+            self.trail.append(("uf", ry, zero))
             return True
         # only the pairs across the two classes learn a parity, so only the
-        # edges into the surviving class can be revised further; of the
-        # rest, those that still cross or still lack a step of their parity
-        # stay on the boundary.  The edges into rx are on rx's list already.
+        # edges between them, now inside rx's class, can be revised further:
+        # they leave rx's boundary and are queued.  Of the rest, those that
+        # still cross or still lack a step of their parity join it.
         if not self.own[rx]:
             self._own(rx)
         grown = bound[rx]
-        size = len(grown)
         for k in bound[ry]:
             si, ei, ti = arcs[k]
             ra = parent[si]
@@ -454,19 +484,21 @@ class _AtomSearch:
             if ra == rb:
                 cells = _PARITY_IS[par[si] ^ par[ti]]
                 if _COVER[dom[ei]] & cells != cells:
-                    grown.append(k)
+                    grown[k] = None
             elif ra != rx and rb != rx:
-                grown.append(k)
-            elif not inq[k]:
-                inq[k] = 1
-                queue.append(k)
+                grown[k] = None
+            else:
+                del grown[k]
+                if not inq[k]:
+                    inq[k] = 1
+                    queue.append(k)
         # each moved parity flips by ``want``: ry's, 0 before, becomes it,
         # which is where _rollback reads it back
         for member in moved:
             parent[member] = rx
             par[member] ^= want
         members[rx].extend(moved)
-        self.trail.append(("uf", ry, rx, len(grown) - size))
+        self.trail.append(("uf", ry, rx))
         return True
 
     def _set_dom(self, ei: int, mask: int) -> None:
@@ -481,13 +513,20 @@ class _AtomSearch:
         bound = self.bound
         own = self.own
         dom = self.dom
+        arcs = self.ts.arcs
         zero = self.zero
         for _ in range(len(trail) - mark):
-            entry = trail.pop()
-            if entry[0] == "dom":
-                dom[entry[1]] = entry[2]
+            tag, x, y = trail.pop()
+            if tag == "dom":
+                dom[x] = y
                 continue
-            _, ry, rx, added = entry
+            if tag == "bd":
+                # a revision put edge y back on root x's boundary
+                if not own[x]:
+                    self._own(x)
+                del bound[x][y]
+                continue
+            ry, rx = x, y
             moved = members[ry]
             want = par[ry]
             for member in moved:
@@ -498,8 +537,15 @@ class _AtomSearch:
             if not own[rx]:
                 self._own(rx)
             del members[rx][-len(moved):]
-            if added:
-                del bound[rx][-added:]
+            # the edges between the two classes come back to rx's boundary,
+            # and the rest of ry's, which the merge added or left out, leave
+            grown = bound[rx]
+            for k in bound[ry]:
+                si, _, ti = arcs[k]
+                if parent[si] == rx or parent[ti] == rx:
+                    grown[k] = None
+                else:
+                    grown.pop(k, None)
 
     # -- propagation
 
@@ -527,6 +573,8 @@ class _AtomSearch:
         par = self.par
         dom = self.dom
         trail = self.trail
+        bound = self.bound
+        own = self.own
         union = self._union
         zero = self.zero
         popped = 0
@@ -562,6 +610,16 @@ class _AtomSearch:
                 break
             if ra != rb and ps in (1, 2) and not union(si, ti, ps >> 1):
                 break
+            # an edge now inside an unvalued class that still lacks a step
+            # of its parity goes back on the boundary a merge took it off
+            root = parent[si]
+            if root == parent[ti] and root != zero:
+                cells = _PARITY_IS[par[si] ^ par[ti]]
+                if _COVER[new_mask] & cells != cells and k not in bound[root]:
+                    if not own[root]:
+                        self._own(root)
+                    bound[root][k] = None
+                    trail.append(("bd", root, k))
             inq[k] = 0
         else:
             self.revisions += popped
@@ -822,24 +880,28 @@ def _unseparated(n: int, supports: list[int]) -> Iterator[tuple[int, int]]:
     For the first state i the scan keeps ``same``, the later states that
     every support so far puts with i, so a new support costs one AND and
     the next atom is the lowest set bit of ``same >> j``, found in C.  The
-    next first state folds in every support again, until ``same`` is 0."""
+    next first state folds in every support again, newest first, until
+    ``same`` is 0: a sweep finds its newest supports for the atoms of the
+    latest first states, so they tend to split the next one off soonest."""
     full = (1 << n) - 1
     for i in range(n - 1):
         same = full >> (i + 1) << (i + 1)
-        used = 0
+        fold = reversed(supports)
+        used = len(supports)
         j = i + 1
         while True:
-            for sup in supports[used:]:
+            for sup in fold:
                 same &= sup if sup >> i & 1 else ~sup
                 if not same:
                     break
-            used = len(supports)
             rest = same >> j
             if not rest:
                 break
             j += (rest & -rest).bit_length() - 1
             yield i, j
             j += 1
+            fold = supports[used:]
+            used = len(supports)
 
 
 def _atoms_up_to(n: int, pair: tuple[int, int] | None) -> int:
