@@ -5,8 +5,9 @@ backtracking over event signatures with constraint propagation: event
 domains are pruned per edge, and state supports live in a union-find with
 parity so equalities/disequalities between supports propagate before any
 value is known.  It checks the region it returns with ``is_region``;
-``decide_ssp`` runs the same search per atom and checks all the regions of
-its sweep at once, in one pass over the edges, bit-parallel across regions.
+``decide_ssp`` runs the same search per atom, after first trying to repair
+its last region around the atom, and checks all the regions of its sweep
+at once, in one pass over the edges, bit-parallel across regions.
 
 "No region splits s and t" is an equivalence relation, and a system has
 the SSP iff its partition is discrete.  ``decide_ssp`` refines it by one
@@ -77,6 +78,8 @@ class AtomVerdict(NamedTuple):
     #: edges revised by propagation, including the descents this atom's
     #: search started and the steps it advanced them
     revisions: int = 0
+    #: whether the region is a repair of the sweep's last region
+    repaired: bool = False
 
 
 class _Record:
@@ -103,7 +106,12 @@ class _Record:
 
 class SearchStats(_Record):
     __slots__ = (
-        "atoms_checked", "atoms_searched", "nodes_expanded", "revisions", "wall_ms"
+        "atoms_checked",
+        "atoms_searched",
+        "nodes_expanded",
+        "revisions",
+        "wall_ms",
+        "atoms_repaired",
     )
 
     def __init__(
@@ -113,12 +121,15 @@ class SearchStats(_Record):
         nodes_expanded: int = 0,
         revisions: int = 0,
         wall_ms: float = 0.0,
+        atoms_repaired: int = 0,
     ) -> None:
         self.atoms_checked = atoms_checked
         self.atoms_searched = atoms_searched
         self.nodes_expanded = nodes_expanded
         self.revisions = revisions
         self.wall_ms = wall_ms
+        #: of the atoms searched, those whose region a repair found
+        self.atoms_repaired = atoms_repaired
 
 
 class SeparationReport(_Record):
@@ -195,6 +206,17 @@ _FIRST = Interaction.NOP.bit | Interaction.SWAP.bit
 _ORDINAL_OF_BIT = bytes.maketrans(
     bytes(i.bit for i in INTERACTION_ORDER), bytes(range(len(INTERACTION_ORDER)))
 )
+#: And back, from a packed signature's ordinals to type-mask bits.
+_BIT_OF_ORDINAL = bytes.maketrans(
+    bytes(range(len(INTERACTION_ORDER))), bytes(i.bit for i in INTERACTION_ORDER)
+)
+
+#: A repair frees the states within this many hops of the atom's states.
+_REPAIR_RADIUS = 3
+#: It runs only when they are at most this share of the system's states.
+_REPAIR_SHARE = 1 / 8
+#: The nodes a repair may enter before the atom gets the full search.
+_REPAIR_NODES = 16
 
 
 #: The search state: the union-find's root and parity of every node, its
@@ -343,6 +365,15 @@ class _AtomSearch:
     rather than from where the descent stopped: it tries the same frames
     in the same order, and skips only unwinding the trail of the ones
     below.
+
+    A sweep hands :meth:`run` its last region as a ``base`` to repair
+    first (see :meth:`_repair`): most of the next atom's region is that
+    region with a few states and events around the atom changed, and the
+    search finds such a region by searching only those.  It is a region
+    and splits the atom, but not always the first one in the order above,
+    which :func:`solve_atom`, running no repair, still returns.  A repair
+    that finds nothing leaves the atom to the search above, which alone
+    may call it unsolvable.
 
     The search keeps all its state here and only reads the system: the
     singletons' boundaries are the system's ``state_arcs``, and ``own``
@@ -680,7 +711,11 @@ class _AtomSearch:
         )
 
     def _expand(
-        self, stack: list[_Frame], pair: tuple[int, int], descent: _Descent | None
+        self,
+        stack: list[_Frame],
+        pair: tuple[int, int],
+        descent: _Descent | None,
+        enter: bool,
     ) -> Region | None:
         """Depth-first search from the current, propagated node: the first
         leaf's region, or None once the stack's first frame is popped.
@@ -695,14 +730,15 @@ class _AtomSearch:
         and stays one below it, so a child looks for its branch event from
         its parent's position on.
 
-        Given the ``descent`` whose stack ``stack`` is, the search enters
-        the current node first, and returns None at the first node where
-        the two state ids ``pair`` are forced equal, before entering it,
-        leaving that node's state and its ancestors' frames as they are; it
-        takes and drops the descent's checkpoints as :class:`_Descent` says.
-        Otherwise the search is for the atom ``pair``: it starts by
-        backtracking into the stack's top frame, and unites the pair with
-        parity 1 before it propagates each child.
+        With ``enter`` the search enters the current node first; without
+        it, it starts by backtracking into the stack's top frame.  Given
+        the ``descent`` whose stack ``stack`` is, it returns None at the
+        first node where the two state ids ``pair`` are forced equal,
+        before entering it, leaving that node's state and its ancestors'
+        frames as they are; it takes and drops the descent's checkpoints as
+        :class:`_Descent` says.  Otherwise the search is for the atom
+        ``pair``, and unites the pair with parity 1 before it propagates
+        each child.
         """
         order = self.ts.order
         n_order = len(order)
@@ -715,8 +751,7 @@ class _AtomSearch:
         queue = self.queue
         max_nodes = self.max_nodes
         a, b = pair
-        enter = descent is not None
-        if enter:
+        if descent is not None:
             checkpoints = descent.checkpoints
             due = descent.due()
         else:
@@ -774,30 +809,120 @@ class _AtomSearch:
             else:
                 return None
 
-    def run(self, atom: tuple[str, str]) -> AtomVerdict:
+    def _repair(self, pair: tuple[int, int], base: Region) -> Region | None:
+        """A region splitting the state ids ``pair`` that agrees with the
+        region ``base`` away from them, or None, found in at most
+        :data:`_REPAIR_NODES` nodes, which count against the atom's budget.
+
+        The ball is the states within :data:`_REPAIR_RADIUS` hops of either
+        state of the pair, but for the initial state, whose value no edge
+        forces; when it holds more than :data:`_REPAIR_SHARE` of the
+        system's states there is no repair.  The start state values every
+        other state as ``base`` does, gives every event with no arc at the
+        ball ``base``'s interaction and every other event the interactions
+        of the type that carry its arcs with both ends outside the ball
+        under those values, and leaves the ball's states free.  It is built
+        whole, not by unions: ``base`` is a fixpoint, and so is what is left
+        of it.  The search unites the pair with parity 1, propagates the
+        arcs at the ball and searches below as :meth:`_expand` does, so it
+        returns a region that splits the atom and differs from ``base``
+        only on the ball and the events at it.  Finding none proves nothing
+        about the atom, whose own search comes next: only the atom's budget
+        running out raises :class:`_Exhausted` here.
+        """
+        ts = self.ts
+        arcs = ts.arcs
+        state_arcs = ts.state_arcs
+        n = self.n
+        zero = self.zero
+        a, b = pair
+        ball = {a, b}
+        frontier = [a, b]
+        for _ in range(_REPAIR_RADIUS):
+            reached = []
+            for s in frontier:
+                for k in state_arcs[s]:
+                    si, _, ti = arcs[k]
+                    t = ti if si == s else si
+                    if t not in ball:
+                        ball.add(t)
+                        reached.append(t)
+            if len(ball) > n * _REPAIR_SHARE:
+                return None
+            frontier = reached
+        ball.discard(ts.sidx[ts.initial])
+        row = base.support.row
+        # outside the ball, a state is valued and never moves, so its
+        # members list is never read
+        parent = [zero] * (n + 1)
+        par = [*row, 0]
+        members = [[zero]] * (n + 1)
+        for s in ball:
+            parent[s] = s
+            par[s] = 0
+            members[s] = [s]
+        at_ball = [k for s in ball for k in state_arcs[s]]
+        dom = list(base.signature.row.translate(_BIT_OF_ORDINAL))
+        event_arcs = ts.event_arcs
+        for ei in {arcs[k][1] for k in at_ball}:
+            # base's interaction carries every arc, so no mask is smaller
+            least = dom[ei]
+            mask = self.full_mask
+            for k in event_arcs[ei]:
+                si, _, ti = arcs[k]
+                if parent[si] == zero and parent[ti] == zero:
+                    mask &= _KEEPS[1 << (2 * row[si] + row[ti])]
+                    if mask == least:
+                        break
+            dom[ei] = mask
+        self._bind(
+            (parent, par, members, [*state_arcs, []], bytearray(n + 1), dom, [])
+        )
+        self._union(a, b, 1)
+        self._enqueue_all(at_ball)
+        if not self._propagate():
+            return None
+        max_nodes = self.max_nodes
+        cap = self.expanded + _REPAIR_NODES
+        if max_nodes is None or cap < max_nodes:
+            self.max_nodes = cap
+        try:
+            return self._expand([(0, 0, len(self.trail))], pair, None, True)
+        except _Exhausted:
+            if self.max_nodes == max_nodes:
+                raise  # the atom's budget, not the repair's cap, ran out
+            return None
+        finally:
+            self.max_nodes = max_nodes
+
+    def run(self, atom: tuple[str, str], base: Region | None = None) -> AtomVerdict:
         """The verdict of the search for ``atom``, its region not yet
-        checked, counting only what this atom costs.  Under each initial
-        value, the search advances the type's descent, then searches for
-        the atom on a copy, from the descent's shallowest checkpoint where
-        the atom's states are forced equal, or else from where it
-        stopped."""
+        checked, counting only what this atom costs.  Given a ``base``
+        region, the search first tries to repair it (see :meth:`_repair`).
+        Otherwise, or if that finds nothing, under each initial value, the
+        search advances the type's descent, then searches for the atom on
+        a copy, from the descent's shallowest checkpoint where the atom's
+        states are forced equal, or else from where it stopped."""
         self.expanded = self.revisions = 0
         descents = self.descents
         sidx = self.ts.sidx
         a, b = pair = (sidx[atom[0]], sidx[atom[1]])
         region = None
-        status = AtomStatus.UNSOLVABLE
+        repaired = False
         try:
             if self.max_nodes is not None and self.max_nodes <= 0:
                 raise _Exhausted
-            for init_value in (0, 1):
+            if base is not None:
+                region = self._repair(pair, base)
+                repaired = region is not None
+            for init_value in () if repaired else (0, 1):
                 if init_value not in descents:
                     descents[init_value] = self._root(init_value)
                 descent = descents[init_value]
                 if descent is None:
                     continue
                 self._bind(descent.state)
-                region = self._expand(descent.stack, pair, descent)
+                region = self._expand(descent.stack, pair, descent, True)
                 if region is None and not descent.stack:
                     descents[init_value] = None  # no region under this value
                 elif region is None:
@@ -809,14 +934,14 @@ class _AtomSearch:
                             depth = at
                             break
                     self._detach()  # the descent and checkpoints stay as they are
-                    region = self._expand(descent.stack[:depth], pair, None)
+                    region = self._expand(descent.stack[:depth], pair, None, False)
                 if region is not None:
-                    status = AtomStatus.SOLVED
                     break
+            status = AtomStatus.UNSOLVABLE if region is None else AtomStatus.SOLVED
         except _Exhausted:
             # raised on entering a node, so the descent is whole
             status = AtomStatus.EXHAUSTED
-        return AtomVerdict(status, region, self.expanded, self.revisions)
+        return AtomVerdict(status, region, self.expanded, self.revisions, repaired)
 
 
 def solve_atom(
@@ -1036,18 +1161,27 @@ def decide_ssp(
 
     Atoms are visited in sorted order.  An atom that a region found earlier
     already separates needs no search; any other atom gets a search under
-    the node cap ``budget`` (None: unlimited), the one :func:`solve_atom`
-    runs, and the region it finds joins ``report.regions``.  The sweep runs
-    one :class:`_AtomSearch` on every atom it searches, so they share the
-    type's descents toward its first region and each one repeats little of
-    what the searches before it did; ``stats`` counts the nodes and
-    revisions of each search, descent steps included.  The descents live
-    and die with the sweep, so its stats depend only on the system, type
-    and budget.  The sweep stops at the first
-    provably unsolvable atom, the witness; ``stats.atoms_checked`` counts
-    the atoms in sorted order up to and including the witness, all of them
-    when there is none.  If a search ran out of budget and no atom was
-    unsolvable, the decision is UNKNOWN and no regions are reported.
+    the node cap ``budget`` (None: unlimited), and the region it finds
+    joins ``report.regions``.  The search first tries to repair the last
+    region found around the atom's two states, changing only the states
+    and events near them; only if that finds no region does it run the
+    search :func:`solve_atom` runs.  So a searched atom's region is not
+    always the one :func:`solve_atom` returns for it, and
+    ``stats.atoms_repaired`` counts the atoms searched whose region a
+    repair found.  A repair's nodes count against the atom's budget, so
+    the full search gets what is left; a repair that finds nothing never
+    makes an atom unsolvable, and the atom is out of budget only when
+    its budget is spent.  The sweep runs one :class:`_AtomSearch` on
+    every atom it searches, so they share the type's descents toward its
+    first region and each one repeats little of what the searches before
+    it did; ``stats`` counts the nodes and revisions of each search,
+    repairs and descent steps included.  The descents live and die with
+    the sweep, so its stats depend only on the system, type and budget.
+    The sweep stops at the first provably unsolvable atom, the witness;
+    ``stats.atoms_checked`` counts the atoms in sorted order up to and
+    including the witness, all of them when there is none.  If a search
+    ran out of budget and no atom was unsolvable, the decision is UNKNOWN
+    and no regions are reported.
 
     Each region must separate the atom it was searched for.  Where
     ``solve_atom`` runs ``is_region`` on the region it returns, the sweep
@@ -1069,8 +1203,9 @@ def decide_ssp(
     for pair in _unseparated(len(states), supports):
         i, j = pair
         atom = (states[i], states[j])
-        verdict = search.run(atom)
+        verdict = search.run(atom, report.regions[-1] if report.regions else None)
         stats.atoms_searched += 1
+        stats.atoms_repaired += verdict.repaired
         stats.nodes_expanded += verdict.nodes
         stats.revisions += verdict.revisions
         if verdict.status is AtomStatus.SOLVED:

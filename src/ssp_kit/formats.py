@@ -136,6 +136,7 @@ def report_to_dict(report: SeparationReport) -> dict:
         "stats": {
             "atoms_checked": report.stats.atoms_checked,
             "atoms_searched": report.stats.atoms_searched,
+            "atoms_repaired": report.stats.atoms_repaired,
             "nodes_expanded": report.stats.nodes_expanded,
             "revisions": report.stats.revisions,
             "wall_ms": round(report.stats.wall_ms, 3),

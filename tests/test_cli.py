@@ -136,6 +136,8 @@ class TestCheckSspCommand:
         assert data["stats"]["atoms_checked"] >= 1
         # every searched atom of a sweep that has the property was solved
         assert data["stats"]["atoms_searched"] == len(data["regions"])
+        # and none by a repair, which a system this small never gets
+        assert data["stats"]["atoms_repaired"] == 0
         assert data["stats"]["revisions"] > 0
         for entry in data["regions"]:
             assert set(entry) == {"support", "signature"}

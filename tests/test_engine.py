@@ -381,23 +381,28 @@ class TestDecideSsp:
 
     @pytest.mark.slow
     def test_nop_free_sweep_is_pinned(self, m4_sweep):
-        # the 753-state {swap, free} sweep: 47489 atoms, 194 of them searched
+        # the 753-state {swap, free} sweep: 47489 atoms, 93 of them searched
+        # and 85 of those repaired from the last region; 194 searches,
+        # 16048 nodes and 193 regions when every atom got the full search
         _, report = m4_sweep
         assert (
             report.decision,
             report.witness_atom,
             report.stats.atoms_checked,
+            report.stats.atoms_searched,
+            report.stats.atoms_repaired,
             report.stats.nodes_expanded,
             len(report.regions),
-        ) == (Decision.LACKS_SSP, ("f_0_2", "f_0_4"), 47489, 16048, 193)
+        ) == (Decision.LACKS_SSP, ("f_0_2", "f_0_4"), 47489, 93, 85, 1193, 92)
         # a union revisits only the boundary edges it can teach: 315116
         # when it revisited every edge of its class, 57130 while inside
-        # edges stayed on the boundary and a valuation queued every edge
-        assert report.stats.revisions == 48672
+        # edges stayed on the boundary and a valuation queued every edge,
+        # 48672 before repairs
+        assert report.stats.revisions == 27569
         # the regions themselves, as check-ssp --json writes them
         regions = json.dumps(report_to_dict(report)["regions"], sort_keys=True)
         assert hashlib.sha256(regions.encode()).hexdigest() == (
-            "c4460a02225df826bcf527f66e352f37c9240bc18b804d110c81eaa37adbd23a"
+            "5cdeba998089702185d5cff9171aa765856a59253ffa23c3e07d5c500362175a"
         )
 
     @pytest.mark.slow
@@ -412,13 +417,14 @@ class TestDecideSsp:
             report.witness_atom,
             report.stats.atoms_checked,
             report.stats.atoms_searched,
+            report.stats.atoms_repaired,
             report.stats.nodes_expanded,
             report.stats.revisions,
             len(report.regions),
-        ) == (Decision.LACKS_SSP, ("f_0_2", "f_0_4"), 47489, 1189, 46180, 113980, 55)
+        ) == (Decision.LACKS_SSP, ("f_0_2", "f_0_4"), 47489, 332, 122, 8166, 56873, 151)
         regions = json.dumps(report_to_dict(report)["regions"], sort_keys=True)
         assert hashlib.sha256(regions.encode()).hexdigest() == (
-            "9ada315d43493a25010a54925dbd9e3ca96aaf9136fab781e730b2c87cd6d1c4"
+            "f8af63cb686d61d01ab3000039f2825e5402341b3d8ccfa3f9d3d7f8ba703d21"
         )
 
     @pytest.mark.slow
@@ -432,13 +438,14 @@ class TestDecideSsp:
             report.witness_atom,
             report.stats.atoms_checked,
             report.stats.atoms_searched,
+            report.stats.atoms_repaired,
             report.stats.nodes_expanded,
             report.stats.revisions,
             len(report.regions),
-        ) == (Decision.HAS_SSP, None, 283128, 314, 49769, 122224, 314)
+        ) == (Decision.HAS_SSP, None, 283128, 314, 74, 40290, 125801, 314)
         regions = json.dumps(report_to_dict(report)["regions"], sort_keys=True)
         assert hashlib.sha256(regions.encode()).hexdigest() == (
-            "2c1434c9d5c0449775242d803ddc56660a9eb27115eabf83dce3d42ba1accb5f"
+            "47512a5ac24ee09d5cd1f311b213476d2153e60bed568221dcbc65a379021d12"
         )
 
     @pytest.mark.slow
@@ -842,10 +849,10 @@ class InvariantCheckingSearch(_AtomSearch):
         for _, _, mark in reversed(frames):
             self._rollback(mark)
 
-    def run(self, atom):
+    def run(self, atom, base=None):
         self.detached = []
         self.taken = []
-        result = super().run(atom)
+        result = super().run(atom, base)
         for state, _, frames in self.taken:
             self.climb(state, frames)
         for descent, when_copied in self.detached:
@@ -1092,6 +1099,210 @@ def test_sweep_matches_the_region_scan_under_budgets():
             assert sweep_by_region_scan(ts, tau, budget) == got, (ts, tau, budget)
             statuses.add((budget, got[0]))
     assert {(1, Decision.UNKNOWN), (3, Decision.UNKNOWN)} <= statuses
+
+
+def wide_repairs(share=1, radius=1):
+    """Repairs on systems too small for them: a ball of ``radius`` hops,
+    tried up to ``share`` of the states."""
+    return mock.patch.multiple(engine, _REPAIR_SHARE=share, _REPAIR_RADIUS=radius)
+
+
+def sized_ts(rng, low, high, max_events):
+    """A ``random_ts`` system of ``low`` to ``high`` states."""
+    while True:
+        ts = random_ts(rng, max_states=high, max_events=max_events)
+        if len(ts.states) >= low:
+            return ts
+
+
+def repair_ball(ts, atom):
+    """The states a repair for ``atom`` frees: those within the repair's
+    radius of either state, counted over the edges either way, and
+    whether they are few enough to try; the initial state keeps its
+    value."""
+    near = {s: set() for s in ts.states}
+    for s, _, t in ts.edges:
+        near[s].add(t)
+        near[t].add(s)
+    ball = frontier = set(atom)
+    for _ in range(engine._REPAIR_RADIUS):
+        frontier = {t for s in frontier for t in near[s]} - ball
+        ball = ball | frontier
+    return ball - {ts.initial}, len(ball) <= len(ts.states) * engine._REPAIR_SHARE
+
+
+def check_repair(ts, tau, base, atom):
+    """Repair ``base`` for ``atom`` on a fresh search, check the region it
+    returns, and return it."""
+    search = _AtomSearch(ts, type_mask(tau), None)
+    region = search._repair((ts.sidx[atom[0]], ts.sidx[atom[1]]), base)
+    assert search.expanded <= engine._REPAIR_NODES
+    freed, tried = repair_ball(ts, atom)
+    if region is None:
+        return None
+    assert tried
+    assert is_region(ts, tau, region) and region.solves(atom)
+    for s in ts.states:
+        if s not in freed:
+            assert region.support[s] == base.support[s], (atom, s)
+    at_ball = {e for s, e, t in ts.edges if s in freed or t in freed}
+    for e in ts.events:
+        if e not in at_ball:
+            assert region.signature[e] == base.signature[e], (atom, e)
+    return region
+
+
+def test_a_repair_changes_the_base_region_only_around_the_atom():
+    # bases from sweeps of random systems of 30 to 80 states, each
+    # repaired for random atoms, split by the base or not
+    rng = random.Random(26)
+    repaired = tried = 0
+    with wide_repairs(share=1 / 2, radius=2):
+        while tried < 600:
+            ts = sized_ts(rng, 30, 80, 6)
+            tau = random_type(rng)
+            for base in decide_ssp(ts, tau).regions:
+                for atom in rng.sample(list(ts.atoms()), 10):
+                    tried += 1
+                    repaired += check_repair(ts, tau, base, atom) is not None
+    assert repaired > 100
+
+
+@pytest.mark.slow
+def test_a_repair_changes_the_base_region_only_around_the_atom_on_m4(m4_sweep):
+    # at the repair's own radius and share, from the sweep's own regions
+    ts, report = m4_sweep
+    rng = random.Random(26)
+    repaired = 0
+    for base in report.regions[::10]:
+        for atom in rng.sample(list(ts.atoms()), 10):
+            repaired += check_repair(ts, SWAP_FREE, base, atom) is not None
+    assert repaired > 20
+
+
+def repair_test_systems(rng):
+    """Systems of 30 to 60 states: both nop-inp instances, which have the
+    property under many types and so get many repairs, and random ones."""
+    return [
+        gen_nop_inp(example_formula()).ts,
+        gen_nop_inp(unsat_formula_m4()).ts,
+        *(sized_ts(rng, 30, 60, 6) for _ in range(20)),
+    ]
+
+
+def test_repaired_sweeps_decide_as_the_region_scan():
+    # the region scan runs plain searches; a repaired sweep finds other
+    # regions, but the decision, witness and atoms checked are the system's
+    rng = random.Random(27)
+    repaired = 0
+    with wide_repairs(share=1 / 2, radius=2):
+        for k, ts in enumerate(repair_test_systems(rng)):
+            for _ in range(20 if k < 2 else 3):
+                tau = random_type(rng)
+                report = decide_ssp(ts, tau)
+                want = sweep_by_region_scan(ts, tau)
+                got = sweep_counts(report)
+                assert (got[0], got[2], got[3]) == (want[0], want[2], want[3]), tau
+                assert_regions_back_decision(ts, tau, report)
+                if report.decision is Decision.HAS_SSP:
+                    assert report.stats.atoms_searched == len(report.regions)
+                repaired += report.stats.atoms_repaired
+    assert repaired > 100
+
+
+@pytest.mark.slow
+def test_the_m4_sweep_decides_as_the_region_scan(m4_sweep):
+    ts, report = m4_sweep
+    want = sweep_by_region_scan(ts, SWAP_FREE, None)
+    got = sweep_counts(report)
+    assert (got[0], got[2], got[3]) == (want[0], want[2], want[3])
+    assert report.stats.atoms_repaired > 0
+
+
+def sweep_with_repairs(search, ts):
+    """Run ``search`` on every atom with the last region found as its
+    base, as a sweep does, and return how many it repaired."""
+    base, repaired = None, 0
+    for atom in ts.atoms():
+        verdict = search.run(atom, base)
+        repaired += verdict.repaired
+        if verdict.region is not None:
+            base = verdict.region
+    return repaired
+
+
+def test_repairs_keep_the_union_find_invariant_and_propagate_to_closures():
+    # a repair's start state is built whole, not by unions; the checks run
+    # through it, its propagation and its rollbacks
+    rng = random.Random(28)
+    repaired = 0
+    with wide_repairs():
+        systems = [
+            (random_ts(rng, max_states=8, max_events=4), rng.randrange(256))
+            for _ in range(100)
+        ]
+        ts = gen_nop_inp(unsat_formula_m4()).ts
+        systems += [(ts, type_mask(NOP_INP)), (ts, type_mask(frozenset(Interaction)))]
+        for ts, mask in systems:
+            checking = InvariantCheckingSearch(ts, mask, search_records())
+            repaired += sweep_with_repairs(checking, ts)
+            repaired += sweep_with_repairs(ClosureCheckingSearch(ts, mask, None), ts)
+    assert repaired > 200
+
+
+def check_repair_budgets(ts, mask, atom, base):
+    """An atom's budget counts its repair's nodes and then its search's:
+    under a budget below the nodes the atom spends unlimited it runs out
+    of budget after exactly that many, and under any other it gets the
+    unlimited verdict.  A repair that finds nothing hands the atom to the
+    plain search, which alone decides it.  Returns whether the repair
+    found the region."""
+    def verdict(budget, base):
+        v = _AtomSearch(ts, mask, budget).run(atom, base)
+        return v.status, v.region, v.nodes, v.repaired
+
+    unlimited = verdict(None, base)
+    plain = verdict(None, None)
+    if not unlimited[3]:
+        assert unlimited[:2] == plain[:2]
+        assert plain[2] <= unlimited[2] <= plain[2] + engine._REPAIR_NODES
+    for budget in range(unlimited[2] + 2):
+        if budget < unlimited[2]:
+            assert verdict(budget, base) == (AtomStatus.EXHAUSTED, None, budget, False)
+        else:
+            assert verdict(budget, base) == unlimited
+    return unlimited[3]
+
+
+def test_a_repair_spends_the_atoms_budget():
+    rng = random.Random(29)
+    repaired = failed = 0
+    with wide_repairs(share=1 / 2, radius=2):
+        for ts in repair_test_systems(rng)[:2]:
+            for _ in range(8):
+                tau = random_type(rng)
+                regions = decide_ssp(ts, tau).regions
+                for base in regions[:3]:
+                    for atom in rng.sample(list(ts.atoms()), 4):
+                        if check_repair_budgets(ts, type_mask(tau), atom, base):
+                            repaired += 1
+                        else:
+                            failed += 1
+    assert repaired > 20 and failed > 20
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("budget", [1, 5, 40])
+def test_budgeted_m4_sweeps_never_contradict_the_unlimited_one(m4_sweep, budget):
+    # a repair's nodes count against the atom's budget, and a budgeted
+    # sweep either decides as the unlimited one or is undecided
+    ts, unlimited = m4_sweep
+    report = decide_ssp(ts, SWAP_FREE, budget)
+    assert report.stats.atoms_repaired > 0
+    if report.decision is not Decision.UNKNOWN:
+        assert report.decision is unlimited.decision
+        assert report.witness_atom == unlimited.witness_atom
+        assert report.stats.atoms_checked == unlimited.stats.atoms_checked
 
 
 @st.composite
@@ -1430,7 +1641,7 @@ class TestReportRecords:
             "SeparationReport(decision=<Decision.LACKS_SSP: 'lacks-ssp'>, "
             "witness_atom=('a', 'b'), regions=[], stats=SearchStats("
             "atoms_checked=0, atoms_searched=0, nodes_expanded=0, revisions=0, "
-            "wall_ms=0.0))"
+            "wall_ms=0.0, atoms_repaired=0))"
         )
 
     def test_reports_compare_by_class_and_do_not_hash(self):
