@@ -6,8 +6,9 @@ domains are pruned per edge, and state supports live in a union-find with
 parity so equalities/disequalities between supports propagate before any
 value is known.  It checks the region it returns with ``is_region``;
 ``decide_ssp`` runs the same search per atom, after first trying to repair
-its last region around the atom, and checks all the regions of its sweep
-at once, in one pass over the edges, bit-parallel across regions.
+its last region in a small ball around the atom, then in a larger one, and
+checks all the regions of its sweep at once, in one pass over the edges,
+bit-parallel across regions.
 
 "No region splits s and t" is an equivalence relation, and a system has
 the SSP iff its partition is discrete.  ``decide_ssp`` refines it by one
@@ -211,11 +212,12 @@ _BIT_OF_ORDINAL = bytes.maketrans(
     bytes(range(len(INTERACTION_ORDER))), bytes(i.bit for i in INTERACTION_ORDER)
 )
 
-#: A repair frees the states within this many hops of the atom's states.
-_REPAIR_RADIUS = 3
-#: It runs only when they are at most this share of the system's states.
+#: A repair frees the states within each of these many hops of the atom's
+#: states in turn, in ascending order, until a try finds a region.
+_REPAIR_RADII = (1, 4)
+#: It tries a ball only while it is at most this share of the system's states.
 _REPAIR_SHARE = 1 / 8
-#: The nodes a repair may enter before the atom gets the full search.
+#: The nodes each try may enter; then the next try, or the full search.
 _REPAIR_NODES = 16
 
 
@@ -811,34 +813,39 @@ class _AtomSearch:
 
     def _repair(self, pair: tuple[int, int], base: Region) -> Region | None:
         """A region splitting the state ids ``pair`` that agrees with the
-        region ``base`` away from them, or None, found in at most
-        :data:`_REPAIR_NODES` nodes, which count against the atom's budget.
+        region ``base`` away from them, or None.
 
-        The ball is the states within :data:`_REPAIR_RADIUS` hops of either
-        state of the pair, but for the initial state, whose value no edge
-        forces; when it holds more than :data:`_REPAIR_SHARE` of the
-        system's states there is no repair.  The start state values every
-        other state as ``base`` does, gives every event with no arc at the
-        ball ``base``'s interaction and every other event the interactions
-        of the type that carry its arcs with both ends outside the ball
-        under those values, and leaves the ball's states free.  It is built
-        whole, not by unions: ``base`` is a fixpoint, and so is what is left
-        of it.  The search unites the pair with parity 1, propagates the
-        arcs at the ball and searches below as :meth:`_expand` does, so it
-        returns a region that splits the atom and differs from ``base``
-        only on the ball and the events at it.  Finding none proves nothing
-        about the atom, whose own search comes next: only the atom's budget
-        running out raises :class:`_Exhausted` here.
+        It tries a ball per radius of :data:`_REPAIR_RADII`, in order, one
+        BFS grown from each to the next: the states within that many hops
+        of either state of the pair, but for the initial state, whose value
+        no edge forces.  Once the ball holds more than :data:`_REPAIR_SHARE`
+        of the system's states there is no further try.  A try's start
+        state values every other state as ``base`` does, gives every event
+        with no arc at the ball ``base``'s interaction and every other event
+        the interactions of the type that carry its arcs with both ends
+        outside the ball under those values, and leaves the ball's states
+        free.  It is built whole, not by unions: ``base`` is a fixpoint, and
+        so is what is left of it.  The try unites the pair with parity 1,
+        propagates the arcs at the ball and searches below as
+        :meth:`_expand` does, in at most :data:`_REPAIR_NODES` nodes, which
+        count against the atom's budget.  So it returns a region that
+        splits the atom and differs from ``base`` only on the ball and the
+        events at it, the first try's that finds one.  Finding none proves
+        nothing about the atom, whose own search comes next: only the
+        atom's budget running out raises :class:`_Exhausted` here.
         """
         ts = self.ts
         arcs = ts.arcs
         state_arcs = ts.state_arcs
+        event_arcs = ts.event_arcs
         n = self.n
         zero = self.zero
+        initial = ts.sidx[ts.initial]
+        row = base.support.row
         a, b = pair
         ball = {a, b}
         frontier = [a, b]
-        for _ in range(_REPAIR_RADIUS):
+        for hops in range(1, _REPAIR_RADII[-1] + 1):
             reached = []
             for s in frontier:
                 for k in state_arcs[s]:
@@ -850,56 +857,60 @@ class _AtomSearch:
             if len(ball) > n * _REPAIR_SHARE:
                 return None
             frontier = reached
-        ball.discard(ts.sidx[ts.initial])
-        row = base.support.row
-        # outside the ball, a state is valued and never moves, so its
-        # members list is never read
-        parent = [zero] * (n + 1)
-        par = [*row, 0]
-        members = [[zero]] * (n + 1)
-        for s in ball:
-            parent[s] = s
-            par[s] = 0
-            members[s] = [s]
-        at_ball = [k for s in ball for k in state_arcs[s]]
-        dom = list(base.signature.row.translate(_BIT_OF_ORDINAL))
-        event_arcs = ts.event_arcs
-        for ei in {arcs[k][1] for k in at_ball}:
-            # base's interaction carries every arc, so no mask is smaller
-            least = dom[ei]
-            mask = self.full_mask
-            for k in event_arcs[ei]:
-                si, _, ti = arcs[k]
-                if parent[si] == zero and parent[ti] == zero:
-                    mask &= _KEEPS[1 << (2 * row[si] + row[ti])]
-                    if mask == least:
-                        break
-            dom[ei] = mask
-        self._bind(
-            (parent, par, members, [*state_arcs, []], bytearray(n + 1), dom, [])
-        )
-        self._union(a, b, 1)
-        self._enqueue_all(at_ball)
-        if not self._propagate():
-            return None
-        max_nodes = self.max_nodes
-        cap = self.expanded + _REPAIR_NODES
-        if max_nodes is None or cap < max_nodes:
-            self.max_nodes = cap
-        try:
-            return self._expand([(0, 0, len(self.trail))], pair, None, True)
-        except _Exhausted:
-            if self.max_nodes == max_nodes:
-                raise  # the atom's budget, not the repair's cap, ran out
-            return None
-        finally:
-            self.max_nodes = max_nodes
+            if hops not in _REPAIR_RADII:
+                continue
+            free = ball - {initial}
+            # outside the ball, a state is valued and never moves, so its
+            # members list is never read
+            parent = [zero] * (n + 1)
+            par = [*row, 0]
+            members = [[zero]] * (n + 1)
+            for s in free:
+                parent[s] = s
+                par[s] = 0
+                members[s] = [s]
+            at_ball = [k for s in free for k in state_arcs[s]]
+            dom = list(base.signature.row.translate(_BIT_OF_ORDINAL))
+            for ei in {arcs[k][1] for k in at_ball}:
+                # base's interaction carries every arc, so no mask is smaller
+                least = dom[ei]
+                mask = self.full_mask
+                for k in event_arcs[ei]:
+                    si, _, ti = arcs[k]
+                    if parent[si] == zero and parent[ti] == zero:
+                        mask &= _KEEPS[1 << (2 * row[si] + row[ti])]
+                        if mask == least:
+                            break
+                dom[ei] = mask
+            self._bind(
+                (parent, par, members, [*state_arcs, []], bytearray(n + 1), dom, [])
+            )
+            self._union(a, b, 1)
+            self._enqueue_all(at_ball)
+            if not self._propagate():
+                continue
+            max_nodes = self.max_nodes
+            cap = self.expanded + _REPAIR_NODES
+            if max_nodes is None or cap < max_nodes:
+                self.max_nodes = cap
+            try:
+                region = self._expand([(0, 0, len(self.trail))], pair, None, True)
+            except _Exhausted:
+                if self.max_nodes == max_nodes:
+                    raise  # the atom's budget, not the try's cap, ran out
+                region = None
+            finally:
+                self.max_nodes = max_nodes
+            if region is not None:
+                return region
+        return None
 
     def run(self, atom: tuple[str, str], base: Region | None = None) -> AtomVerdict:
         """The verdict of the search for ``atom``, its region not yet
         checked, counting only what this atom costs.  Given a ``base``
-        region, the search first tries to repair it (see :meth:`_repair`).
-        Otherwise, or if that finds nothing, under each initial value, the
+        region, the search first tries to repair it, in a ball of each radius
+        of :data:`_REPAIR_RADII` in turn (see :meth:`_repair`).  Otherwise,
+        or if no try finds a region, under each initial value, the
         search advances the type's descent, then searches for the atom on
         a copy, from the descent's shallowest checkpoint where the atom's
         states are forced equal, or else from where it stopped."""
@@ -1163,20 +1174,21 @@ def decide_ssp(
     already separates needs no search; any other atom gets a search under
     the node cap ``budget`` (None: unlimited), and the region it finds
     joins ``report.regions``.  The search first tries to repair the last
-    region found around the atom's two states, changing only the states
-    and events near them; only if that finds no region does it run the
-    search :func:`solve_atom` runs.  So a searched atom's region is not
-    always the one :func:`solve_atom` returns for it, and
-    ``stats.atoms_repaired`` counts the atoms searched whose region a
-    repair found.  A repair's nodes count against the atom's budget, so
-    the full search gets what is left; a repair that finds nothing never
-    makes an atom unsolvable, and the atom is out of budget only when
-    its budget is spent.  The sweep runs one :class:`_AtomSearch` on
-    every atom it searches, so they share the type's descents toward its
-    first region and each one repeats little of what the searches before
-    it did; ``stats`` counts the nodes and revisions of each search,
-    repairs and descent steps included.  The descents live and die with
-    the sweep, so its stats depend only on the system, type and budget.
+    region found in a ball around the atom's two states, of radius 1 and
+    then 4, changing only the states and events in it; only if neither try
+    finds a region does it run the search :func:`solve_atom` runs.  So a
+    searched atom's region is not always the one :func:`solve_atom`
+    returns for it, and ``stats.atoms_repaired`` counts the atoms searched
+    whose region a repair found.  Each try's nodes count against the
+    atom's budget, so the full search gets what is left; a repair that
+    finds nothing never makes an atom unsolvable, and the atom is out of
+    budget only when its budget is spent.  The sweep runs one
+    :class:`_AtomSearch` on every atom it searches, so they share the
+    type's descents toward its first region and each one repeats little of
+    what the searches before it did; ``stats`` counts the nodes and
+    revisions of each search, repairs and descent steps included.  The
+    descents live and die with the sweep, so its stats depend only on the
+    system, type and budget.
     The sweep stops at the first provably unsolvable atom, the witness;
     ``stats.atoms_checked`` counts the atoms in sorted order up to and
     including the witness, all of them when there is none.  If a search

@@ -9,11 +9,15 @@ round-trips are identities on the canonical form.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING
 
 from .core import (
     INTERACTION_BY_NAME,
+    INTERACTION_ORDER,
     Interaction,
+    PackedMap,
+    PackedSignature,
     Region,
     SspKitError,
     TransitionSystem,
@@ -127,12 +131,16 @@ def region_to_dict(region: Region) -> dict:
 
 
 def report_to_dict(report: SeparationReport) -> dict:
+    return _report_dict(report, [region_to_dict(r) for r in report.regions])
+
+
+def _report_dict(report: SeparationReport, regions: list[dict]) -> dict:
     return {
         "decision": report.decision.value,
         "witness_atom": (
             list(report.witness_atom) if report.witness_atom else None
         ),
-        "regions": [region_to_dict(r) for r in report.regions],
+        "regions": regions,
         "stats": {
             "atoms_checked": report.stats.atoms_checked,
             "atoms_searched": report.stats.atoms_searched,
@@ -144,8 +152,74 @@ def report_to_dict(report: SeparationReport) -> dict:
     }
 
 
+#: A packed support's bytes and a packed signature's ordinals as JSON text.
+_BIT_TEXT = ("0", "1")
+_ORDINAL_TEXT = tuple(json.dumps(i.value) for i in INTERACTION_ORDER)
+_BITS = bytes(range(len(_BIT_TEXT)))
+_ORDINALS = bytes(range(len(_ORDINAL_TEXT)))
+
+
+def _packed_index(regions: list[Region]) -> tuple[dict, dict] | None:
+    """The ``sidx`` and ``eidx`` every region is packed over, a byte per
+    name, with ``str`` names in sorted order, as :func:`validate_ts` builds
+    a system's; None if any region is packed otherwise or not at all."""
+    sidx = getattr(regions[0].support, "index", None)
+    eidx = getattr(regions[0].signature, "index", None)
+    for support, signature in regions:
+        if not (
+            type(support) is PackedMap
+            and type(signature) is PackedSignature
+            and support.index is sidx
+            and signature.index is eidx
+            and len(support.row) == len(sidx)
+            and len(signature.row) == len(eidx)
+            and not support.row.translate(None, _BITS)
+            and not signature.row.translate(None, _ORDINALS)
+        ):
+            return None
+    for index in (sidx, eidx):
+        names = list(index)
+        if not all(type(name) is str for name in names) or names != sorted(names):
+            return None
+    return sidx, eidx
+
+
+def _region_template(sidx: dict, eidx: dict) -> str:
+    """The text ``json.dumps`` gives a region at a report's indent, with
+    ``%s`` for each event's interaction, then each state's value."""
+
+    def block(key: str, names: dict) -> str:
+        if not names:
+            return f'      "{key}": {{}}'
+        lines = [
+            f"        {encode_basestring_ascii(name).replace('%', '%%')}: %s"
+            for name in names
+        ]
+        return f'      "{key}": {{\n' + ",\n".join(lines) + "\n      }"
+
+    signature, support = block("signature", eidx), block("support", sidx)
+    return "    {\n" + signature + ",\n" + support + "\n    }"
+
+
 def report_to_json(report: SeparationReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
+    """``json.dumps(report_to_dict(report), indent=2, sort_keys=True)`` and
+    a newline, byte for byte.  Regions packed over one system's ``sidx``
+    and ``eidx``, as the search packs them, are written from one template
+    of the system's names, filled per region from its rows; any other
+    report goes through ``json.dumps`` whole."""
+    regions = report.regions
+    indexes = _packed_index(regions) if regions else None
+    if indexes is None:
+        return json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
+    template = _region_template(*indexes)
+    bits = _BIT_TEXT.__getitem__
+    ordinals = _ORDINAL_TEXT.__getitem__
+    body = ",\n".join(
+        template % (*map(ordinals, signature.row), *map(bits, support.row))
+        for support, signature in regions
+    )
+    head = json.dumps(_report_dict(report, []), indent=2, sort_keys=True)
+    return head.replace('"regions": []', '"regions": [\n' + body + "\n  ]", 1) + "\n"
 
 
 def ts_to_dot(ts: TransitionSystem) -> str:

@@ -1,8 +1,10 @@
 import io
 import json
+import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ssp_kit import cli
 from ssp_kit.cli import (
@@ -22,16 +24,25 @@ from ssp_kit.core import (
     PackedSignature,
     Region,
 )
-from ssp_kit.engine import _AtomSearch, decide_ssp, solve_atom
+from ssp_kit.engine import (
+    Decision,
+    SearchStats,
+    SeparationReport,
+    _AtomSearch,
+    decide_ssp,
+    solve_atom,
+)
 from ssp_kit.formats import (
     TsParseError,
     TypeSpecError,
     parse_ts_text,
     parse_type_spec,
+    report_to_dict,
+    report_to_json,
     serialize_ts,
 )
 from ssp_kit.reductions import ExtensionKind, example_formula, gen_nop_inp
-from ssp_kit.verify import SUITES
+from ssp_kit.verify import SUITES, random_ts, random_type
 
 CYCLE = "initial s0\ns0 a s1\ns1 a s0\n"
 FORK = "initial r0\nr0 b r1\nr0 c r1\n"
@@ -507,3 +518,77 @@ class TestHelp:
         )
         for kind in ExtensionKind:
             assert kind.value in captured.err
+
+
+def dumped(report):
+    """What ``report_to_json`` must write: the report's dict through
+    ``json.dumps``' own encoder."""
+    return json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
+
+
+#: Names that JSON escapes, or that a ``%`` template must not read.
+ODD_NAMES = st.text(
+    st.sampled_from(["a", "s", "%", '"', "\\", "\n", "é", "\u2603", "\U0001f600"]),
+    min_size=1,
+    max_size=4,
+)
+
+
+@st.composite
+def packed_reports(draw):
+    """A report whose regions are packed over one pair of indexes of odd
+    names, maybe out of sorted order, a few regions with a support value
+    that is no bit or held as plain dicts instead."""
+    states = sorted(draw(st.sets(ODD_NAMES, min_size=1, max_size=6)))
+    events = sorted(draw(st.sets(ODD_NAMES, max_size=4)))
+    if draw(st.booleans()):
+        states.reverse()
+    sidx = {s: k for k, s in enumerate(states)}
+    eidx = {e: k for k, e in enumerate(events)}
+    regions = []
+    for _ in range(draw(st.integers(0, 3))):
+        bits = st.integers(0, 1)
+        ordinals = st.integers(0, len(INTERACTION_ORDER) - 1)
+        support = bytes(draw(st.lists(bits, min_size=len(sidx), max_size=len(sidx))))
+        signature = bytes(
+            draw(st.lists(ordinals, min_size=len(eidx), max_size=len(eidx)))
+        )
+        if draw(st.integers(0, 9)) == 0:
+            support = support[:-1] + b"\x02"  # a support value but no bit
+        region = Region(PackedMap(sidx, support), PackedSignature(eidx, signature))
+        if draw(st.integers(0, 4)) == 0:
+            region = Region(dict(region.support), dict(region.signature))
+        regions.append(region)
+    decision = draw(st.sampled_from(Decision))
+    witness = draw(st.none() | st.tuples(ODD_NAMES, ODD_NAMES))
+    stats = SearchStats(*draw(st.lists(st.integers(0, 10**6), min_size=4, max_size=4)))
+    return SeparationReport(decision, witness, regions, stats)
+
+
+class TestReportJson:
+    def test_writes_the_sweeps_reports_as_json_dumps_does(self):
+        # seeded sweeps of random systems under random types and budgets:
+        # has-ssp, lacks-ssp, and UNKNOWN with its regions dropped
+        rng = random.Random(6)
+        seen = set()
+        for _ in range(300):
+            ts = random_ts(rng, max_states=rng.choice([3, 8, 20]), max_events=4)
+            report = decide_ssp(ts, random_type(rng), rng.choice([None, None, 1, 3]))
+            assert report_to_json(report) == dumped(report)
+            seen.add((report.decision, bool(report.regions)))
+        assert {
+            (Decision.HAS_SSP, True),
+            (Decision.LACKS_SSP, True),
+            (Decision.LACKS_SSP, False),
+            (Decision.UNKNOWN, False),
+        } <= seen
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(packed_reports())
+    def test_writes_odd_names_and_other_regions_as_json_dumps_does(self, report):
+        assert report_to_json(report) == dumped(report)
+
+    def test_writes_the_nop_inp_report_as_json_dumps_does(self):
+        report = decide_ssp(parse_ts_text(NOP_INP_45), parse_type_spec("nop,inp"))
+        assert len(report.regions) == 18
+        assert report_to_json(report) == dumped(report)

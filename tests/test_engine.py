@@ -311,7 +311,7 @@ class TestDecideSsp:
             pytest.param(
                 example_formula,
                 frozenset(Interaction),
-                (Decision.HAS_SSP, None, 990, 320, 20),
+                (Decision.HAS_SSP, None, 990, 329, 23),
                 id="example_formula-all-eight",
             ),
         ],
@@ -359,7 +359,7 @@ class TestDecideSsp:
                 example_formula,
                 frozenset(Interaction),
                 None,
-                (Decision.HAS_SSP, None, 990, 320, 20),
+                (Decision.HAS_SSP, None, 990, 329, 23),
             ),
             (example_formula, NOP_INP, 5, (Decision.UNKNOWN, None, 990, 308, 0)),
             (example_formula, NOP_INP, 10, (Decision.UNKNOWN, None, 990, 91, 0)),
@@ -381,9 +381,10 @@ class TestDecideSsp:
 
     @pytest.mark.slow
     def test_nop_free_sweep_is_pinned(self, m4_sweep):
-        # the 753-state {swap, free} sweep: 47489 atoms, 93 of them searched
-        # and 85 of those repaired from the last region; 194 searches,
-        # 16048 nodes and 193 regions when every atom got the full search
+        # the 753-state {swap, free} sweep: 47489 atoms, 73 of them searched
+        # and 69 of those repaired from the last region; 194 searches,
+        # 16048 nodes and 193 regions when every atom got the full search,
+        # 93 searched and 1193 nodes when a repair tried radius 3 alone
         _, report = m4_sweep
         assert (
             report.decision,
@@ -393,16 +394,16 @@ class TestDecideSsp:
             report.stats.atoms_repaired,
             report.stats.nodes_expanded,
             len(report.regions),
-        ) == (Decision.LACKS_SSP, ("f_0_2", "f_0_4"), 47489, 93, 85, 1193, 92)
+        ) == (Decision.LACKS_SSP, ("f_0_2", "f_0_4"), 47489, 73, 69, 530, 72)
         # a union revisits only the boundary edges it can teach: 315116
         # when it revisited every edge of its class, 57130 while inside
         # edges stayed on the boundary and a valuation queued every edge,
-        # 48672 before repairs
-        assert report.stats.revisions == 27569
+        # 48672 before repairs, 27569 with radius-3 repairs
+        assert report.stats.revisions == 16845
         # the regions themselves, as check-ssp --json writes them
         regions = json.dumps(report_to_dict(report)["regions"], sort_keys=True)
         assert hashlib.sha256(regions.encode()).hexdigest() == (
-            "5cdeba998089702185d5cff9171aa765856a59253ffa23c3e07d5c500362175a"
+            "4f4a022591eac97c2480cca7a95411a1dc4c2ccaf9c5ea65f01f20fea0b65e80"
         )
 
     @pytest.mark.slow
@@ -421,10 +422,10 @@ class TestDecideSsp:
             report.stats.nodes_expanded,
             report.stats.revisions,
             len(report.regions),
-        ) == (Decision.LACKS_SSP, ("f_0_2", "f_0_4"), 47489, 332, 122, 8166, 56873, 151)
+        ) == (Decision.LACKS_SSP, ("f_0_2", "f_0_4"), 47489, 78, 66, 564, 16771, 69)
         regions = json.dumps(report_to_dict(report)["regions"], sort_keys=True)
         assert hashlib.sha256(regions.encode()).hexdigest() == (
-            "f8af63cb686d61d01ab3000039f2825e5402341b3d8ccfa3f9d3d7f8ba703d21"
+            "4b27ff39fd81b6c4dbeb03edc092a9eb60f1758a0ffa832e4694709e091bc4ed"
         )
 
     @pytest.mark.slow
@@ -442,10 +443,10 @@ class TestDecideSsp:
             report.stats.nodes_expanded,
             report.stats.revisions,
             len(report.regions),
-        ) == (Decision.HAS_SSP, None, 283128, 314, 74, 40290, 125801, 314)
+        ) == (Decision.HAS_SSP, None, 283128, 314, 170, 34023, 123922, 314)
         regions = json.dumps(report_to_dict(report)["regions"], sort_keys=True)
         assert hashlib.sha256(regions.encode()).hexdigest() == (
-            "47512a5ac24ee09d5cd1f311b213476d2153e60bed568221dcbc65a379021d12"
+            "947d523985aefa5d505419efd0d493cfdf2ea1799f1de47a3392fd368c685c86"
         )
 
     @pytest.mark.slow
@@ -1101,10 +1102,10 @@ def test_sweep_matches_the_region_scan_under_budgets():
     assert {(1, Decision.UNKNOWN), (3, Decision.UNKNOWN)} <= statuses
 
 
-def wide_repairs(share=1, radius=1):
-    """Repairs on systems too small for them: a ball of ``radius`` hops,
-    tried up to ``share`` of the states."""
-    return mock.patch.multiple(engine, _REPAIR_SHARE=share, _REPAIR_RADIUS=radius)
+def wide_repairs(share=1, radii=(1,)):
+    """Repairs on systems too small for them: balls of ``radii`` hops in
+    turn, tried up to ``share`` of the states."""
+    return mock.patch.multiple(engine, _REPAIR_SHARE=share, _REPAIR_RADII=radii)
 
 
 def sized_ts(rng, low, high, max_events):
@@ -1115,9 +1116,9 @@ def sized_ts(rng, low, high, max_events):
             return ts
 
 
-def repair_ball(ts, atom):
-    """The states a repair for ``atom`` frees: those within the repair's
-    radius of either state, counted over the edges either way, and
+def repair_ball(ts, atom, radius):
+    """The states a repair at ``radius`` for ``atom`` frees: those within
+    ``radius`` hops of either state, counted over the edges either way, and
     whether they are few enough to try; the initial state keeps its
     value."""
     near = {s: set() for s in ts.states}
@@ -1125,19 +1126,20 @@ def repair_ball(ts, atom):
         near[s].add(t)
         near[t].add(s)
     ball = frontier = set(atom)
-    for _ in range(engine._REPAIR_RADIUS):
+    for _ in range(radius):
         frontier = {t for s in frontier for t in near[s]} - ball
         ball = ball | frontier
     return ball - {ts.initial}, len(ball) <= len(ts.states) * engine._REPAIR_SHARE
 
 
 def check_repair(ts, tau, base, atom):
-    """Repair ``base`` for ``atom`` on a fresh search, check the region it
-    returns, and return it."""
+    """Repair ``base`` for ``atom`` on a fresh search under a one-radius
+    schedule, check the region it returns, and return it."""
+    (radius,) = engine._REPAIR_RADII
     search = _AtomSearch(ts, type_mask(tau), None)
     region = search._repair((ts.sidx[atom[0]], ts.sidx[atom[1]]), base)
     assert search.expanded <= engine._REPAIR_NODES
-    freed, tried = repair_ball(ts, atom)
+    freed, tried = repair_ball(ts, atom, radius)
     if region is None:
         return None
     assert tried
@@ -1157,7 +1159,7 @@ def test_a_repair_changes_the_base_region_only_around_the_atom():
     # repaired for random atoms, split by the base or not
     rng = random.Random(26)
     repaired = tried = 0
-    with wide_repairs(share=1 / 2, radius=2):
+    with wide_repairs(share=1 / 2, radii=(2,)):
         while tried < 600:
             ts = sized_ts(rng, 30, 80, 6)
             tau = random_type(rng)
@@ -1170,14 +1172,54 @@ def test_a_repair_changes_the_base_region_only_around_the_atom():
 
 @pytest.mark.slow
 def test_a_repair_changes_the_base_region_only_around_the_atom_on_m4(m4_sweep):
-    # at the repair's own radius and share, from the sweep's own regions
+    # at each of the schedule's radii alone and the repair's own share,
+    # from the sweep's own regions
     ts, report = m4_sweep
-    rng = random.Random(26)
-    repaired = 0
-    for base in report.regions[::10]:
-        for atom in rng.sample(list(ts.atoms()), 10):
-            repaired += check_repair(ts, SWAP_FREE, base, atom) is not None
-    assert repaired > 20
+    for radius in engine._REPAIR_RADII:
+        rng = random.Random(26)
+        repaired = 0
+        with wide_repairs(share=engine._REPAIR_SHARE, radii=(radius,)):
+            for base in report.regions[::10]:
+                for atom in rng.sample(list(ts.atoms()), 10):
+                    repaired += check_repair(ts, SWAP_FREE, base, atom) is not None
+        assert repaired > 20, radius
+
+
+def test_a_repair_schedule_returns_its_first_radius_that_finds_a_region():
+    # a schedule tries its radii in order: its region is the one the first
+    # of them finds alone, after the nodes of the tries before it, and None
+    # when none does; and every try's nodes count against the budget
+    rng = random.Random(30)
+    radii = (1, 2, 3)
+    found_by = [0] * (len(radii) + 1)
+    for ts in repair_test_systems(rng)[:2]:
+        for _ in range(10):
+            tau = random_type(rng)
+            mask = type_mask(tau)
+            for base in decide_ssp(ts, tau).regions[:3]:
+                atoms = [atom for atom in ts.atoms() if not base.solves(atom)]
+                for atom in rng.sample(atoms, min(5, len(atoms))):
+                    pair = (ts.sidx[atom[0]], ts.sidx[atom[1]])
+                    tries = []
+                    for schedule in [*((r,) for r in radii), radii]:
+                        search = _AtomSearch(ts, mask, None)
+                        with wide_repairs(radii=schedule):
+                            tries.append((search._repair(pair, base), search.expanded))
+                    *alone, (region, nodes) = tries
+                    first = next(
+                        (k for k, (r, _) in enumerate(alone) if r is not None),
+                        len(radii),
+                    )
+                    assert region == (alone[first][0] if alone[first:] else None)
+                    assert nodes == sum(spent for _, spent in alone[: first + 1])
+                    found_by[first] += 1
+                    if nodes:
+                        search = _AtomSearch(ts, mask, nodes - 1)
+                        with wide_repairs(radii=radii):
+                            with pytest.raises(engine._Exhausted):
+                                search._repair(pair, base)
+                        assert search.expanded == nodes - 1
+    assert min(found_by) > 5, found_by
 
 
 def repair_test_systems(rng):
@@ -1195,7 +1237,7 @@ def test_repaired_sweeps_decide_as_the_region_scan():
     # regions, but the decision, witness and atoms checked are the system's
     rng = random.Random(27)
     repaired = 0
-    with wide_repairs(share=1 / 2, radius=2):
+    with wide_repairs(share=1 / 2, radii=(1, 2)):
         for k, ts in enumerate(repair_test_systems(rng)):
             for _ in range(20 if k < 2 else 3):
                 tau = random_type(rng)
@@ -1265,7 +1307,8 @@ def check_repair_budgets(ts, mask, atom, base):
     plain = verdict(None, None)
     if not unlimited[3]:
         assert unlimited[:2] == plain[:2]
-        assert plain[2] <= unlimited[2] <= plain[2] + engine._REPAIR_NODES
+        tries = len(engine._REPAIR_RADII)
+        assert plain[2] <= unlimited[2] <= plain[2] + tries * engine._REPAIR_NODES
     for budget in range(unlimited[2] + 2):
         if budget < unlimited[2]:
             assert verdict(budget, base) == (AtomStatus.EXHAUSTED, None, budget, False)
@@ -1277,7 +1320,7 @@ def check_repair_budgets(ts, mask, atom, base):
 def test_a_repair_spends_the_atoms_budget():
     rng = random.Random(29)
     repaired = failed = 0
-    with wide_repairs(share=1 / 2, radius=2):
+    with wide_repairs(share=1 / 2, radii=(2,)):
         for ts in repair_test_systems(rng)[:2]:
             for _ in range(8):
                 tau = random_type(rng)
