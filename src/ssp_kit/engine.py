@@ -329,6 +329,10 @@ class _AtomSearch:
       does not carry the cell of their values, and one with an unvalued
       end only if :data:`_TEACHES` says that the new value teaches it.
 
+    By the same rule a search's root queues, besides what its initial
+    valuation queues, only edges that can teach before any value is known
+    (see :meth:`_root`).
+
     A merge's undo rebuilds the surviving class's boundary from the moved
     class's, which stays as it was: it puts back the edges between the
     two classes and takes out the rest; a revision's put-back has an undo
@@ -339,8 +343,8 @@ class _AtomSearch:
     changes nothing.  Its fixpoint is therefore the same whatever the order
     of the unions and revisions that reached it, and so is everything the
     search derives from it.  The search branches on the first event in
-    ``order`` that is not yet a singleton and tries its bits in one fixed
-    order (see :data:`_FIRST`), so its leaves, the regions, come in
+    ``ts.order`` that is not yet a singleton and tries its bits in one
+    fixed order (see :data:`_FIRST`), so its leaves, the regions, come in
     lexicographic order of their signatures under it, and it returns the
     first region with the atom.
 
@@ -371,9 +375,11 @@ class _AtomSearch:
     A sweep hands :meth:`run` its last region as a ``base`` to repair
     first (see :meth:`_repair`): most of the next atom's region is that
     region with a few states and events around the atom changed, and the
-    search finds such a region by searching only those.  It is a region
-    and splits the atom, but not always the first one in the order above,
-    which :func:`solve_atom`, running no repair, still returns.  A repair
+    search finds such a region by searching only those: it branches over
+    the events at the ball alone, taken in ``ts.order`` by their ``rank``
+    there.  It is a region and splits the atom, but not always the first
+    one in the order above, which :func:`solve_atom`, running no repair,
+    still returns.  A repair
     that finds nothing leaves the atom to the search above, which alone
     may call it unsolvable.
 
@@ -402,6 +408,10 @@ class _AtomSearch:
         self.descents: dict[int, _Descent | None] = {}
         self.queue: list[int] = []
         self.inq = bytearray(len(ts.arcs))
+        #: each event's position in ``ts.order``
+        self.rank = [0] * len(ts.events)
+        for pos, ei in enumerate(ts.order):
+            self.rank[ei] = pos
 
     # -- union-find with parity, trail-based undo
 
@@ -667,11 +677,21 @@ class _AtomSearch:
     def _root(self, init_value: int) -> _Descent | None:
         """A descent at the fixpoint of the initial state's value alone, or
         None.  Its stack starts with a frame with no bits to try, so the
-        descent has run out of regions once that frame is popped."""
+        descent has run out of regions once that frame is popped.
+
+        The valuation queues the initial state's edges that it can teach, as
+        any valuation does.  Every other edge joins two unvalued singletons
+        and teaches something only if it is a loop or if the type's
+        interactions all agree on a source value, a target value or a
+        parity, which holds for 26 of the 255 nonempty types.  Only then are
+        all edges queued, as they are behind the valuation's; otherwise each
+        would be revised to no effect, so the propagation is the same but
+        for those revisions."""
         self._reset()
         ts = self.ts
         self._union(ts.sidx[ts.initial], self.zero, init_value)
-        self._enqueue_all(range(len(ts.arcs)))
+        if not ts.loop_free or any(p in (1, 2) for p in _PROJ[_STEPS[self.full_mask]]):
+            self._enqueue_all(range(len(ts.arcs)))
         if not self._propagate():
             return None
         self.trail = []
@@ -714,6 +734,7 @@ class _AtomSearch:
 
     def _expand(
         self,
+        order: Sequence[int],
         stack: list[_Frame],
         pair: tuple[int, int],
         descent: _Descent | None,
@@ -722,15 +743,19 @@ class _AtomSearch:
         """Depth-first search from the current, propagated node: the first
         leaf's region, or None once the stack's first frame is popped.
 
-        The stack holds one frame per open node and starts with one that
-        has no bits to try: its position is where the current node looks
-        for its branch event, its mark where the search rolls back to when
-        it gives up.  Children are tried in the order :data:`_FIRST` sets,
-        and the trail is rolled back to the mark before each child and
-        before the frame is dropped, so depth costs heap, not Python
-        frames.  Every event before a node's position is a singleton there
-        and stays one below it, so a child looks for its branch event from
-        its parent's position on.
+        A node branches on the first event in ``order`` that is not a
+        singleton there, and is a leaf when there is none: ``order`` is
+        ``ts.order``, or for a repair the events it opens in that order,
+        where every other event is a singleton from the start (see
+        :meth:`_repair`).  The stack holds one frame per open node and
+        starts with one that has no bits to try: its position in ``order``
+        is where the current node looks for its branch event, its mark
+        where the search rolls back to when it gives up.  Children are
+        tried in the order :data:`_FIRST` sets, and the trail is rolled
+        back to the mark before each child and before the frame is dropped,
+        so depth costs heap, not Python frames.  Every event before a node's
+        position is a singleton there and stays one below it, so a child
+        looks for its branch event from its parent's position on.
 
         With ``enter`` the search enters the current node first; without
         it, it starts by backtracking into the stack's top frame.  Given
@@ -742,7 +767,6 @@ class _AtomSearch:
         ``pair``, and unites the pair with parity 1 before it propagates
         each child.
         """
-        order = self.ts.order
         n_order = len(order)
         event_arcs = self.ts.event_arcs
         dom = self.dom
@@ -828,7 +852,11 @@ class _AtomSearch:
         so is what is left of it.  The try unites the pair with parity 1,
         propagates the arcs at the ball and searches below as
         :meth:`_expand` does, in at most :data:`_REPAIR_NODES` nodes, which
-        count against the atom's budget.  So it returns a region that
+        count against the atom's budget.  Domains only shrink, so the events
+        with an arc at the ball are the only ones that can be open: the try
+        branches over them alone, in ``ts.order``, and so on the events a
+        branch over all of ``ts.order`` picks, with no node scanning every
+        event.  So it returns a region that
         splits the atom and differs from ``base`` only on the ball and the
         events at it, the first try's that finds one.  Finding none proves
         nothing about the atom, whose own search comes next: only the
@@ -871,7 +899,8 @@ class _AtomSearch:
                 members[s] = [s]
             at_ball = [k for s in free for k in state_arcs[s]]
             dom = list(base.signature.row.translate(_BIT_OF_ORDINAL))
-            for ei in {arcs[k][1] for k in at_ball}:
+            opened = sorted({arcs[k][1] for k in at_ball}, key=self.rank.__getitem__)
+            for ei in opened:
                 # base's interaction carries every arc, so no mask is smaller
                 least = dom[ei]
                 mask = self.full_mask
@@ -894,7 +923,9 @@ class _AtomSearch:
             if max_nodes is None or cap < max_nodes:
                 self.max_nodes = cap
             try:
-                region = self._expand([(0, 0, len(self.trail))], pair, None, True)
+                region = self._expand(
+                    opened, [(0, 0, len(self.trail))], pair, None, True
+                )
             except _Exhausted:
                 if self.max_nodes == max_nodes:
                     raise  # the atom's budget, not the try's cap, ran out
@@ -917,6 +948,7 @@ class _AtomSearch:
         self.expanded = self.revisions = 0
         descents = self.descents
         sidx = self.ts.sidx
+        order = self.ts.order
         a, b = pair = (sidx[atom[0]], sidx[atom[1]])
         region = None
         repaired = False
@@ -933,7 +965,7 @@ class _AtomSearch:
                 if descent is None:
                     continue
                 self._bind(descent.state)
-                region = self._expand(descent.stack, pair, descent, True)
+                region = self._expand(order, descent.stack, pair, descent, True)
                 if region is None and not descent.stack:
                     descents[init_value] = None  # no region under this value
                 elif region is None:
@@ -945,7 +977,9 @@ class _AtomSearch:
                             depth = at
                             break
                     self._detach()  # the descent and checkpoints stay as they are
-                    region = self._expand(descent.stack[:depth], pair, None, False)
+                    region = self._expand(
+                        order, descent.stack[:depth], pair, None, False
+                    )
                 if region is not None:
                     break
             status = AtomStatus.UNSOLVABLE if region is None else AtomStatus.SOLVED

@@ -398,8 +398,9 @@ class TestDecideSsp:
         # a union revisits only the boundary edges it can teach: 315116
         # when it revisited every edge of its class, 57130 while inside
         # edges stayed on the boundary and a valuation queued every edge,
-        # 48672 before repairs, 27569 with radius-3 repairs
-        assert report.stats.revisions == 16845
+        # 48672 before repairs, 27569 with radius-3 repairs, 16845 while
+        # each root revised every edge
+        assert report.stats.revisions == 13841
         # the regions themselves, as check-ssp --json writes them
         regions = json.dumps(report_to_dict(report)["regions"], sort_keys=True)
         assert hashlib.sha256(regions.encode()).hexdigest() == (
@@ -422,7 +423,7 @@ class TestDecideSsp:
             report.stats.nodes_expanded,
             report.stats.revisions,
             len(report.regions),
-        ) == (Decision.LACKS_SSP, ("f_0_2", "f_0_4"), 47489, 78, 66, 564, 16771, 69)
+        ) == (Decision.LACKS_SSP, ("f_0_2", "f_0_4"), 47489, 78, 66, 564, 13767, 69)
         regions = json.dumps(report_to_dict(report)["regions"], sort_keys=True)
         assert hashlib.sha256(regions.encode()).hexdigest() == (
             "4b27ff39fd81b6c4dbeb03edc092a9eb60f1758a0ffa832e4694709e091bc4ed"
@@ -443,7 +444,7 @@ class TestDecideSsp:
             report.stats.nodes_expanded,
             report.stats.revisions,
             len(report.regions),
-        ) == (Decision.HAS_SSP, None, 283128, 314, 170, 34023, 123922, 314)
+        ) == (Decision.HAS_SSP, None, 283128, 314, 170, 34023, 122418, 314)
         regions = json.dumps(report_to_dict(report)["regions"], sort_keys=True)
         assert hashlib.sha256(regions.encode()).hexdigest() == (
             "947d523985aefa5d505419efd0d493cfdf2ea1799f1de47a3392fd368c685c86"
@@ -679,6 +680,42 @@ def test_propagation_is_a_closure(ts, mask):
     search = ClosureCheckingSearch(ts, mask, None)
     for atom in ts.atoms():
         search.run(atom)
+
+
+class EveryArcRoot(_AtomSearch):
+    """A search whose root revises every edge after the initial state's
+    valuation, not only those the valuation or the type can teach."""
+
+    def _root(self, init_value):
+        self._reset()
+        ts = self.ts
+        self._union(ts.sidx[ts.initial], self.zero, init_value)
+        self._enqueue_all(range(len(ts.arcs)))
+        if not self._propagate():
+            return None
+        self.trail = []
+        return engine._Descent(self._state(), [(0, 0, 0)])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(search_systems)
+def test_the_root_revises_only_what_can_teach(ts):
+    # for every type and initial value: the same fixpoint, or no region
+    # under that value for both, in no more revisions
+    for mask in range(256):
+        for init_value in (0, 1):
+            got = _AtomSearch(ts, mask, None)
+            want = EveryArcRoot(ts, mask, None)
+            descent = got._root(init_value)
+            reference = want._root(init_value)
+            assert (descent is None) == (reference is None), (mask, init_value)
+            if descent is not None:
+                assert (got.parent, got.par, got.dom) == (
+                    want.parent,
+                    want.par,
+                    want.dom,
+                ), (mask, init_value)
+            assert got.revisions <= want.revisions, (mask, init_value)
 
 
 def test_propagation_is_a_closure_on_larger_systems():
@@ -1220,6 +1257,40 @@ def test_a_repair_schedule_returns_its_first_radius_that_finds_a_region():
                                 search._repair(pair, base)
                         assert search.expanded == nodes - 1
     assert min(found_by) > 5, found_by
+
+
+class EveryEventRepair(_AtomSearch):
+    """A search that branches over every event in ``ts.order``, repairs
+    included, not over the ball's events only."""
+
+    def _expand(self, order, *rest):
+        return super()._expand(self.ts.order, *rest)
+
+
+def test_a_repair_branches_only_over_the_balls_events():
+    # every other event keeps the base's interaction, so both branch on
+    # the same events: the same region or None, nodes and revisions
+    rng = random.Random(31)
+    outcomes = set()
+    for ts in repair_test_systems(rng)[:2]:
+        for _ in range(10):
+            tau = random_type(rng)
+            mask = type_mask(tau)
+            for base in decide_ssp(ts, tau).regions[:3]:
+                for atom in rng.sample(list(ts.atoms()), 5):
+                    pair = (ts.sidx[atom[0]], ts.sidx[atom[1]])
+                    for schedule in [(1,), (2,), (1, 2)]:
+                        tries = []
+                        for search in (
+                            _AtomSearch(ts, mask, None),
+                            EveryEventRepair(ts, mask, None),
+                        ):
+                            with wide_repairs(radii=schedule):
+                                region = search._repair(pair, base)
+                            tries.append((region, search.expanded, search.revisions))
+                        assert tries[0] == tries[1], (tau, atom, schedule)
+                        outcomes.add(tries[0][0] is None)
+    assert outcomes == {True, False}
 
 
 def repair_test_systems(rng):
