@@ -171,7 +171,7 @@ class TransitionSystem:
     """
 
     __slots__ = (
-        "states", "events", "edges", "initial", "loop_free", "bi_directed",
+        "states", "events", "edges", "initial", "loop_free",
         "sidx", "eidx", "arcs", "event_arcs", "state_arcs", "order",
     )
 
@@ -181,7 +181,6 @@ class TransitionSystem:
     edges: tuple[Edge, ...]
     initial: str
     loop_free: bool
-    bi_directed: bool
     #: state name -> state id
     sidx: dict[str, int]
     #: event name -> event id
@@ -204,7 +203,6 @@ class TransitionSystem:
         edges: tuple[Edge, ...],
         initial: str,
         loop_free: bool,
-        bi_directed: bool,
         sidx: dict[str, int],
         eidx: dict[str, int],
         arcs: list[tuple[int, int, int]],
@@ -218,7 +216,6 @@ class TransitionSystem:
         init(self, "edges", edges)
         init(self, "initial", initial)
         init(self, "loop_free", loop_free)
-        init(self, "bi_directed", bi_directed)
         init(self, "sidx", sidx)
         init(self, "eidx", eidx)
         init(self, "arcs", arcs)
@@ -343,7 +340,6 @@ def validate_ts(edges: Iterable[Sequence[str]], initial: str) -> TransitionSyste
         raise UnreachableState(s for s, hit in zip(states, seen) if not hit)
 
     loop_free = all(si != ti for si, _, ti in arcs)
-    bi_directed = loop_free and all((t, e, s) in edge_set for s, e, t in edge_tuple)
     order = sorted(
         range(len(events)), key=lambda ei: (-len(event_arcs[ei]), events[ei])
     )
@@ -353,7 +349,6 @@ def validate_ts(edges: Iterable[Sequence[str]], initial: str) -> TransitionSyste
         edges=edge_tuple,
         initial=initial,
         loop_free=loop_free,
-        bi_directed=bi_directed,
         sidx=sidx,
         eidx=eidx,
         arcs=arcs,
@@ -475,6 +470,34 @@ class Region(NamedTuple):
             tuple(sorted(self.support.items())),
             tuple(sorted((e, i.value) for e, i in self.signature.items())),
         )
+
+
+#: The bytes a packed support and a packed signature may hold.
+_BITS = bytes(range(2))
+_ORDINALS = bytes(range(len(INTERACTION_ORDER)))
+
+
+def _packed_rows(
+    region: Region, sidx: Mapping[str, int], eidx: Mapping[str, int]
+) -> tuple[bytes, bytes] | None:
+    """The support and signature rows of ``region`` if it is packed as the
+    search packs one, None otherwise: a :class:`PackedMap` support over
+    ``sidx`` and a :class:`PackedSignature` over ``eidx``, those very
+    objects, a byte per name, the support's bytes bits and the signature's
+    ordinals in ``INTERACTION_ORDER``."""
+    support, signature = region
+    if (
+        type(support) is PackedMap
+        and type(signature) is PackedSignature
+        and support.index is sidx
+        and signature.index is eidx
+        and len(support.row) == len(sidx)
+        and len(signature.row) == len(eidx)
+        and not support.row.translate(None, _BITS)
+        and not signature.row.translate(None, _ORDINALS)
+    ):
+        return support.row, signature.row
+    return None
 
 
 #: The only value types a well-formed support and signature hold.

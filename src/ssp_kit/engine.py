@@ -34,10 +34,10 @@ from .core import (
     Interaction,
     PackedMap,
     PackedSignature,
-    PartialAssignment,
     Region,
     SspKitError,
     TransitionSystem,
+    _packed_rows,
     is_region,
     type_mask,
 )
@@ -312,32 +312,33 @@ class _AtomSearch:
     Each other root r also keeps a boundary ``bound[r]``: the ids of its
     class's edges that a merge or valuation of the class can still teach
     something.  It holds every edge to another class, the zero node's
-    included, and every edge inside the class that some interaction left
-    in its event's domain does not carry with both steps of the edge's
-    parity, except such an inside edge while it waits in the queue; it
-    may also hold inside edges that have since lost that lack.  A
-    singleton's boundary is its ``state_arcs``, and any other an
-    edge-keyed dict.  Domains only shrink while a union stands, so an
-    inside edge left out stays one that no revision can change, and a
-    union scans only the moved class's boundary:
+    included, and every edge inside the class whose revision leaves in its
+    event's domain some interaction that does not carry it with both steps
+    of the edge's parity; it may also hold inside edges that have since
+    lost that lack.  A singleton's boundary is its ``state_arcs``, and any
+    other an edge-keyed dict.  Domains only shrink while a union stands,
+    so an inside edge left out stays one that no revision can change, and
+    a union scans only the moved class's boundary:
 
     - a merge of two unvalued classes adds to the surviving class's
       boundary the moved edges that still cross or still lack a step; an
-      edge between the two classes, now inside, leaves it and is queued,
-      and its revision puts it back if it still lacks a step;
+      edge between the two classes, now inside, is queued, and stays on it
+      only if it lacks a step of its new parity once revised;
     - a valuation queues an edge with both ends valued only if its domain
       does not carry the cell of their values, and one with an unvalued
       end only if :data:`_TEACHES` says that the new value teaches it.
 
     By the same rule a search's root queues, besides what its initial
     valuation queues, only edges that can teach before any value is known
-    (see :meth:`_root`).
+    (see :meth:`_root`).  So a boundary changes only in a union and its
+    undo, never in a revision, and the trail holds only domain changes and
+    unions.
 
     A merge's undo rebuilds the surviving class's boundary from the moved
     class's, which stays as it was: it puts back the edges between the
-    two classes and takes out the rest; a revision's put-back has an undo
-    of its own.  Undone, a boundary holds the edges it held, in another
-    order, and the order steers only which edge is revised first.
+    two classes and takes out the rest.  Undone, a boundary holds the
+    edges it held, in another order, and the order steers only which edge
+    is revised first.
 
     Propagation is a closure: when it succeeds, revising any edge again
     changes nothing.  Its fixpoint is therefore the same whatever the order
@@ -360,8 +361,8 @@ class _AtomSearch:
     reach the fixpoints a search from the root with the atom reaches, so
     the first region found is the one that search finds.  The copy is
     copy-on-write: it copies the arrays and the outer lists of members and
-    boundaries, and a class's members and boundary only when a union, an
-    undo or a put-back first changes them there, as ``own`` records.
+    boundaries, and a class's members and boundary only when a union or
+    an undo first changes them there, as ``own`` records.
 
     The backtracking drops every frame whose node has a and b forced
     equal.  Unions only accumulate down a path, so forced equality only
@@ -515,8 +516,10 @@ class _AtomSearch:
             return True
         # only the pairs across the two classes learn a parity, so only the
         # edges between them, now inside rx's class, can be revised further:
-        # they leave rx's boundary and are queued.  Of the rest, those that
-        # still cross or still lack a step of their parity join it.
+        # they are queued, and stay on rx's boundary only if some
+        # interaction their revision keeps lacks a step of their new
+        # parity.  Of the rest, those that still cross or still lack a step
+        # join it.
         if not self.own[rx]:
             self._own(rx)
         grown = bound[rx]
@@ -531,7 +534,9 @@ class _AtomSearch:
             elif ra != rx and rb != rx:
                 grown[k] = None
             else:
-                del grown[k]
+                cells = _PARITY_IS[par[si] ^ par[ti] ^ want]
+                if _COVER[_KEEPS[cells] & dom[ei]] & cells == cells:
+                    del grown[k]
                 if not inq[k]:
                     inq[k] = 1
                     queue.append(k)
@@ -563,12 +568,6 @@ class _AtomSearch:
             if tag == "dom":
                 dom[x] = y
                 continue
-            if tag == "bd":
-                # a revision put edge y back on root x's boundary
-                if not own[x]:
-                    self._own(x)
-                del bound[x][y]
-                continue
             ry, rx = x, y
             moved = members[ry]
             want = par[ry]
@@ -580,8 +579,9 @@ class _AtomSearch:
             if not own[rx]:
                 self._own(rx)
             del members[rx][-len(moved):]
-            # the edges between the two classes come back to rx's boundary,
-            # and the rest of ry's, which the merge added or left out, leave
+            # the edges between the two classes, which the merge kept or
+            # took out, are on rx's boundary again, and the rest of ry's,
+            # which the merge added or left out, leave
             grown = bound[rx]
             for k in bound[ry]:
                 si, _, ti = arcs[k]
@@ -607,7 +607,8 @@ class _AtomSearch:
         An edge stays marked as queued until its revision ends, so neither
         its domain change nor its unions queue it again: every cell it kept
         has the values and parity it forces, so revising it again after
-        them would change nothing."""
+        them would change nothing.  A revision reads and writes no
+        boundary: the unions it makes keep them (see :meth:`_union`)."""
         queue = self.queue
         inq = self.inq
         arcs = self.ts.arcs
@@ -616,8 +617,6 @@ class _AtomSearch:
         par = self.par
         dom = self.dom
         trail = self.trail
-        bound = self.bound
-        own = self.own
         union = self._union
         zero = self.zero
         popped = 0
@@ -653,16 +652,6 @@ class _AtomSearch:
                 break
             if ra != rb and ps in (1, 2) and not union(si, ti, ps >> 1):
                 break
-            # an edge now inside an unvalued class that still lacks a step
-            # of its parity goes back on the boundary a merge took it off
-            root = parent[si]
-            if root == parent[ti] and root != zero:
-                cells = _PARITY_IS[par[si] ^ par[ti]]
-                if _COVER[new_mask] & cells != cells and k not in bound[root]:
-                    if not own[root]:
-                        self._own(root)
-                    bound[root][k] = None
-                    trail.append(("bd", root, k))
             inq[k] = 0
         else:
             self.revisions += popped
@@ -1029,10 +1018,9 @@ def _refine(cls: list[int], bits: Iterable[int]) -> list[int]:
     return list(map(add, map(add, cls, cls), bits))
 
 
-#: The bytes a packed support may hold, and a ``bytes.translate`` table
-#: from them to the digits "0" and "1".
-_BITS = bytes(range(2))
-_DIGITS = bytes.maketrans(_BITS, b"01")
+#: A ``bytes.translate`` table from a packed support's bytes to the digits
+#: "0" and "1".
+_DIGITS = bytes.maketrans(bytes(range(2)), b"01")
 
 
 def _support_int(row: bytes) -> int:
@@ -1099,20 +1087,13 @@ def _partition_report(ts: TransitionSystem, supports: list[int]) -> SeparationRe
 
 # checking all of a sweep's regions at once
 
-#: The ordinal that stands in for a region ``is_region`` checked instead,
-#: so the batch check lets every arc through; none of an interaction.
-_CHECKED = len(INTERACTION_ORDER)
-#: The bytes a packed signature may hold.
-_ORDINALS = bytes(range(_CHECKED))
-
 
 @cache
 def _blocked_digits(mask: int) -> tuple[bytes, ...]:
     """Per cell c, a ``bytes.translate`` table taking an interaction's
     ordinal to the digit b"1" where it is outside the type ``mask`` or has
-    no step through c, and to b"0" where it has one, as :data:`_CHECKED`
-    has in every cell."""
-    steps = [i.cells if i.bit & mask else 0 for i in INTERACTION_ORDER] + [15]
+    no step through c, and to b"0" where it has one."""
+    steps = [i.cells if i.bit & mask else 0 for i in INTERACTION_ORDER]
     return tuple(
         bytes(b"01"[not cells >> c & 1] for cells in steps).ljust(256, b"1")
         for c in range(4)
@@ -1132,16 +1113,13 @@ def _all_regions(
     tau: frozenset[Interaction],
     regions: Sequence[Region],
 ) -> bool:
-    """``all(is_region(ts, tau, r) for r in regions)``, in one pass over the
-    arcs for all the regions, bit-parallel across them.
+    """``all(is_region(ts, tau, r) for r in regions)`` for regions packed as
+    the search packs them, in one pass over the arcs for all the regions,
+    bit-parallel across them.
 
-    The pass reads the rows of a region packed as the search packs it: a
-    :class:`PackedMap` support and a :class:`PackedSignature` over the
-    system's own ``sidx`` and ``eidx``, a byte per state and per event, the
-    support's bytes bits and the signature's ordinals.  Any other region is
-    checked by ``is_region`` itself first, raising
-    :class:`PartialAssignment` as it does, and the pass lets it through:
-    its support reads as all zeros, and its signature as :data:`_CHECKED`.
+    The pass reads a region's rows only if it is packed over the system's
+    own ``sidx`` and ``eidx`` (see :func:`_packed_rows`); it reads any
+    other region, which the search never builds, as no region.
 
     Bit R-1-k of state i's code from :func:`_state_codes` is its support
     under region k of R.  Per event and cell c = 2x+y, the pass parses the
@@ -1157,24 +1135,11 @@ def _all_regions(
     support_rows = []
     rows = []
     for region in regions:
-        support, signature = region
-        if (
-            type(support) is PackedMap
-            and type(signature) is PackedSignature
-            and support.index is ts.sidx
-            and signature.index is ts.eidx
-            and len(support.row) == n
-            and len(signature.row) == n_events
-            and not support.row.translate(None, _BITS)
-            and not signature.row.translate(None, _ORDINALS)
-        ):
-            support_rows.append(support.row)
-            rows.append(signature.row)
-        elif is_region(ts, tau, region):
-            support_rows.append(bytes(n))
-            rows.append(bytes([_CHECKED]) * n_events)
-        else:
+        packed = _packed_rows(region, ts.sidx, ts.eidx)
+        if packed is None:
             return False
+        support_rows.append(packed[0])
+        rows.append(packed[1])
     cls = _state_codes(support_rows, n)
     # row k holds region k's ordinals per event, so an event's column,
     # every n_events-th byte, holds its regions' ordinals, region 0 first
@@ -1270,11 +1235,7 @@ def decide_ssp(
     else:
         pair = None  # no witness: every atom is checked
     del search  # and its descents, before the batch check allocates
-    try:
-        valid = _all_regions(ts, tau, report.regions)
-    except PartialAssignment as exc:
-        raise InternalCheckFailed("search produced an invalid region") from exc
-    if not valid:
+    if not _all_regions(ts, tau, report.regions):
         raise InternalCheckFailed("search produced an invalid region")
     stats.atoms_checked = _atoms_up_to(len(states), pair)
     if report.decision is not Decision.LACKS_SSP and exhausted_any:

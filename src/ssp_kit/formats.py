@@ -16,11 +16,10 @@ from .core import (
     INTERACTION_BY_NAME,
     INTERACTION_ORDER,
     Interaction,
-    PackedMap,
-    PackedSignature,
     Region,
     SspKitError,
     TransitionSystem,
+    _packed_rows,
     validate_ts,
 )
 
@@ -155,28 +154,17 @@ def _report_dict(report: SeparationReport, regions: list[dict]) -> dict:
 #: A packed support's bytes and a packed signature's ordinals as JSON text.
 _BIT_TEXT = ("0", "1")
 _ORDINAL_TEXT = tuple(json.dumps(i.value) for i in INTERACTION_ORDER)
-_BITS = bytes(range(len(_BIT_TEXT)))
-_ORDINALS = bytes(range(len(_ORDINAL_TEXT)))
 
 
 def _packed_index(regions: list[Region]) -> tuple[dict, dict] | None:
     """The ``sidx`` and ``eidx`` every region is packed over, a byte per
-    name, with ``str`` names in sorted order, as :func:`validate_ts` builds
-    a system's; None if any region is packed otherwise or not at all."""
+    name (see :func:`_packed_rows`), with ``str`` names in sorted order, as
+    :func:`validate_ts` builds a system's; None if any region is packed
+    otherwise or not at all."""
     sidx = getattr(regions[0].support, "index", None)
     eidx = getattr(regions[0].signature, "index", None)
-    for support, signature in regions:
-        if not (
-            type(support) is PackedMap
-            and type(signature) is PackedSignature
-            and support.index is sidx
-            and signature.index is eidx
-            and len(support.row) == len(sidx)
-            and len(signature.row) == len(eidx)
-            and not support.row.translate(None, _BITS)
-            and not signature.row.translate(None, _ORDINALS)
-        ):
-            return None
+    if any(_packed_rows(region, sidx, eidx) is None for region in regions):
+        return None
     for index in (sidx, eidx):
         names = list(index)
         if not all(type(name) is str for name in names) or names != sorted(names):

@@ -326,7 +326,11 @@ def test_criterion_7_nop_free_reduction(phi6, phi4_unsat):
     swap_free = type_of(I.SWAP, I.FREE)
 
     inst = gen_nop_free(phi6)
-    gate.check(inst.ts.bi_directed, "bi-directed")
+    edges = set(inst.ts.edges)
+    gate.check(
+        inst.ts.loop_free and {(t, e, s) for s, e, t in edges} == edges,
+        "bi-directed",
+    )
     gate.check(
         len(inst.ts.states) == 188 * 6 + 1 == 1129,
         f"state count {len(inst.ts.states)}",

@@ -109,11 +109,11 @@ class TestValidateTs:
 
     def test_flags(self):
         cycle = validate_ts([("a", "x", "b"), ("b", "x", "a")], "a")
-        assert cycle.loop_free and cycle.bi_directed
+        assert cycle.loop_free
         looped = validate_ts([("a", "x", "b"), ("b", "y", "b")], "a")
-        assert not looped.loop_free and not looped.bi_directed
+        assert not looped.loop_free
         oneway = validate_ts([("a", "x", "b")], "a")
-        assert oneway.loop_free and not oneway.bi_directed
+        assert oneway.loop_free
 
     def test_atoms_sorted(self):
         ts = validate_ts([("c", "x", "a"), ("c", "y", "b")], "c")
@@ -155,7 +155,7 @@ class TestIntegerForm:
     def test_every_field_is_frozen(self):
         ts = validate_ts(self.EDGES, "a")
         assert not hasattr(ts, "__dict__")
-        assert len(ts.__slots__) == 12
+        assert len(ts.__slots__) == 11
         for name in ts.__slots__:
             value = getattr(ts, name)
             with pytest.raises(FrozenInstanceError):

@@ -19,6 +19,7 @@ from ssp_kit.classify import enumerate_types
 from ssp_kit.core import (
     INTERACTION_ORDER,
     Interaction,
+    InternalCheckFailed,
     PackedMap,
     PackedSignature,
     PartialAssignment,
@@ -742,22 +743,6 @@ def union_find_state(state):
     )
 
 
-class WatchedQueue(list):
-    """A search's queue that keeps the edge popped last, and the edges a
-    failed propagation drops, that one included."""
-
-    popped = None
-    dropped = ()
-
-    def pop(self):
-        self.popped = super().pop()
-        return self.popped
-
-    def clear(self):
-        self.dropped = {*self, self.popped}
-        super().clear()
-
-
 class InvariantCheckingSearch(_AtomSearch):
     """A search that checks its union-find after every union, propagation
     and rollback, and the descents' checkpoints after every search.
@@ -765,13 +750,12 @@ class InvariantCheckingSearch(_AtomSearch):
     Every node's ``parent`` is a root, its own parent with parity 0, and
     every root but the zero node, whose class keeps no lists, lists the
     node in its ``members``.  Each such root holds in ``bound`` every edge
-    from its class to another and every edge inside it whose event's
-    domain holds an interaction without both steps of the edge's parity,
-    and only edges with an end in its class.  An inside edge waiting in
-    the queue is exempt: a merge takes it off, and its revision puts it
-    back.  So the check after a union exempts the queued edges, the one
-    after a failed propagation those it dropped, and the one after a
-    successful propagation none.  A rollback to a mark restores
+    from its class to another and every edge inside it that its revision
+    would leave with an interaction without both steps of the edge's
+    parity, and only edges with an end in its class.  A merge decides an
+    inside edge's place by that rule, queued or not, and domains only
+    shrink, so the check holds after every union and propagation, failed
+    ones included, with no edge exempt.  A rollback to a mark restores
     ``parent``, ``par``, ``members``, ``bound`` and ``dom`` exactly as they
     were when the mark was taken, each boundary as a set: a node's mark is
     its trail's length on entering it, so the state is recorded at that
@@ -787,13 +771,12 @@ class InvariantCheckingSearch(_AtomSearch):
     state the descent copies and leaves, so it must stay as it was taken
     across every later run, which ``records.checkpoints`` holds; and a
     climb from it, on a copy, through the descent's frames up to it must
-    restore the state recorded on entering each frame's node.  No descent may hold more checkpoints
-    than the cap.
+    restore the state recorded on entering each frame's node.  No descent
+    may hold more checkpoints than the cap.
     """
 
     def __init__(self, ts, mask, records):
         super().__init__(ts, mask, None)
-        self.queue = WatchedQueue()
         self.records = records
         self.detached = []
         self.taken = []
@@ -806,7 +789,7 @@ class InvariantCheckingSearch(_AtomSearch):
     def record(self):
         self.at_mark()[len(self.trail)] = union_find_state(self._state())
 
-    def check(self, waiting=()):
+    def check(self):
         parent, par, members = self.parent, self.par, self.members
         for x, root in enumerate(parent):
             assert parent[root] == root and par[root] == 0, (x, root)
@@ -821,9 +804,10 @@ class InvariantCheckingSearch(_AtomSearch):
             ra, rb = parent[si], parent[ti]
             if ra != rb:
                 ends = {ra, rb} - {self.zero}
-            elif ra != self.zero and k not in waiting:
+            elif ra != self.zero:
                 cells = _PARITY_IS[par[si] ^ par[ti]]
-                ends = {ra} if _COVER[self.dom[ei]] & cells != cells else set()
+                kept = _KEEPS[cells] & self.dom[ei]
+                ends = {ra} if _COVER[kept] & cells != cells else set()
             else:
                 ends = set()
             for root in ends:
@@ -835,18 +819,15 @@ class InvariantCheckingSearch(_AtomSearch):
 
     def _union(self, x, y, parity):
         united = super()._union(x, y, parity)
-        self.check({k for k, queued in enumerate(self.inq) if queued})
+        self.check()
         return united
 
     def _propagate(self):
-        self.queue.dropped = ()
         propagated = super()._propagate()
         assert not self.queue and not any(self.inq)
+        self.check()
         if propagated:
-            self.check()
             self.record()
-        else:
-            self.check(self.queue.dropped)
         return propagated
 
     def _root(self, init_value):
@@ -940,11 +921,11 @@ def test_union_find_holds_its_invariant_at_dense_checkpoints(ts, mask):
 
 
 def test_union_find_holds_its_invariant_on_larger_systems():
-    # on systems of up to 8 states and 4 events, a class merges into a
-    # third while an edge that a merge took off its boundary still waits
-    # in the queue, so that edge's revision puts it back on the third
-    # class's boundary; a put-back without an undo of its own stays there
-    # after the merge is undone, and fails within the first hundred
+    # on systems of up to 8 states and 4 events, merges make edges inside
+    # a class whose revision still leaves an interaction without a step
+    # of their new parity; a merge that drops them all from the boundary,
+    # or tests the lack at their parity before the merge, fails within
+    # the first ten systems
     rng = random.Random(1)
     for _ in range(200):
         ts = random_ts(rng, max_states=8, max_events=4)
@@ -1594,28 +1575,26 @@ def outcome(check):
 )
 def test_batch_check_agrees_with_is_region(how, monkeypatch):
     # every system of up to 3 states and 2 events, each under a random
-    # type, with one of its regions corrupted.  A region keyed out of
-    # system order is still one, checked by is_region and let through.
-    # The packed cases pack every region as the search does and corrupt
-    # one's rows or indexes.  The mixed case packs every other region in
-    # one call: the dict ones, checked by is_region, read as zero support
-    # bits there, which must block no arc
+    # type, with one of its regions corrupted.  The packed cases pack every
+    # region as the search does and corrupt one's rows or indexes: where
+    # every region is still packed over the system's own indexes, with
+    # rows of their length and bytes in range, the batch pass agrees with
+    # is_region, and otherwise it reads False, though the region packed
+    # over an index equal to the system's is one.  The other cases keep
+    # every region a dict, and the mixed case packs every other one: the
+    # pass reads a region the search does not pack as none, valid or not.
+    # It never calls is_region
     rng = random.Random(f"batch check {how}")
     packed = how.startswith("packed")
     corrupt = corrupt_packed if packed else corrupt_region
-    if how == "packed":
-        # regions packed over the system's own indexes are read by the
-        # batch pass alone
-        def refuse(*args):
-            raise AssertionError("is_region called on a packed region")
+    misfit = how in (
+        "packed value 2", "packed short row", "packed equal index", "packed ordinal 8"
+    )
 
-        monkeypatch.setattr(engine, "is_region", refuse)
-    elif how == "mixed":
-        def dict_only(ts, tau, region):
-            assert type(region.support) is not PackedMap
-            return is_region(ts, tau, region)
+    def refuse(*args):
+        raise AssertionError("the batch pass called is_region")
 
-        monkeypatch.setattr(engine, "is_region", dict_only)
+    monkeypatch.setattr(engine, "is_region", refuse)
     seen = []
     for ts in enumerate_small_ts(3, 2):
         tau = random_type(rng)
@@ -1635,7 +1614,8 @@ def test_batch_check_agrees_with_is_region(how, monkeypatch):
             if regions[k] is None:
                 continue
         want = outcome(lambda: all(is_region(ts, tau, r) for r in regions))
-        assert outcome(lambda: _all_regions(ts, tau, regions)) == want, (
+        fits = not misfit and all(type(r.support) is PackedMap for r in regions)
+        assert _all_regions(ts, tau, regions) is (want is True and fits), (
             ts, tau, k
         )
         seen.append(want)
@@ -1659,6 +1639,30 @@ def test_batch_check_agrees_with_is_region(how, monkeypatch):
         "mixed": {True},
     }[how]
     assert set(seen) == expected
+
+
+def test_a_sweep_refuses_a_region_the_search_did_not_pack(monkeypatch):
+    # a search whose region comes back with its signature as a dict, the
+    # same region otherwise: the batch pass reads it as no region, and the
+    # sweep's check fails.  The system has one atom, so no repair reads
+    # the region's rows
+    ts = validate_ts([("s0", "a", "s1")], "s0")
+    tau = type_of(I.INP)
+    region = solve_atom(ts, tau, ("s0", "s1")).region
+    unpacked = Region(region.support, dict(region.signature))
+    assert is_region(ts, tau, unpacked)
+    assert _all_regions(ts, tau, [region])
+    assert not _all_regions(ts, tau, [unpacked])
+    run = _AtomSearch.run
+
+    def run_unpacked(self, atom, base=None):
+        verdict = run(self, atom, base)
+        support, signature = verdict.region
+        return verdict._replace(region=Region(support, dict(signature)))
+
+    monkeypatch.setattr(_AtomSearch, "run", run_unpacked)
+    with pytest.raises(InternalCheckFailed):
+        decide_ssp(ts, tau)
 
 
 SWAP_FAMILY = [

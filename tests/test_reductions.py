@@ -140,7 +140,7 @@ class TestNopInpGenerator:
     def test_deterministic_and_loop_free(self, phi6):
         ts = gen_nop_inp(phi6).ts
         assert ts.loop_free
-        assert not ts.bi_directed
+        assert {(t, e, s) for s, e, t in ts.edges} != set(ts.edges)
 
     def test_witness_regions_valid_and_covering(self, phi6):
         inst = gen_nop_inp(phi6)
@@ -185,7 +185,9 @@ class TestNopFreeGenerator:
 
     def test_bi_directed(self, phi6):
         inst = gen_nop_free(phi6)
-        assert inst.ts.bi_directed
+        # loop-free, and every edge's reverse is an edge
+        assert inst.ts.loop_free
+        assert {(t, e, s) for s, e, t in inst.ts.edges} == set(inst.ts.edges)
         assert inst.alpha == ("g_0_2", "g_0_4")
 
     def test_alpha_region(self, phi6):
