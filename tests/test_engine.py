@@ -1,7 +1,5 @@
 import copy
 import gc
-import hashlib
-import json
 import pickle
 import random
 import sys
@@ -14,6 +12,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import dense_checkpoints
 from ssp_kit import engine
 from ssp_kit.classify import enumerate_types
 from ssp_kit.core import (
@@ -62,7 +61,6 @@ from ssp_kit.engine import (
     _support_int,
     _unseparated,
 )
-from ssp_kit.formats import report_to_dict
 from ssp_kit.reductions import (
     example_formula,
     gen_nop_free,
@@ -291,165 +289,6 @@ class TestDecideSsp:
         every_atom = sum(solve_atom(ts, tau, atom).nodes for atom in ts.atoms())
         assert report.decision is Decision.HAS_SSP
         assert report.stats.nodes_expanded < every_atom
-
-    @pytest.mark.parametrize(
-        "formula, tau, expected",
-        [
-            pytest.param(
-                example_formula,
-                NOP_INP,
-                (Decision.HAS_SSP, None, 990, 90, 18),
-                id="example_formula-expected0",
-            ),
-            pytest.param(
-                unsat_formula_m4,
-                NOP_INP,
-                (Decision.LACKS_SSP, ("g_0_1", "g_0_2"), 60, 37, 9),
-                id="unsat_formula_m4-expected1",
-            ),
-            # its searches backtrack from deep descents, so this pins the
-            # nodes an atom search enters after the descent stops
-            pytest.param(
-                example_formula,
-                frozenset(Interaction),
-                (Decision.HAS_SSP, None, 990, 329, 23),
-                id="example_formula-all-eight",
-            ),
-        ],
-    )
-    def test_search_is_pinned(self, formula, tau, expected):
-        # exact counts: a change to the search order or the propagation
-        # shows here before it shows anywhere else
-        report = decide_ssp(gen_nop_inp(formula()).ts, tau)
-        assert (
-            report.decision,
-            report.witness_atom,
-            report.stats.atoms_checked,
-            report.stats.nodes_expanded,
-            len(report.regions),
-        ) == expected
-
-    @pytest.mark.parametrize(
-        "budget, nodes", [(5, 308), (10, 91)]
-    )
-    def test_budget_accounting_is_pinned(self, budget, nodes):
-        # some atoms exhaust the cap and others are solved within it, so
-        # the nodes spent show how _expand counts against the budget
-        report = decide_ssp(
-            gen_nop_inp(example_formula()).ts, NOP_INP, budget=budget
-        )
-        assert (
-            report.decision,
-            report.witness_atom,
-            report.stats.atoms_checked,
-            report.stats.nodes_expanded,
-            len(report.regions),
-        ) == (Decision.UNKNOWN, None, 990, nodes, 0)
-
-    @pytest.mark.parametrize(
-        "formula, tau, budget, expected",
-        [
-            (example_formula, NOP_INP, None, (Decision.HAS_SSP, None, 990, 90, 18)),
-            (
-                unsat_formula_m4,
-                NOP_INP,
-                None,
-                (Decision.LACKS_SSP, ("g_0_1", "g_0_2"), 60, 37, 9),
-            ),
-            (
-                example_formula,
-                frozenset(Interaction),
-                None,
-                (Decision.HAS_SSP, None, 990, 329, 23),
-            ),
-            (example_formula, NOP_INP, 5, (Decision.UNKNOWN, None, 990, 308, 0)),
-            (example_formula, NOP_INP, 10, (Decision.UNKNOWN, None, 990, 91, 0)),
-        ],
-        ids=["example", "m4", "example-all-eight", "budget-5", "budget-10"],
-    )
-    def test_pins_hold_at_dense_checkpoints(self, formula, tau, budget, expected):
-        # the pins above, with checkpoints at every trail entry and at most
-        # two per descent: searching from them changes no count
-        with dense_checkpoints():
-            report = decide_ssp(gen_nop_inp(formula()).ts, tau, budget=budget)
-        assert (
-            report.decision,
-            report.witness_atom,
-            report.stats.atoms_checked,
-            report.stats.nodes_expanded,
-            len(report.regions),
-        ) == expected
-
-    @pytest.mark.slow
-    def test_nop_free_sweep_is_pinned(self, m4_sweep):
-        # the 753-state {swap, free} sweep: 47489 atoms, 73 of them searched
-        # and 69 of those repaired from the last region; 194 searches,
-        # 16048 nodes and 193 regions when every atom got the full search,
-        # 93 searched and 1193 nodes when a repair tried radius 3 alone
-        _, report = m4_sweep
-        assert (
-            report.decision,
-            report.witness_atom,
-            report.stats.atoms_checked,
-            report.stats.atoms_searched,
-            report.stats.atoms_repaired,
-            report.stats.nodes_expanded,
-            len(report.regions),
-        ) == (Decision.LACKS_SSP, ("f_0_2", "f_0_4"), 47489, 73, 69, 530, 72)
-        # a union revisits only the boundary edges it can teach: 315116
-        # when it revisited every edge of its class, 57130 while inside
-        # edges stayed on the boundary and a valuation queued every edge,
-        # 48672 before repairs, 27569 with radius-3 repairs, 16845 while
-        # each root revised every edge
-        assert report.stats.revisions == 13841
-        # the regions themselves, as check-ssp --json writes them
-        regions = json.dumps(report_to_dict(report)["regions"], sort_keys=True)
-        assert hashlib.sha256(regions.encode()).hexdigest() == (
-            "4f4a022591eac97c2480cca7a95411a1dc4c2ccaf9c5ea65f01f20fea0b65e80"
-        )
-
-    @pytest.mark.slow
-    def test_budgeted_nop_free_sweep_is_pinned(self, m4_sweep):
-        # the same sweep at 40 nodes per atom: atoms before the witness run
-        # out of budget and get no region, so the sweep goes on past each
-        # of them without a new support, and still finds the witness
-        ts, _ = m4_sweep
-        report = decide_ssp(ts, SWAP_FREE, budget=40)
-        assert (
-            report.decision,
-            report.witness_atom,
-            report.stats.atoms_checked,
-            report.stats.atoms_searched,
-            report.stats.atoms_repaired,
-            report.stats.nodes_expanded,
-            report.stats.revisions,
-            len(report.regions),
-        ) == (Decision.LACKS_SSP, ("f_0_2", "f_0_4"), 47489, 78, 66, 564, 13767, 69)
-        regions = json.dumps(report_to_dict(report)["regions"], sort_keys=True)
-        assert hashlib.sha256(regions.encode()).hexdigest() == (
-            "4b27ff39fd81b6c4dbeb03edc092a9eb60f1758a0ffa832e4694709e091bc4ed"
-        )
-
-    @pytest.mark.slow
-    def test_nop_swap_sweep_is_pinned(self, m4_sweep):
-        # the same system under {nop, swap}: every pair is separable, so
-        # every atom counts as checked and each atom searched gets a region
-        ts, _ = m4_sweep
-        report = decide_ssp(ts, type_of(I.NOP, I.SWAP))
-        assert (
-            report.decision,
-            report.witness_atom,
-            report.stats.atoms_checked,
-            report.stats.atoms_searched,
-            report.stats.atoms_repaired,
-            report.stats.nodes_expanded,
-            report.stats.revisions,
-            len(report.regions),
-        ) == (Decision.HAS_SSP, None, 283128, 314, 170, 34023, 122418, 314)
-        regions = json.dumps(report_to_dict(report)["regions"], sort_keys=True)
-        assert hashlib.sha256(regions.encode()).hexdigest() == (
-            "947d523985aefa5d505419efd0d493cfdf2ea1799f1de47a3392fd368c685c86"
-        )
 
     @pytest.mark.slow
     def test_search_regions_are_packed_over_the_system_index(self, m4_sweep):
@@ -893,12 +732,6 @@ def search_records():
     return SimpleNamespace(trails={}, checkpoints=[], thinned=set())
 
 
-def dense_checkpoints():
-    """Checkpoints at every trail entry, at most two per descent, so that
-    small systems take them, thin them and search from them."""
-    return mock.patch.multiple(engine, _CHECKPOINT_SPACING=1, _CHECKPOINT_CAP=2)
-
-
 def check_union_find(ts, mask):
     """One checking search run on every atom, returned when done."""
     search = InvariantCheckingSearch(ts, mask, search_records())
@@ -958,7 +791,7 @@ def test_a_descent_that_backtracks_drops_the_checkpoints_it_leaves():
 
 def test_sweeps_search_from_checkpoints(monkeypatch):
     # under dense checkpoints the 45-state nop-inp sweep starts atom
-    # searches from them (test_pins_hold_at_dense_checkpoints pins it)
+    # searches from them (test_pins.py pins its record there)
     resumed = []
 
     class Resuming(_AtomSearch):
