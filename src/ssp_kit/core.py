@@ -3,7 +3,7 @@
 This module holds the ground vocabulary of the package: the eight Boolean
 interactions (partial maps on {0,1}), Boolean types (sets of interactions),
 validated deterministic transition systems, and regions of a transition
-system together with propagation, path images, and normalization.
+system together with propagation and normalization.
 """
 
 from __future__ import annotations
@@ -406,26 +406,25 @@ class PackedMap(Mapping):
         return repr(dict(self.items()))
 
 
-#: The value of each byte of a packed signature: the interaction of that
-#: ordinal in INTERACTION_ORDER, None for a byte that is no ordinal.  A
+#: The value of each byte of a packed signature: the interaction whose
+#: type-mask bit it is, None for a byte that is no interaction's bit.  A
 #: dict's ``__getitem__`` maps a row faster than a tuple's.
-_BY_ORDINAL = dict(
-    enumerate(INTERACTION_ORDER + (None,) * (256 - len(INTERACTION_ORDER)))
-)
+_BY_BIT = dict.fromkeys(range(256))
+_BY_BIT.update((i.bit, i) for i in INTERACTION_ORDER)
 
 
 class PackedSignature(PackedMap):
     """A :class:`PackedMap` of interactions, as the search packs a signature
-    over the system's ``eidx``: each byte is an ordinal in
-    ``INTERACTION_ORDER``."""
+    over the system's ``eidx``: each byte is an interaction's type-mask
+    bit."""
 
     __slots__ = ()
 
     def _values(self) -> Iterator:
-        return map(_BY_ORDINAL.__getitem__, super()._values())
+        return map(_BY_BIT.__getitem__, super()._values())
 
     def __getitem__(self, key: str):
-        return _BY_ORDINAL[super().__getitem__(key)]
+        return _BY_BIT[super().__getitem__(key)]
 
 
 class _PackedValues(ValuesView):
@@ -474,7 +473,7 @@ class Region(NamedTuple):
 
 #: The bytes a packed support and a packed signature may hold.
 _BITS = bytes(range(2))
-_ORDINALS = bytes(range(len(INTERACTION_ORDER)))
+_INTERACTION_BITS = bytes(i.bit for i in INTERACTION_ORDER)
 
 
 def _packed_rows(
@@ -483,8 +482,8 @@ def _packed_rows(
     """The support and signature rows of ``region`` if it is packed as the
     search packs one, None otherwise: a :class:`PackedMap` support over
     ``sidx`` and a :class:`PackedSignature` over ``eidx``, those very
-    objects, a byte per name, the support's bytes bits and the signature's
-    ordinals in ``INTERACTION_ORDER``."""
+    objects, a byte per name, the support's bytes 0 or 1 and the
+    signature's each an interaction's type-mask bit."""
     support, signature = region
     if (
         type(support) is PackedMap
@@ -494,7 +493,7 @@ def _packed_rows(
         and len(support.row) == len(sidx)
         and len(signature.row) == len(eidx)
         and not support.row.translate(None, _BITS)
-        and not signature.row.translate(None, _ORDINALS)
+        and not signature.row.translate(None, _INTERACTION_BITS)
     ):
         return support.row, signature.row
     return None

@@ -202,15 +202,6 @@ for _mask in range(256):
 #: searches for separable atoms deep under res or set, past budgets of
 #: 300,000 nodes that this order does not need.
 _FIRST = Interaction.NOP.bit | Interaction.SWAP.bit
-#: A ``bytes.translate`` table from each interaction's type-mask bit to its
-#: ordinal in INTERACTION_ORDER, the byte a packed signature holds.
-_ORDINAL_OF_BIT = bytes.maketrans(
-    bytes(i.bit for i in INTERACTION_ORDER), bytes(range(len(INTERACTION_ORDER)))
-)
-#: And back, from a packed signature's ordinals to type-mask bits.
-_BIT_OF_ORDINAL = bytes.maketrans(
-    bytes(range(len(INTERACTION_ORDER))), bytes(i.bit for i in INTERACTION_ORDER)
-)
 
 #: A repair frees the states within each of these many hops of the atom's
 #: states in turn, in ascending order, until a try finds a region.
@@ -402,7 +393,8 @@ class _AtomSearch:
         self.n = len(ts.states)
         self.zero = self.n  # virtual node carrying the constant 0
         self.full_mask = mask
-        self.max_nodes = max_nodes
+        #: the nodes a run may enter, None given for no limit
+        self.max_nodes = float("inf") if max_nodes is None else max_nodes
         self.expanded = 0
         self.revisions = 0
         #: the type's descent per initial value, started when first needed
@@ -716,9 +708,7 @@ class _AtomSearch:
         # value; every domain is a single interaction's bit
         return Region(
             support=PackedMap(ts.sidx, bytes(self.par[: self.n])),
-            signature=PackedSignature(
-                ts.eidx, bytes(self.dom).translate(_ORDINAL_OF_BIT)
-            ),
+            signature=PackedSignature(ts.eidx, bytes(self.dom)),
         )
 
     def _expand(
@@ -728,6 +718,7 @@ class _AtomSearch:
         pair: tuple[int, int],
         descent: _Descent | None,
         enter: bool,
+        limit: float,
     ) -> Region | None:
         """Depth-first search from the current, propagated node: the first
         leaf's region, or None once the stack's first frame is popped.
@@ -745,6 +736,9 @@ class _AtomSearch:
         so depth costs heap, not Python frames.  Every event before a node's
         position is a singleton there and stays one below it, so a child
         looks for its branch event from its parent's position on.
+
+        It raises :class:`_Exhausted` on entering a node once it has
+        counted ``limit`` nodes in :attr:`expanded`.
 
         With ``enter`` the search enters the current node first; without
         it, it starts by backtracking into the stack's top frame.  Given
@@ -764,7 +758,6 @@ class _AtomSearch:
         trail = self.trail
         inq = self.inq
         queue = self.queue
-        max_nodes = self.max_nodes
         a, b = pair
         if descent is not None:
             checkpoints = descent.checkpoints
@@ -777,7 +770,7 @@ class _AtomSearch:
                 # entering a node; an atom search's nodes keep a != b
                 if parent[a] == parent[b] and par[a] == par[b]:
                     return None
-                if max_nodes is not None and self.expanded >= max_nodes:
+                if self.expanded >= limit:
                     raise _Exhausted
                 self.expanded += 1
                 if len(trail) >= due:
@@ -887,7 +880,7 @@ class _AtomSearch:
                 par[s] = 0
                 members[s] = [s]
             at_ball = [k for s in free for k in state_arcs[s]]
-            dom = list(base.signature.row.translate(_BIT_OF_ORDINAL))
+            dom = list(base.signature.row)
             opened = sorted({arcs[k][1] for k in at_ball}, key=self.rank.__getitem__)
             for ei in opened:
                 # base's interaction carries every arc, so no mask is smaller
@@ -907,20 +900,15 @@ class _AtomSearch:
             self._enqueue_all(at_ball)
             if not self._propagate():
                 continue
-            max_nodes = self.max_nodes
-            cap = self.expanded + _REPAIR_NODES
-            if max_nodes is None or cap < max_nodes:
-                self.max_nodes = cap
+            limit = min(self.max_nodes, self.expanded + _REPAIR_NODES)
             try:
                 region = self._expand(
-                    opened, [(0, 0, len(self.trail))], pair, None, True
+                    opened, [(0, 0, len(self.trail))], pair, None, True, limit
                 )
             except _Exhausted:
-                if self.max_nodes == max_nodes:
+                if limit == self.max_nodes:
                     raise  # the atom's budget, not the try's cap, ran out
                 region = None
-            finally:
-                self.max_nodes = max_nodes
             if region is not None:
                 return region
         return None
@@ -939,10 +927,11 @@ class _AtomSearch:
         sidx = self.ts.sidx
         order = self.ts.order
         a, b = pair = (sidx[atom[0]], sidx[atom[1]])
+        limit = self.max_nodes
         region = None
         repaired = False
         try:
-            if self.max_nodes is not None and self.max_nodes <= 0:
+            if limit <= 0:
                 raise _Exhausted
             if base is not None:
                 region = self._repair(pair, base)
@@ -954,7 +943,9 @@ class _AtomSearch:
                 if descent is None:
                     continue
                 self._bind(descent.state)
-                region = self._expand(order, descent.stack, pair, descent, True)
+                region = self._expand(
+                    order, descent.stack, pair, descent, True, limit
+                )
                 if region is None and not descent.stack:
                     descents[init_value] = None  # no region under this value
                 elif region is None:
@@ -967,7 +958,7 @@ class _AtomSearch:
                             break
                     self._detach()  # the descent and checkpoints stay as they are
                     region = self._expand(
-                        order, descent.stack[:depth], pair, None, False
+                        order, descent.stack[:depth], pair, None, False, limit
                     )
                 if region is not None:
                     break
@@ -1091,11 +1082,13 @@ def _partition_report(ts: TransitionSystem, supports: list[int]) -> SeparationRe
 @cache
 def _blocked_digits(mask: int) -> tuple[bytes, ...]:
     """Per cell c, a ``bytes.translate`` table taking an interaction's
-    ordinal to the digit b"1" where it is outside the type ``mask`` or has
-    no step through c, and to b"0" where it has one."""
+    type-mask bit to the digit b"1" where it is outside the type ``mask``
+    or has no step through c, and to b"0" where it has one; it keeps any
+    other byte, which :func:`_packed_rows` refuses."""
+    bits = bytes(i.bit for i in INTERACTION_ORDER)
     steps = [i.cells if i.bit & mask else 0 for i in INTERACTION_ORDER]
     return tuple(
-        bytes(b"01"[not cells >> c & 1] for cells in steps).ljust(256, b"1")
+        bytes.maketrans(bits, bytes(b"01"[not cells >> c & 1] for cells in steps))
         for c in range(4)
     )
 
@@ -1110,12 +1103,12 @@ def _state_codes(rows: Sequence[bytes], n: int) -> list[int]:
 
 def _all_regions(
     ts: TransitionSystem,
-    tau: frozenset[Interaction],
+    mask: int,
     regions: Sequence[Region],
 ) -> bool:
-    """``all(is_region(ts, tau, r) for r in regions)`` for regions packed as
-    the search packs them, in one pass over the arcs for all the regions,
-    bit-parallel across them.
+    """``all(is_region(ts, tau, r) for r in regions)``, where ``mask`` is
+    ``type_mask(tau)``, for regions packed as the search packs them, in one
+    pass over the arcs for all the regions, bit-parallel across them.
 
     The pass reads a region's rows only if it is packed over the system's
     own ``sidx`` and ``eidx`` (see :func:`_packed_rows`); it reads any
@@ -1124,7 +1117,7 @@ def _all_regions(
     Bit R-1-k of state i's code from :func:`_state_codes` is its support
     under region k of R.  Per event and cell c = 2x+y, the pass parses the
     R-bit mask of the regions whose interaction there has no step through
-    c, an interaction outside ``tau`` none at all; an arc (s, e, t) is
+    c, an interaction outside the type none at all; an arc (s, e, t) is
     carried by every region iff no region has its bit set in the mask of
     the cell that the codes of s and t select.
     """
@@ -1141,13 +1134,13 @@ def _all_regions(
         support_rows.append(packed[0])
         rows.append(packed[1])
     cls = _state_codes(support_rows, n)
-    # row k holds region k's ordinals per event, so an event's column,
-    # every n_events-th byte, holds its regions' ordinals, region 0 first
-    ordinals = b"".join(rows)
-    digits = _blocked_digits(type_mask(tau))
+    # row k holds region k's interaction bits per event, so an event's
+    # column, every n_events-th byte, holds its regions' bits, region 0 first
+    signatures = b"".join(rows)
+    digits = _blocked_digits(mask)
     blocked = []
     for e in range(n_events):
-        column = ordinals[e::n_events]
+        column = signatures[e::n_events]
         b00, b01, b10, b11 = [int(column.translate(d), 2) for d in digits]
         blocked.append((b00, b00 ^ b10, b01, b01 ^ b11))
     for si, ei, ti in ts.arcs:
@@ -1206,7 +1199,8 @@ def decide_ssp(
     stats = report.stats
     exhausted_any = False
     states = ts.states
-    search = _AtomSearch(ts, type_mask(tau), budget)
+    mask = type_mask(tau)
+    search = _AtomSearch(ts, mask, budget)
     # the supports of the regions found so far: the scan passes over the
     # atoms one of them splits, and an atom that gets no region, exhausted,
     # adds none, so the scan goes on from the atom after it
@@ -1235,7 +1229,7 @@ def decide_ssp(
     else:
         pair = None  # no witness: every atom is checked
     del search  # and its descents, before the batch check allocates
-    if not _all_regions(ts, tau, report.regions):
+    if not _all_regions(ts, mask, report.regions):
         raise InternalCheckFailed("search produced an invalid region")
     stats.atoms_checked = _atoms_up_to(len(states), pair)
     if report.decision is not Decision.LACKS_SSP and exhausted_any:

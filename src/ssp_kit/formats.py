@@ -151,9 +151,9 @@ def _report_dict(report: SeparationReport, regions: list[dict]) -> dict:
     }
 
 
-#: A packed support's bytes and a packed signature's ordinals as JSON text.
+#: A packed support's bytes and a signature's type-mask bits as JSON text.
 _BIT_TEXT = ("0", "1")
-_ORDINAL_TEXT = tuple(json.dumps(i.value) for i in INTERACTION_ORDER)
+_INTERACTION_TEXT = {i.bit: json.dumps(i.value) for i in INTERACTION_ORDER}
 
 
 def _packed_index(regions: list[Region]) -> tuple[dict, dict] | None:
@@ -201,9 +201,9 @@ def report_to_json(report: SeparationReport) -> str:
         return json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n"
     template = _region_template(*indexes)
     bits = _BIT_TEXT.__getitem__
-    ordinals = _ORDINAL_TEXT.__getitem__
+    interactions = _INTERACTION_TEXT.__getitem__
     body = ",\n".join(
-        template % (*map(ordinals, signature.row), *map(bits, support.row))
+        template % (*map(interactions, signature.row), *map(bits, support.row))
         for support, signature in regions
     )
     head = json.dumps(_report_dict(report, []), indent=2, sort_keys=True)

@@ -259,14 +259,13 @@ class TestCheckSspCommand:
                 flipped = bytes(bit ^ 1 for bit in support.row)
                 region = region._replace(support=PackedMap(support.index, flipped))
             elif len(leaves) == leaf and corrupt == "no split":
-                nop = bytes([INTERACTION_ORDER.index(Interaction.NOP)])
+                nop = bytes([Interaction.NOP.bit])
                 region = Region(
                     PackedMap(support.index, bytes(len(support.row))),
                     PackedSignature(signature.index, nop * len(signature.row)),
                 )
             elif len(leaves) == leaf:
-                swap = INTERACTION_ORDER.index(Interaction.SWAP)
-                row = bytes([swap]) + signature.row[1:]
+                row = bytes([Interaction.SWAP.bit]) + signature.row[1:]
                 region = region._replace(
                     signature=PackedSignature(signature.index, row)
                 )
@@ -548,10 +547,10 @@ def packed_reports(draw):
     regions = []
     for _ in range(draw(st.integers(0, 3))):
         bits = st.integers(0, 1)
-        ordinals = st.integers(0, len(INTERACTION_ORDER) - 1)
+        interactions = st.sampled_from([i.bit for i in INTERACTION_ORDER])
         support = bytes(draw(st.lists(bits, min_size=len(sidx), max_size=len(sidx))))
         signature = bytes(
-            draw(st.lists(ordinals, min_size=len(eidx), max_size=len(eidx)))
+            draw(st.lists(interactions, min_size=len(eidx), max_size=len(eidx)))
         )
         if draw(st.integers(0, 9)) == 0:
             support = support[:-1] + b"\x02"  # a support value but no bit

@@ -23,6 +23,7 @@ from ssp_kit.core import (
     PackedSignature,
     PartialAssignment,
     Region,
+    _packed_rows,
     is_region,
     type_mask,
     type_of,
@@ -221,7 +222,7 @@ class TestSolveAtom:
                 search = _AtomSearch(validate_ts(edges, initial), mask, budget)
                 spent = search.run(atoms[0])
                 assert spent.status is AtomStatus.EXHAUSTED
-                search.max_nodes = None
+                search.max_nodes = float("inf")
                 for atom in atoms:
                     verdict = search.run(atom)
                     assert (verdict.status, verdict.region) == reference_search(
@@ -1335,11 +1336,13 @@ def pack(region, ts):
     """``region`` packed as the search packs one, over the system's indexes."""
     return Region(
         PackedMap(ts.sidx, bytes(region.support[s] for s in ts.states)),
-        PackedSignature(
-            ts.eidx,
-            bytes(INTERACTION_ORDER.index(region.signature[e]) for e in ts.events),
-        ),
+        PackedSignature(ts.eidx, bytes(region.signature[e].bit for e in ts.events)),
     )
+
+
+#: The bytes a packed signature may not hold: every byte but the eight
+#: interactions' type-mask bits.
+NON_BIT_BYTES = sorted(set(range(256)) - {i.bit for i in INTERACTION_ORDER})
 
 
 def corrupt_packed(region, how, ts, tau, rng):
@@ -1366,9 +1369,9 @@ def corrupt_packed(region, how, ts, tau, rng):
         else:
             sup_index = twin.sidx
     else:
-        outside = [o for o, i in enumerate(INTERACTION_ORDER) if i not in tau]
-        if how == "packed ordinal 8":
-            outside = [len(INTERACTION_ORDER)]
+        outside = [i.bit for i in INTERACTION_ORDER if i not in tau]
+        if how == "packed non-bit byte":
+            outside = NON_BIT_BYTES
         if not outside or not sig_row:
             return None
         sig_row[rng.randrange(len(sig_row))] = rng.choice(outside)
@@ -1402,7 +1405,7 @@ def outcome(check):
         "packed short row",
         "packed equal index",
         "packed outside tau",
-        "packed ordinal 8",
+        "packed non-bit byte",
         "mixed",
     ],
 )
@@ -1411,7 +1414,8 @@ def test_batch_check_agrees_with_is_region(how, monkeypatch):
     # type, with one of its regions corrupted.  The packed cases pack every
     # region as the search does and corrupt one's rows or indexes: where
     # every region is still packed over the system's own indexes, with
-    # rows of their length and bytes in range, the batch pass agrees with
+    # rows of their length, support bytes 0 or 1 and signature bytes
+    # interactions' type-mask bits, the batch pass agrees with
     # is_region, and otherwise it reads False, though the region packed
     # over an index equal to the system's is one.  The other cases keep
     # every region a dict, and the mixed case packs every other one: the
@@ -1421,7 +1425,10 @@ def test_batch_check_agrees_with_is_region(how, monkeypatch):
     packed = how.startswith("packed")
     corrupt = corrupt_packed if packed else corrupt_region
     misfit = how in (
-        "packed value 2", "packed short row", "packed equal index", "packed ordinal 8"
+        "packed value 2",
+        "packed short row",
+        "packed equal index",
+        "packed non-bit byte",
     )
 
     def refuse(*args):
@@ -1448,9 +1455,8 @@ def test_batch_check_agrees_with_is_region(how, monkeypatch):
                 continue
         want = outcome(lambda: all(is_region(ts, tau, r) for r in regions))
         fits = not misfit and all(type(r.support) is PackedMap for r in regions)
-        assert _all_regions(ts, tau, regions) is (want is True and fits), (
-            ts, tau, k
-        )
+        got = _all_regions(ts, type_mask(tau), regions)
+        assert got is (want is True and fits), (ts, tau, k)
         seen.append(want)
     assert len(seen) > 200
     expected = {
@@ -1468,7 +1474,7 @@ def test_batch_check_agrees_with_is_region(how, monkeypatch):
         "packed short row": {PartialAssignment},
         "packed equal index": {True},
         "packed outside tau": {False},
-        "packed ordinal 8": {False},
+        "packed non-bit byte": {False},
         "mixed": {True},
     }[how]
     assert set(seen) == expected
@@ -1484,8 +1490,8 @@ def test_a_sweep_refuses_a_region_the_search_did_not_pack(monkeypatch):
     region = solve_atom(ts, tau, ("s0", "s1")).region
     unpacked = Region(region.support, dict(region.signature))
     assert is_region(ts, tau, unpacked)
-    assert _all_regions(ts, tau, [region])
-    assert not _all_regions(ts, tau, [unpacked])
+    assert _all_regions(ts, type_mask(tau), [region])
+    assert not _all_regions(ts, type_mask(tau), [unpacked])
     run = _AtomSearch.run
 
     def run_unpacked(self, atom, base=None):
@@ -1496,6 +1502,41 @@ def test_a_sweep_refuses_a_region_the_search_did_not_pack(monkeypatch):
     monkeypatch.setattr(_AtomSearch, "run", run_unpacked)
     with pytest.raises(InternalCheckFailed):
         decide_ssp(ts, tau)
+
+
+def test_a_packed_signature_holds_exactly_the_interactions_bits():
+    # every byte value as the one byte of a region's signature on a
+    # one-edge system, under the type of all eight interactions: each
+    # interaction's type-mask bit decodes to it, is packed as the search
+    # packs, and passes the batch check as is_region does; every other
+    # byte decodes to None, is refused, and makes no region, alone or
+    # next to a region
+    ts = validate_ts([("s0", "a", "s1")], "s0")
+    tau = frozenset(Interaction)
+    support = PackedMap(ts.sidx, bytes([0, 1]))
+    swap = Region(support, PackedSignature(ts.eidx, bytes([I.SWAP.bit])))
+    mask = type_mask(tau)
+    decoded = {}
+    carriers = set()
+    for byte in range(256):
+        region = Region(support, PackedSignature(ts.eidx, bytes([byte])))
+        interaction = region.signature["a"]
+        assert list(region.signature.values()) == [interaction]
+        rows = _packed_rows(region, ts.sidx, ts.eidx)
+        if interaction is None:
+            assert rows is None
+            assert not is_region(ts, tau, region)
+            assert not _all_regions(ts, mask, [region])
+            assert not _all_regions(ts, mask, [swap, region])
+            continue
+        decoded[byte] = interaction
+        assert rows == (support.row, bytes([byte]))
+        carried = _all_regions(ts, mask, [swap, region])
+        assert carried is is_region(ts, tau, region)
+        if carried:
+            carriers.add(interaction)
+    assert decoded == {i.bit: i for i in INTERACTION_ORDER}
+    assert carriers == {I.OUT, I.SET, I.SWAP}  # the steps from 0 to 1
 
 
 SWAP_FAMILY = [

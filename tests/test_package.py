@@ -1,4 +1,5 @@
 import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -87,3 +88,37 @@ class TestLazyNamespace:
         with pytest.raises(AttributeError, match="no_such_name"):
             ssp_kit.no_such_name  # noqa: B018
         assert not hasattr(ssp_kit, "no_such_name")
+
+
+class TestBenchmarkTracer:
+    def test_every_name_the_tracer_wraps_exists_and_is_restored(self):
+        # the benchmark's tracer wraps package functions by name: a name
+        # it wraps that is gone or renamed fails here.  A name wrapped twice
+        # is restored to what it was before the first wrap
+        from ssp_kit import cli, core, engine, formats
+
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        tracer = spans.Tracer()
+        try:
+            spans.install(tracer)
+            spans.install_setup(tracer)
+            originals = {}
+            for owner, attr, original in tracer._undo:
+                assert getattr(owner, attr) is not original, (owner, attr)
+                originals.setdefault((owner, attr), original)
+        finally:
+            tracer.unwrap()
+        for (owner, attr), original in originals.items():
+            assert getattr(owner, attr) is original, (owner, attr)
+        assert {
+            (engine, "is_region"),
+            (engine, "solve_atom"),
+            (core.Region, "key"),
+            (engine, "fast_path_swap_core"),
+            (engine, "brute_force_decide"),
+            (formats, "validate_ts"),
+            (cli, "decide_ssp"),
+        } <= set(originals)
