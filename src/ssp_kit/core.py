@@ -110,8 +110,10 @@ _APPLY: dict[Interaction, tuple[int | None, int | None]] = {
     Interaction.FREE: (0, None),
 }
 
-#: Canonical listing order used everywhere (bit i of a type mask, CLI output,
-#: branching order of the search).
+#: Canonical listing order used everywhere: bit i of a type mask, CLI output,
+#: and the order the oracles try an event's interactions in.  The search
+#: tries a node's interactions in its own order, nop, then swap, then the
+#: rest in this one (see ``engine._FIRST``).
 INTERACTION_ORDER: tuple[Interaction, ...] = tuple(Interaction)
 
 INTERACTION_BY_NAME: dict[str, Interaction] = {i.value: i for i in Interaction}
@@ -157,11 +159,14 @@ class TransitionSystem:
     ``events``, as ``sidx`` and ``eidx`` record, and the search, the region
     checks and the oracles walk its ``arcs``.  The regions the search
     builds share ``sidx`` and ``eidx`` as their keys (see
-    :class:`PackedMap`).  Equality and hashing go by content, the tuple
-    ``(states, events, edges, initial)``, so regenerating a system yields
-    an equal one; the integer form takes no part in either.  The fields
-    are ``__slots__``, set once by ``__init__``; assigning or deleting one
-    raises ``dataclasses.FrozenInstanceError``, as on a frozen dataclass.
+    :class:`PackedMap`).  It holds no search policy: the order a search
+    branches over the events in is the search's own, built only for the
+    systems that get searched.  Equality and hashing go by content, the
+    tuple ``(states, events, edges, initial)``, so regenerating a system
+    yields an equal one; the integer form takes no part in either.  The
+    fields are ``__slots__``, set once by ``__init__``; assigning or
+    deleting one raises ``dataclasses.FrozenInstanceError``, as on a frozen
+    dataclass.
     Nothing changes a system once built: the searches keep their state to
     themselves and only read the integer form, so searches in several
     threads may share one system.  The integer form's sequences are lists:
@@ -172,7 +177,7 @@ class TransitionSystem:
 
     __slots__ = (
         "states", "events", "edges", "initial", "loop_free",
-        "sidx", "eidx", "arcs", "event_arcs", "state_arcs", "order",
+        "sidx", "eidx", "arcs", "event_arcs", "state_arcs",
     )
 
     states: tuple[str, ...]
@@ -192,8 +197,6 @@ class TransitionSystem:
     event_arcs: list[list[int]]
     #: positions in ``arcs`` per state id (a loop once)
     state_arcs: list[list[int]]
-    #: event ids in branching order: busiest first, ties by name
-    order: list[int]
 
     def __init__(
         self,
@@ -208,7 +211,6 @@ class TransitionSystem:
         arcs: list[tuple[int, int, int]],
         event_arcs: list[list[int]],
         state_arcs: list[list[int]],
-        order: list[int],
     ) -> None:
         init = object.__setattr__
         init(self, "states", states)
@@ -221,7 +223,6 @@ class TransitionSystem:
         init(self, "arcs", arcs)
         init(self, "event_arcs", event_arcs)
         init(self, "state_arcs", state_arcs)
-        init(self, "order", order)
 
     def _content(self) -> tuple:
         return (self.states, self.events, self.edges, self.initial)
@@ -340,9 +341,6 @@ def validate_ts(edges: Iterable[Sequence[str]], initial: str) -> TransitionSyste
         raise UnreachableState(s for s, hit in zip(states, seen) if not hit)
 
     loop_free = all(si != ti for si, _, ti in arcs)
-    order = sorted(
-        range(len(events)), key=lambda ei: (-len(event_arcs[ei]), events[ei])
-    )
     return TransitionSystem(
         states=states,
         events=events,
@@ -354,7 +352,6 @@ def validate_ts(edges: Iterable[Sequence[str]], initial: str) -> TransitionSyste
         arcs=arcs,
         event_arcs=event_arcs,
         state_arcs=state_arcs,
-        order=order,
     )
 
 

@@ -212,13 +212,20 @@ _REPAIR_SHARE = 1 / 8
 _REPAIR_NODES = 16
 
 
-#: The search state: the union-find's root and parity of every node, its
-#: class member lists and boundaries, the flags of the roots whose members
-#: and boundary the state owns, the event domains and the trail.  A state
-#: shares what it does not own, with the system or with the descent it was
-#: copied from: a boundary is the system's ``state_arcs`` list until it
-#: first changes, and then an edge-keyed dict, so an edge leaves it in one
-#: step; a dict's order steers only the order edges are queued in.
+#: The search state, ``(parent, par, members, bound, own, dom, trail)``:
+#: the union-find's root and parity of every node, its class member lists
+#: and boundaries, the flags of the roots whose members and boundary the
+#: state owns, the event domains and the trail.  A state shares what it
+#: does not own, with the system or with the descent it was copied from: a
+#: boundary is the system's ``state_arcs`` list until it first changes, and
+#: then an edge-keyed dict, so an edge leaves it in one step; a dict's
+#: order steers only the order edges are queued in.  It is the one form the
+#: search holds its state in, in use, in a descent and in a checkpoint
+#: alike, so storing it is a reference and resuming from it an assignment.
+#: It is a plain tuple: each method unpacks the fields it reads once per
+#: call, and CPython unpacks an exact tuple in a fast path that a
+#: NamedTuple, a tuple subclass, misses; one made the 753-state sweep
+#: about 3.5% slower.
 _State = tuple[
     list[int],
     list[int],
@@ -248,19 +255,20 @@ class _Descent:
     the depth-first search without any atom, from the fixpoint of that
     value alone toward the type's first region.
 
-    It is the ``state`` of the node it stopped at and the ``stack`` of that
-    node's ancestors' frames, and the search starts it when an atom first
-    needs it and advances it in place.  An atom's search that backtracks
-    from it does so on a copy that owns no class's lists, so the descent's
-    lists stay as they are.
+    It is the ``state`` of the node it stopped at, the search state tuple
+    the search works on while it advances the descent, and the ``stack``
+    of that node's ancestors' frames.  The search starts it when an atom
+    first needs it and advances it in place.  An atom's search that
+    backtracks from it does so on a copy that owns no class's lists, so
+    the descent's lists stay as they are.
 
     On its way down it keeps ``checkpoints``, shallowest first, all on its
     current path: on entering a node once its trail has grown by
     ``spacing`` entries since the last checkpoint, it keeps the node's
-    state and goes on with a copy, so each checkpoint stays as it was
-    taken.  When it holds :data:`_CHECKPOINT_CAP` of them it drops every
-    other one, the last one kept, and doubles ``spacing``; when it pops a
-    frame above a checkpoint, that checkpoint is dropped.
+    state tuple and goes on with a copy, so each checkpoint stays as it
+    was taken.  When it holds :data:`_CHECKPOINT_CAP` of them it drops
+    every other one, the last one kept, and doubles ``spacing``; when it
+    pops a frame above a checkpoint, that checkpoint is dropped.
     """
 
     __slots__ = ("state", "stack", "checkpoints", "spacing")
@@ -291,6 +299,11 @@ class _AtomSearch:
     backtracking over event signatures.  Propagating an edge reads the step
     tables above: the cells its known values and parity allow select the
     interactions kept and the values and parity forced.
+
+    The search works on one state, :data:`_State`, held as the tuple
+    :attr:`state`: the fields below are its fields, each list changed in
+    place, and going on with another state, a copy or a stored one, is
+    assigning another tuple.
 
     The union-find is flat: ``parent[x]`` is the root of x's class and
     ``par[x]`` the parity of x to it, so a find is two list reads, and
@@ -335,10 +348,10 @@ class _AtomSearch:
     changes nothing.  Its fixpoint is therefore the same whatever the order
     of the unions and revisions that reached it, and so is everything the
     search derives from it.  The search branches on the first event in
-    ``ts.order`` that is not yet a singleton and tries its bits in one
-    fixed order (see :data:`_FIRST`), so its leaves, the regions, come in
-    lexicographic order of their signatures under it, and it returns the
-    first region with the atom.
+    :attr:`order`, busiest first, that is not yet a singleton and tries
+    its bits in one fixed order (see :data:`_FIRST`), so its leaves, the
+    regions, come in lexicographic order of their signatures under it,
+    and it returns the first region with the atom.
 
     Every atom's search under a type therefore shares the type's descent
     (see :data:`_Descent`), which this object keeps for the atoms it is
@@ -368,7 +381,7 @@ class _AtomSearch:
     first (see :meth:`_repair`): most of the next atom's region is that
     region with a few states and events around the atom changed, and the
     search finds such a region by searching only those: it branches over
-    the events at the ball alone, taken in ``ts.order`` by their ``rank``
+    the events at the ball alone, taken in :attr:`order` by their ``rank``
     there.  It is a region and splits the atom, but not always the first
     one in the order above, which :func:`solve_atom`, running no repair,
     still returns.  A repair
@@ -401,75 +414,59 @@ class _AtomSearch:
         self.descents: dict[int, _Descent | None] = {}
         self.queue: list[int] = []
         self.inq = bytearray(len(ts.arcs))
-        #: each event's position in ``ts.order``
+        #: event ids in branching order: busiest first, ties by name
+        self.order = sorted(
+            range(len(ts.events)),
+            key=lambda ei: (-len(ts.event_arcs[ei]), ts.events[ei]),
+        )
+        #: each event's position in ``order``
         self.rank = [0] * len(ts.events)
-        for pos, ei in enumerate(ts.order):
+        for pos, ei in enumerate(self.order):
             self.rank[ei] = pos
 
     # -- union-find with parity, trail-based undo
 
     def _reset(self) -> None:
         n1 = self.n + 1
-        self.parent = list(range(n1))
-        self.par = [0] * n1
-        self.members: list[list[int]] = [[k] for k in range(n1)]
-        self.bound: list[list[int] | dict[int, None]] = [*self.ts.state_arcs, []]
-        self.own = bytearray(n1)
-        self.dom = [self.full_mask] * len(self.ts.events)
-        self.trail: list[tuple] = []
-
-    def _state(self) -> _State:
-        return (
-            self.parent,
-            self.par,
-            self.members,
-            self.bound,
-            self.own,
-            self.dom,
-            self.trail,
+        self.state: _State = (
+            list(range(n1)),
+            [0] * n1,
+            [[k] for k in range(n1)],
+            [*self.ts.state_arcs, []],
+            bytearray(n1),
+            [self.full_mask] * len(self.ts.events),
+            [],
         )
-
-    def _bind(self, state: _State) -> None:
-        (
-            self.parent,
-            self.par,
-            self.members,
-            self.bound,
-            self.own,
-            self.dom,
-            self.trail,
-        ) = state
 
     def _detach(self) -> None:
         """Go on with a copy of the state, leaving a stored descent as is.
         The copy shares every class's lists until it first changes them."""
-        self._bind((
-            self.parent[:],
-            self.par[:],
-            self.members[:],
-            self.bound[:],
-            bytearray(len(self.own)),
-            self.dom[:],
-            self.trail[:],
-        ))
+        parent, par, members, bound, own, dom, trail = self.state
+        self.state = (
+            parent[:],
+            par[:],
+            members[:],
+            bound[:],
+            bytearray(len(own)),
+            dom[:],
+            trail[:],
+        )
 
     def _own(self, root: int) -> None:
         """Give the state its own copies of ``root``'s members and boundary,
         the boundary as a dict."""
-        self.own[root] = 1
-        self.members[root] = self.members[root][:]
-        self.bound[root] = dict.fromkeys(self.bound[root])
+        _, _, members, bound, own, _, _ = self.state
+        own[root] = 1
+        members[root] = members[root][:]
+        bound[root] = dict.fromkeys(bound[root])
 
     def _union(self, x: int, y: int, parity: int) -> bool:
-        parent = self.parent
-        par = self.par
+        parent, par, members, bound, own, dom, trail = self.state
         rx = parent[x]
         ry = parent[y]
         want = parity ^ par[x] ^ par[y]
         if rx == ry:
             return want == 0
-        members = self.members
-        bound = self.bound
         zero = self.zero
         # ry's class moves under rx.  The zero node stays a root, so the
         # moved class is always the one whose states learn something; other
@@ -481,7 +478,6 @@ class _AtomSearch:
         inq = self.inq
         queue = self.queue
         arcs = self.ts.arcs
-        dom = self.dom
         if rx == zero:
             # every moved state learns its value: a boundary edge with both
             # ends now valued learns something unless every interaction left
@@ -504,7 +500,7 @@ class _AtomSearch:
                     continue
                 inq[k] = 1
                 queue.append(k)
-            self.trail.append(("uf", ry, zero))
+            trail.append(("uf", ry, zero))
             return True
         # only the pairs across the two classes learn a parity, so only the
         # edges between them, now inside rx's class, can be revised further:
@@ -512,7 +508,7 @@ class _AtomSearch:
         # interaction their revision keeps lacks a step of their new
         # parity.  Of the rest, those that still cross or still lack a step
         # join it.
-        if not self.own[rx]:
+        if not own[rx]:
             self._own(rx)
         grown = bound[rx]
         for k in bound[ry]:
@@ -538,21 +534,16 @@ class _AtomSearch:
             parent[member] = rx
             par[member] ^= want
         members[rx].extend(moved)
-        self.trail.append(("uf", ry, rx))
+        trail.append(("uf", ry, rx))
         return True
 
     def _set_dom(self, ei: int, mask: int) -> None:
-        self.trail.append(("dom", ei, self.dom[ei]))
-        self.dom[ei] = mask
+        _, _, _, _, _, dom, trail = self.state
+        trail.append(("dom", ei, dom[ei]))
+        dom[ei] = mask
 
     def _rollback(self, mark: int) -> None:
-        trail = self.trail
-        parent = self.parent
-        par = self.par
-        members = self.members
-        bound = self.bound
-        own = self.own
-        dom = self.dom
+        parent, par, members, bound, own, dom, trail = self.state
         arcs = self.ts.arcs
         zero = self.zero
         for _ in range(len(trail) - mark):
@@ -605,10 +596,7 @@ class _AtomSearch:
         inq = self.inq
         arcs = self.ts.arcs
         event_arcs = self.ts.event_arcs
-        parent = self.parent
-        par = self.par
-        dom = self.dom
-        trail = self.trail
+        parent, par, _, _, _, dom, trail = self.state
         union = self._union
         zero = self.zero
         popped = 0
@@ -667,7 +655,8 @@ class _AtomSearch:
         parity, which holds for 26 of the 255 nonempty types.  Only then are
         all edges queued, as they are behind the valuation's; otherwise each
         would be revised to no effect, so the propagation is the same but
-        for those revisions."""
+        for those revisions.  The descent's state is the fixpoint's with a
+        fresh trail."""
         self._reset()
         ts = self.ts
         self._union(ts.sidx[ts.initial], self.zero, init_value)
@@ -675,26 +664,26 @@ class _AtomSearch:
             self._enqueue_all(range(len(ts.arcs)))
         if not self._propagate():
             return None
-        self.trail = []
-        return _Descent(self._state(), [(0, 0, 0)])
+        self.state = (*self.state[:6], [])
+        return _Descent(self.state, [(0, 0, 0)])
 
     def _checkpoint(self, descent: _Descent, depth: int) -> None:
         """Keep the state of the node being entered, whose stack length is
         ``depth``, as ``descent``'s last checkpoint, thinning them when
         they are full, and go on with a copy that the descent follows."""
         checkpoints = descent.checkpoints
-        checkpoints.append((self._state(), depth))
+        checkpoints.append((self.state, depth))
         if len(checkpoints) >= _CHECKPOINT_CAP:
             del checkpoints[-2::-2]
             descent.spacing *= 2
         self._detach()
-        descent.state = self._state()
+        descent.state = self.state
 
     # -- search
 
     def _build_region(self) -> Region:
         ts = self.ts
-        parent = self.parent
+        parent, par, _, _, _, dom, _ = self.state
         zero = self.zero
         if parent.count(zero) != len(parent):
             # cannot happen: the initial state is pinned and every other
@@ -707,8 +696,8 @@ class _AtomSearch:
         # the zero node is every state's root, so a state's parity is its
         # value; every domain is a single interaction's bit
         return Region(
-            support=PackedMap(ts.sidx, bytes(self.par[: self.n])),
-            signature=PackedSignature(ts.eidx, bytes(self.dom)),
+            support=PackedMap(ts.sidx, bytes(par[: self.n])),
+            signature=PackedSignature(ts.eidx, bytes(dom)),
         )
 
     def _expand(
@@ -720,12 +709,13 @@ class _AtomSearch:
         enter: bool,
         limit: float,
     ) -> Region | None:
-        """Depth-first search from the current, propagated node: the first
-        leaf's region, or None once the stack's first frame is popped.
+        """Depth-first search from the current, propagated node, the one
+        :attr:`state` holds: the first leaf's region, or None once the
+        stack's first frame is popped.
 
         A node branches on the first event in ``order`` that is not a
         singleton there, and is a leaf when there is none: ``order`` is
-        ``ts.order``, or for a repair the events it opens in that order,
+        :attr:`order`, or for a repair the events it opens in that order,
         where every other event is a singleton from the start (see
         :meth:`_repair`).  The stack holds one frame per open node and
         starts with one that has no bits to try: its position in ``order``
@@ -744,18 +734,15 @@ class _AtomSearch:
         it, it starts by backtracking into the stack's top frame.  Given
         the ``descent`` whose stack ``stack`` is, it returns None at the
         first node where the two state ids ``pair`` are forced equal,
-        before entering it, leaving that node's state and its ancestors'
-        frames as they are; it takes and drops the descent's checkpoints as
-        :class:`_Descent` says.  Otherwise the search is for the atom
-        ``pair``, and unites the pair with parity 1 before it propagates
-        each child.
+        before entering it, leaving that node's state, the descent's
+        ``state`` again, and its ancestors' frames as they are; it takes
+        and drops the descent's checkpoints as :class:`_Descent` says.
+        Otherwise the search is for the atom ``pair``, and unites the pair
+        with parity 1 before it propagates each child.
         """
         n_order = len(order)
         event_arcs = self.ts.event_arcs
-        dom = self.dom
-        parent = self.parent
-        par = self.par
-        trail = self.trail
+        parent, par, _, _, _, dom, trail = self.state
         inq = self.inq
         queue = self.queue
         a, b = pair
@@ -775,8 +762,7 @@ class _AtomSearch:
                 self.expanded += 1
                 if len(trail) >= due:
                     self._checkpoint(descent, len(stack))
-                    dom, parent, par = self.dom, self.parent, self.par
-                    trail = self.trail
+                    parent, par, _, _, _, dom, trail = self.state
                     due = descent.due()
                 pos = stack[-1][0]
                 while pos < n_order and not dom[order[pos]] & (dom[order[pos]] - 1):
@@ -830,19 +816,20 @@ class _AtomSearch:
         with no arc at the ball ``base``'s interaction and every other event
         the interactions of the type that carry its arcs with both ends
         outside the ball under those values, and leaves the ball's states
-        free.  It is built whole, not by unions: ``base`` is a fixpoint, and
-        so is what is left of it.  The try unites the pair with parity 1,
-        propagates the arcs at the ball and searches below as
-        :meth:`_expand` does, in at most :data:`_REPAIR_NODES` nodes, which
-        count against the atom's budget.  Domains only shrink, so the events
-        with an arc at the ball are the only ones that can be open: the try
-        branches over them alone, in ``ts.order``, and so on the events a
-        branch over all of ``ts.order`` picks, with no node scanning every
-        event.  So it returns a region that
-        splits the atom and differs from ``base`` only on the ball and the
-        events at it, the first try's that finds one.  Finding none proves
-        nothing about the atom, whose own search comes next: only the
-        atom's budget running out raises :class:`_Exhausted` here.
+        free.  It is built whole, as a new :attr:`state` tuple, not by
+        unions: ``base`` is a fixpoint, and so is what is left of it.  The
+        try unites the pair with parity 1, propagates the arcs at the ball
+        and searches below as :meth:`_expand` does, in at most
+        :data:`_REPAIR_NODES` nodes, which count against the atom's budget.
+        Domains only shrink, so the events with an arc at the ball are the
+        only ones that can be open: the try branches over them alone, in
+        :attr:`order`, and so on the events a branch over all of
+        :attr:`order` picks, with no node scanning every event.  So it
+        returns a region that splits the atom and differs from ``base``
+        only on the ball and the events at it, the first try's that finds
+        one.  Finding none proves nothing about the atom, whose own search
+        comes next: only the atom's budget running out raises
+        :class:`_Exhausted` here.
         """
         ts = self.ts
         arcs = ts.arcs
@@ -893,8 +880,8 @@ class _AtomSearch:
                         if mask == least:
                             break
                 dom[ei] = mask
-            self._bind(
-                (parent, par, members, [*state_arcs, []], bytearray(n + 1), dom, [])
+            self.state = (
+                parent, par, members, [*state_arcs, []], bytearray(n + 1), dom, []
             )
             self._union(a, b, 1)
             self._enqueue_all(at_ball)
@@ -903,7 +890,7 @@ class _AtomSearch:
             limit = min(self.max_nodes, self.expanded + _REPAIR_NODES)
             try:
                 region = self._expand(
-                    opened, [(0, 0, len(self.trail))], pair, None, True, limit
+                    opened, [(0, 0, len(self.state[6]))], pair, None, True, limit
                 )
             except _Exhausted:
                 if limit == self.max_nodes:
@@ -925,7 +912,7 @@ class _AtomSearch:
         self.expanded = self.revisions = 0
         descents = self.descents
         sidx = self.ts.sidx
-        order = self.ts.order
+        order = self.order
         a, b = pair = (sidx[atom[0]], sidx[atom[1]])
         limit = self.max_nodes
         region = None
@@ -942,7 +929,7 @@ class _AtomSearch:
                 descent = descents[init_value]
                 if descent is None:
                     continue
-                self._bind(descent.state)
+                self.state = descent.state
                 region = self._expand(
                     order, descent.stack, pair, descent, True, limit
                 )
@@ -953,7 +940,7 @@ class _AtomSearch:
                     for state, at in descent.checkpoints:
                         parent, par = state[0], state[1]
                         if parent[a] == parent[b] and par[a] == par[b]:
-                            self._bind(state)
+                            self.state = state
                             depth = at
                             break
                     self._detach()  # the descent and checkpoints stay as they are

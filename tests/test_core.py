@@ -22,7 +22,7 @@ from ssp_kit.core import (
     type_of,
     validate_ts,
 )
-from ssp_kit.engine import solve_atom
+from ssp_kit.engine import _AtomSearch, solve_atom
 from ssp_kit.verify import random_ts
 
 I = Interaction
@@ -132,7 +132,9 @@ class TestIntegerForm:
         assert ts.event_arcs == [[0, 1, 2], [3]]
         # the loop on c is listed once
         assert ts.state_arcs == [[0, 3], [0, 1, 3], [1, 2]]
-        assert ts.order == [0, 1]
+        # the branching order, busiest event first, is the search's own
+        assert not hasattr(ts, "order")
+        assert _AtomSearch(ts, 0, None).order == [0, 1]
 
     def test_arcs_are_not_in_edge_order(self):
         ts = validate_ts(self.EDGES, "a")
@@ -148,14 +150,14 @@ class TestIntegerForm:
 
     def test_fields_are_frozen(self):
         ts = validate_ts(self.EDGES, "a")
-        for name, value in (("states", ()), ("arcs", []), ("order", [])):
+        for name, value in (("states", ()), ("arcs", []), ("event_arcs", [])):
             with pytest.raises(FrozenInstanceError):
                 setattr(ts, name, value)
 
     def test_every_field_is_frozen(self):
         ts = validate_ts(self.EDGES, "a")
         assert not hasattr(ts, "__dict__")
-        assert len(ts.__slots__) == 11
+        assert len(ts.__slots__) == 10
         for name in ts.__slots__:
             value = getattr(ts, name)
             with pytest.raises(FrozenInstanceError):

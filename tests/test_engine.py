@@ -3,6 +3,7 @@ import gc
 import pickle
 import random
 import sys
+import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations, product
@@ -254,8 +255,9 @@ class TestSolveAtom:
                 super()._checkpoint(descent, depth)
                 held.append(len(descent.checkpoints))
 
-        last = star.events[star.order[-1]].replace("e", "l")
-        Capped(star, type_mask(frozenset(Interaction)), None).run(("c", last))
+        search = Capped(star, type_mask(frozenset(Interaction)), None)
+        last = star.events[search.order[-1]].replace("e", "l")
+        search.run(("c", last))
         assert len(held) > engine._CHECKPOINT_CAP
         assert max(held) <= engine._CHECKPOINT_CAP
 
@@ -335,6 +337,26 @@ class TestDecideSsp:
             gc.collect()
             assert len(built) == sweeps and built[-1]() is None
 
+    def test_the_753_state_sweep_retains_under_1_mb_and_peaks_under_2_5_mb(self):
+        # tracemalloc counts what is allocated during the sweep: what is
+        # still held once it returns, and the most held at once.  The
+        # search packs each region a byte per state and per event over the
+        # system's shared name indexes.  The type's descents live and die
+        # with the sweep's search object, so none is retained, and each
+        # keeps at most 32 checkpoints, a copy of the search state each;
+        # uncapped, the peak would grow with depth times states.  The sweep
+        # retains about 0.2 MB and peaks at about 1.8 MB
+        ts = gen_nop_free(unsat_formula_m4()).ts
+        tracemalloc.start()
+        try:
+            report = decide_ssp(ts, SWAP_FREE)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.decision is Decision.LACKS_SSP
+        assert retained < 1_000_000, retained
+        assert peak < 2_500_000, peak
+
     def test_threads_may_share_a_system(self):
         # searches keep their state to themselves, so sweeps in two threads
         # on one system each report what a sweep alone does; the short
@@ -370,7 +392,7 @@ class TestDecideSsp:
         # a union and the rest of its propagation leave the system's
         # integer form as it was
         ts = system()
-        fields = ("sidx", "eidx", "arcs", "event_arcs", "state_arcs", "order")
+        fields = ("sidx", "eidx", "arcs", "event_arcs", "state_arcs")
 
         def integer_form():
             return {name: getattr(ts, name) for name in fields}
@@ -502,13 +524,14 @@ class ClosureCheckingSearch(_AtomSearch):
     def _propagate(self):
         if not super()._propagate():
             return False
-        mark = len(self.trail)
+        trail = self.state[6]
+        mark = len(trail)
         for k in range(len(self.ts.arcs)):
             revisions = self.revisions
             self._enqueue_all([k])
             assert super()._propagate()
             assert self.revisions == revisions + 1, k
-            assert len(self.trail) == mark and not self.queue, k
+            assert len(trail) == mark and not self.queue, k
         return True
 
 
@@ -534,8 +557,8 @@ class EveryArcRoot(_AtomSearch):
         self._enqueue_all(range(len(ts.arcs)))
         if not self._propagate():
             return None
-        self.trail = []
-        return engine._Descent(self._state(), [(0, 0, 0)])
+        self.state = (*self.state[:6], [])
+        return engine._Descent(self.state, [(0, 0, 0)])
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -551,10 +574,11 @@ def test_the_root_revises_only_what_can_teach(ts):
             reference = want._root(init_value)
             assert (descent is None) == (reference is None), (mask, init_value)
             if descent is not None:
-                assert (got.parent, got.par, got.dom) == (
-                    want.parent,
-                    want.par,
-                    want.dom,
+                parent, par, _, _, _, dom, _ = got.state
+                assert (parent, par, dom) == (
+                    want.state[0],
+                    want.state[1],
+                    want.state[5],
                 ), (mask, init_value)
             assert got.revisions <= want.revisions, (mask, init_value)
 
@@ -624,21 +648,23 @@ class InvariantCheckingSearch(_AtomSearch):
     def at_mark(self):
         # keyed by id; the trail is kept in the value so no id is reused
         trails = self.records.trails
-        return trails.setdefault(id(self.trail), (self.trail, {}))[1]
+        trail = self.state[6]
+        return trails.setdefault(id(trail), (trail, {}))[1]
 
     def record(self):
-        self.at_mark()[len(self.trail)] = union_find_state(self._state())
+        self.at_mark()[len(self.state[6])] = union_find_state(self.state)
 
     def check(self):
-        parent, par, members = self.parent, self.par, self.members
+        assert type(self.state) is tuple
+        parent, par, members, bound, _, dom, _ = self.state
         for x, root in enumerate(parent):
             assert parent[root] == root and par[root] == 0, (x, root)
             assert root == self.zero or x in members[root], (x, root)
-        assert members[self.zero] == [self.zero] and not self.bound[self.zero]
+        assert members[self.zero] == [self.zero] and not bound[self.zero]
         assert sum(
             len(members[root]) for root in set(parent) - {self.zero}
         ) == len(parent) - parent.count(self.zero)
-        bound = [set(b) for b in self.bound]
+        bound = [set(b) for b in bound]
         arcs = self.ts.arcs
         for k, (si, ei, ti) in enumerate(arcs):
             ra, rb = parent[si], parent[ti]
@@ -646,7 +672,7 @@ class InvariantCheckingSearch(_AtomSearch):
                 ends = {ra, rb} - {self.zero}
             elif ra != self.zero:
                 cells = _PARITY_IS[par[si] ^ par[ti]]
-                kept = _KEEPS[cells] & self.dom[ei]
+                kept = _KEEPS[cells] & dom[ei]
                 ends = {ra} if _COVER[kept] & cells != cells else set()
             else:
                 ends = set()
@@ -678,19 +704,21 @@ class InvariantCheckingSearch(_AtomSearch):
 
     def _detach(self):
         at_mark = self.at_mark()
-        descent = self._state()
+        descent = self.state
         self.detached.append((descent, union_find_state(descent)))
         super()._detach()
-        self.records.trails[id(self.trail)] = (self.trail, dict(at_mark))
+        trail = self.state[6]
+        self.records.trails[id(trail)] = (trail, dict(at_mark))
 
     def _checkpoint(self, descent, depth):
-        state = self._state()
+        state = self.state
         taken = (state, union_find_state(state), descent.stack[:depth])
         self.records.checkpoints.append(taken)
         self.taken.append(taken)
         before = {id(cp[6]) for cp, _ in descent.checkpoints}
         super()._checkpoint(descent, depth)
         assert descent.checkpoints[-1][0][6] is state[6]
+        assert type(descent.state) is tuple
         assert len(descent.checkpoints) <= engine._CHECKPOINT_CAP
         self.records.thinned |= before - {id(cp[6]) for cp, _ in descent.checkpoints}
 
@@ -698,12 +726,12 @@ class InvariantCheckingSearch(_AtomSearch):
         at_mark = self.at_mark()
         super()._rollback(mark)
         self.check()
-        assert union_find_state(self._state()) == at_mark[mark], mark
+        assert union_find_state(self.state) == at_mark[mark], mark
 
     def climb(self, state, frames):
         """Roll a copy of ``state`` back through ``frames``, deepest first,
         checking each mark's state."""
-        self._bind(state)
+        self.state = state
         self._detach()
         for _, _, mark in reversed(frames):
             self._rollback(mark)
@@ -796,12 +824,17 @@ def test_sweeps_search_from_checkpoints(monkeypatch):
     resumed = []
 
     class Resuming(_AtomSearch):
-        def _bind(self, state):
-            descents = self.descents.values()
-            trails = [cp[6] for d in descents if d for cp, _ in d.checkpoints]
-            if any(state[6] is trail for trail in trails):
-                resumed.append(state)
-            super()._bind(state)
+        def _detach(self):
+            # a search copies the state it resumes from; a checkpoint's
+            # state is also copied when it is taken, but then it is still
+            # its descent's own state
+            descents = [d for d in self.descents.values() if d]
+            held = [cp for d in descents for cp, _ in d.checkpoints]
+            if any(self.state is cp for cp in held) and not any(
+                self.state is d.state for d in descents
+            ):
+                resumed.append(self.state)
+            super()._detach()
 
     monkeypatch.setattr(engine, "_AtomSearch", Resuming)
     with dense_checkpoints():
@@ -820,7 +853,7 @@ def reference_search(ts, mask, atom):
     region.
     """
     search = _AtomSearch(ts, mask, None)
-    order, arcs_of = ts.order, ts.event_arcs
+    order, arcs_of = search.order, ts.event_arcs
     a, b = (ts.sidx[s] for s in atom)
     for init_value in (0, 1):
         search._reset()
@@ -828,13 +861,14 @@ def reference_search(ts, mask, atom):
         search._enqueue_all(range(len(ts.arcs)))
         if not (search._union(a, b, 1) and search._propagate()):
             continue
-        dom, stack, pos = search.dom, [], 0
+        _, _, _, _, _, dom, trail = search.state
+        stack, pos = [], 0
         while True:
             while pos < len(order) and bin(dom[order[pos]]).count("1") == 1:
                 pos += 1
             if pos == len(order):
                 return AtomStatus.SOLVED, search._build_region()
-            stack.append((pos, dom[order[pos]], len(search.trail)))
+            stack.append((pos, dom[order[pos]], len(trail)))
             while stack:
                 pos, untried, mark = stack.pop()
                 search._rollback(mark)
@@ -1075,11 +1109,11 @@ def test_a_repair_schedule_returns_its_first_radius_that_finds_a_region():
 
 
 class EveryEventRepair(_AtomSearch):
-    """A search that branches over every event in ``ts.order``, repairs
+    """A search that branches over every event in its ``order``, repairs
     included, not over the ball's events only."""
 
     def _expand(self, order, *rest):
-        return super()._expand(self.ts.order, *rest)
+        return super()._expand(self.order, *rest)
 
 
 def test_a_repair_branches_only_over_the_balls_events():
@@ -1714,8 +1748,9 @@ class TestPropagationTables:
             search._union(end, search.zero, value)
             assert search.queue == [0] * teaches, (mask, end, value)
             search._enqueue_all([0])
-            mark = len(search.trail)
-            changed = not search._propagate() or len(search.trail) > mark
+            trail = search.state[6]
+            mark = len(trail)
+            changed = not search._propagate() or len(trail) > mark
             assert changed == bool(teaches), (mask, end, value)
 
     def test_revise_matches_the_reference_loop(self):
@@ -1737,7 +1772,7 @@ class TestPropagationTables:
                 search._union(0, 1, parity)
 
             def value(u, v):
-                parent, par = search.parent, search.par
+                parent, par = search.state[:2]
                 return par[u] ^ par[v] if parent[u] == parent[v] else None
 
             kept, xs, ys, ps = reference_revise(mask, source, target, parity)
@@ -1745,5 +1780,5 @@ class TestPropagationTables:
             assert search._propagate() == (kept != 0)
             if kept:
                 forced = [s >> 1 if s in (1, 2) else None for s in (xs, ys, ps)]
-                assert search.dom[0] == kept
+                assert search.state[5][0] == kept
                 assert [value(0, zero), value(1, zero), value(0, 1)] == forced
