@@ -25,7 +25,6 @@ import time
 from enum import Enum
 from functools import cache
 from itertools import product
-from operator import add
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .core import (
@@ -900,20 +899,19 @@ class _AtomSearch:
                 return region
         return None
 
-    def run(self, atom: tuple[str, str], base: Region | None = None) -> AtomVerdict:
-        """The verdict of the search for ``atom``, its region not yet
-        checked, counting only what this atom costs.  Given a ``base``
-        region, the search first tries to repair it, in a ball of each radius
-        of :data:`_REPAIR_RADII` in turn (see :meth:`_repair`).  Otherwise,
-        or if no try finds a region, under each initial value, the
-        search advances the type's descent, then searches for the atom on
-        a copy, from the descent's shallowest checkpoint where the atom's
+    def run(self, pair: tuple[int, int], base: Region | None = None) -> AtomVerdict:
+        """The verdict of the search for the atom of state ids ``pair``, its
+        region not yet checked, counting only what this atom costs.  Given a
+        ``base`` region, the search first tries to repair it, in a ball of
+        each radius of :data:`_REPAIR_RADII` in turn (see :meth:`_repair`).
+        Otherwise, or if no try finds a region, under each initial value,
+        the search advances the type's descent, then searches for the atom
+        on a copy, from the descent's shallowest checkpoint where the atom's
         states are forced equal, or else from where it stopped."""
         self.expanded = self.revisions = 0
         descents = self.descents
-        sidx = self.ts.sidx
         order = self.order
-        a, b = pair = (sidx[atom[0]], sidx[atom[1]])
+        a, b = pair
         limit = self.max_nodes
         region = None
         repaired = False
@@ -977,23 +975,13 @@ def solve_atom(
     a, b = atom
     if a == b or a not in ts.sidx or b not in ts.sidx:
         raise InvalidAtom(f"atom must be two distinct states: {atom!r}")
-    verdict = _AtomSearch(ts, type_mask(tau), budget).run(atom)
+    verdict = _AtomSearch(ts, type_mask(tau), budget).run((ts.sidx[a], ts.sidx[b]))
     region = verdict.region
     if region is not None and not (
         is_region(ts, tau, region) and region.solves(atom)
     ):
         raise InternalCheckFailed("search produced an invalid region")
     return verdict
-
-
-def _refine(cls: list[int], bits: Iterable[int]) -> list[int]:
-    """Split the classes ``cls`` by the support ``bits``, in state order.
-
-    Each state's class code gets its bit appended, ``c + c + bit``: after
-    any supports, the code holds the state's bits under them, so two states
-    share a code iff none of the supports separates them.  The split runs
-    in C over ints, with no key object or name lookup per state."""
-    return list(map(add, map(add, cls, cls), bits))
 
 
 #: A ``bytes.translate`` table from a packed support's bytes to the digits
@@ -1082,8 +1070,9 @@ def _blocked_digits(mask: int) -> tuple[bytes, ...]:
 
 def _state_codes(rows: Sequence[bytes], n: int) -> list[int]:
     """Per state, its values under the supports ``rows`` of R, a byte per
-    state each: bit R-1-k of state i's code is byte i of row k, as a
-    :func:`_refine` fold of the rows has it."""
+    state each: bit R-1-k of state i's code is byte i of row k, the code
+    that appending each row's bit in turn, ``c + c + bit``, builds, as
+    :func:`brute_force_decide` builds its class codes."""
     joined = b"".join(rows)
     return [int(joined[s::n].translate(_DIGITS), 2) for s in range(n)]
 
@@ -1193,9 +1182,8 @@ def decide_ssp(
     # adds none, so the scan goes on from the atom after it
     supports: list[int] = []
     for pair in _unseparated(len(states), supports):
-        i, j = pair
-        atom = (states[i], states[j])
-        verdict = search.run(atom, report.regions[-1] if report.regions else None)
+        verdict = search.run(pair, report.regions[-1] if report.regions else None)
+        atom = (states[pair[0]], states[pair[1]])
         stats.atoms_searched += 1
         stats.atoms_repaired += verdict.repaired
         stats.nodes_expanded += verdict.nodes
@@ -1230,40 +1218,38 @@ def decide_ssp(
 # exhaustive oracles for small systems
 
 
-def _event_pairs(ts: TransitionSystem) -> list[list[tuple[str, str]]]:
-    """Per event, the (source, target) names of its edges."""
-    states = ts.states
-    return [
-        [(states[ts.arcs[k][0]], states[ts.arcs[k][2]]) for k in ks]
-        for ks in ts.event_arcs
-    ]
+def _oracle_input(
+    ts: TransitionSystem,
+    tau: frozenset[Interaction],
+) -> tuple[range, list[list[tuple[int, int]]], list[Interaction]]:
+    """What the oracles scan: every support as an int, bit i the value of
+    state i, in mask order; per event the (source, target) state ids of its
+    edges; and the members of ``tau`` in :data:`INTERACTION_ORDER`."""
+    n = len(ts.states)
+    if n > ORACLE_CAP:
+        raise OracleCapExceeded(f"{n} states exceeds the oracle cap of {ORACLE_CAP}")
+    pairs = [[(ts.arcs[k][0], ts.arcs[k][2]) for k in ks] for ks in ts.event_arcs]
+    return range(1 << n), pairs, [i for i in INTERACTION_ORDER if i in tau]
 
 
 def _carriers(
-    pairs: list[list[tuple[str, str]]],
-    tau: frozenset[Interaction],
-    bit_of: Mapping[str, int],
+    pairs: list[list[tuple[int, int]]],
+    members: list[Interaction],
+    sup: int,
 ) -> list[list[Interaction]] | None:
-    """Per event, the members of ``tau`` carrying its edge ``pairs`` under
-    ``bit_of``; None at the first event with none.  No events give ``[]``, not None."""
+    """Per event, the ``members`` carrying its edge ``pairs`` under the
+    support ``sup``, read through :meth:`Interaction.apply`; None at the
+    first event with none.  No events give ``[]``, not None."""
     per_event = []
     for edges in pairs:
         choices = [
-            i for i in INTERACTION_ORDER
-            if i in tau and all(i.apply(bit_of[s]) == bit_of[t] for s, t in edges)
+            i for i in members
+            if all(i.apply(sup >> s & 1) == sup >> t & 1 for s, t in edges)
         ]
         if not choices:
             return None
         per_event.append(choices)
     return per_event
-
-
-def _support_masks(ts: TransitionSystem) -> Iterable[dict[str, int]]:
-    n = len(ts.states)
-    if n > ORACLE_CAP:
-        raise OracleCapExceeded(f"{n} states exceeds the oracle cap of {ORACLE_CAP}")
-    for mask in range(1 << n):
-        yield {s: (mask >> k) & 1 for k, s in enumerate(ts.states)}
 
 
 def brute_force_regions(
@@ -1272,13 +1258,14 @@ def brute_force_regions(
 ) -> list[Region]:
     """Every tau-region of ``ts``, by brute enumeration; small systems only."""
     regions: list[Region] = []
-    pairs = _event_pairs(ts)
-    for bit_of in _support_masks(ts):
-        per_event = _carriers(pairs, tau, bit_of)
+    supports, pairs, members = _oracle_input(ts, tau)
+    for sup in supports:
+        per_event = _carriers(pairs, members, sup)
         if per_event is None:
             continue
+        support = {s: sup >> k & 1 for k, s in enumerate(ts.states)}
         for combo in product(*per_event):
-            regions.append(Region(dict(bit_of), dict(zip(ts.events, combo))))
+            regions.append(Region(dict(support), dict(zip(ts.events, combo))))
     return regions
 
 
@@ -1287,12 +1274,9 @@ def brute_force_supports(
     tau: frozenset[Interaction],
 ) -> set[tuple[int, ...]]:
     """Supports (as bit tuples over sorted states) admitting a tau-region."""
-    found: set[tuple[int, ...]] = set()
-    pairs = _event_pairs(ts)
-    for bit_of in _support_masks(ts):
-        if _carriers(pairs, tau, bit_of) is not None:
-            found.add(tuple(bit_of[s] for s in ts.states))
-    return found
+    supports, pairs, members = _oracle_input(ts, tau)
+    kept = [sup for sup in supports if _carriers(pairs, members, sup) is not None]
+    return {tuple(sup >> k & 1 for k in range(len(ts.states))) for sup in kept}
 
 
 def brute_force_decide(
@@ -1303,34 +1287,38 @@ def brute_force_decide(
 
     Supports are scanned in mask order.  One that splits a class of the
     partition so far and admits a region refines it, and its region, each
-    event on its first carrier, joins ``report.regions``.  The scan stops
-    once every class is a singleton; ``nodes_expanded`` counts the supports
-    scanned.
+    event on its first carrier, joins ``report.regions``.  Each state's
+    class code gets its bit under a kept support appended, ``c + c + bit``,
+    so two states share a code iff no kept support splits them, and a
+    support splits a class iff it makes more distinct codes.  The scan
+    stops once every class is a singleton; ``nodes_expanded`` counts the
+    supports scanned.
     """
     t0 = time.perf_counter()
     n = len(ts.states)
+    supports, pairs, members = _oracle_input(ts, tau)
     cls = [0] * n
+    kept: list[int] = []
     regions: list[Region] = []
-    pairs = _event_pairs(ts)
     scanned = 0
     classes = 1
-    for bit_of in _support_masks(ts):
+    for sup in supports:
         scanned += 1
         if classes == n:
             break
-        refined = _refine(cls, bit_of.values())
+        refined = [c + c + (sup >> k & 1) for k, c in enumerate(cls)]
         split = len(set(refined))
         if split == classes:
             continue
-        per_event = _carriers(pairs, tau, bit_of)
+        per_event = _carriers(pairs, members, sup)
         if per_event is None:
             continue
         cls, classes = refined, split
+        kept.append(sup)
+        support = {s: sup >> k & 1 for k, s in enumerate(ts.states)}
         signature = {e: c[0] for e, c in zip(ts.events, per_event)}
-        regions.append(Region(bit_of, signature))
-    # each kept support, a dict in state order, as an int
-    supports = [_support_int(bytes(r.support.values())) for r in regions]
-    report = _partition_report(ts, supports)
+        regions.append(Region(support, signature))
+    report = _partition_report(ts, kept)
     report.regions = regions
     report.stats.nodes_expanded = scanned
     report.stats.wall_ms = (time.perf_counter() - t0) * 1000.0

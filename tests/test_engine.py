@@ -41,6 +41,7 @@ from ssp_kit.engine import (
     WrongTypeFamily,
     brute_force_decide,
     brute_force_regions,
+    brute_force_supports,
     decide_ssp,
     embedding_certificate,
     fast_path_swap_core,
@@ -58,7 +59,6 @@ from ssp_kit.engine import (
     _TEACHES,
     _AtomSearch,
     _all_regions,
-    _refine,
     _state_codes,
     _support_int,
     _unseparated,
@@ -82,6 +82,11 @@ from ssp_kit.verify import (
 I = Interaction
 NOP_INP = type_of(I.NOP, I.INP)
 SWAP_FREE = type_of(I.SWAP, I.FREE)
+
+
+def pair_of(ts, atom):
+    """The state ids of ``atom``, the pair :meth:`_AtomSearch.run` takes."""
+    return ts.sidx[atom[0]], ts.sidx[atom[1]]
 
 
 @pytest.fixture(scope="module")
@@ -132,10 +137,11 @@ class TestSolveAtom:
     def test_a_search_resumes_its_descents_across_atoms(self):
         ts = fixture_parallel_pair()
         search = _AtomSearch(ts, type_mask(NOP_INP), None)
-        first = search.run(("r0", "r1"))
+        pair = pair_of(ts, ("r0", "r1"))
+        first = search.run(pair)
         descents = search.descents
         before = dict(descents)
-        again = search.run(("r0", "r1"))
+        again = search.run(pair)
         # the second run resumes the search's descents, each kept as the
         # same object, where the first run left them
         assert search.descents is descents
@@ -148,7 +154,7 @@ class TestSolveAtom:
         # search returns the same verdict
         other = _AtomSearch(ts, type_mask(NOP_INP), None)
         assert other.descents == {}
-        assert other.run(("r0", "r1")) == first
+        assert other.run(pair) == first
         copy = validate_ts(ts.edges, ts.initial)
         fresh = solve_atom(copy, NOP_INP, ("r0", "r1"))
         assert solve_atom(ts, NOP_INP, ("r0", "r1")) == fresh
@@ -166,7 +172,7 @@ class TestSolveAtom:
         ts = fixture_parallel_pair()
         # the descent from 0 stops at its root; the one from 1 branches
         with pytest.raises(KeyboardInterrupt):
-            Interrupted(ts, type_mask(NOP_INP), None).run(("r0", "r1"))
+            Interrupted(ts, type_mask(NOP_INP), None).run(pair_of(ts, ("r0", "r1")))
         # the descents go with the interrupted search: a new search on the
         # system answers, and spends, what one on a fresh copy does
         verdict = solve_atom(ts, NOP_INP, ("r0", "r1"))
@@ -191,7 +197,7 @@ class TestSolveAtom:
         atom = ts.states[:2]
         with dense_checkpoints():
             with pytest.raises(KeyboardInterrupt):
-                Interrupted(ts, mask, None).run(atom)
+                Interrupted(ts, mask, None).run(pair_of(ts, atom))
             # the descent stopped between two nodes, and goes with its
             # checkpoints and its search: a new search on the system
             # answers, and spends, what one on a fresh copy does
@@ -209,6 +215,7 @@ class TestSolveAtom:
         edges, initial = reference.edges, reference.initial
         mask = type_mask(NOP_INP)
         atoms = list(reference.atoms())[::37]
+        first = pair_of(reference, atoms[0])
         at = []
 
         class Counting(_AtomSearch):
@@ -217,15 +224,15 @@ class TestSolveAtom:
                 at.append(self.expanded)
 
         with dense_checkpoints():
-            Counting(validate_ts(edges, initial), mask, None).run(atoms[0])
+            Counting(validate_ts(edges, initial), mask, None).run(first)
             assert at
             for budget in at:
                 search = _AtomSearch(validate_ts(edges, initial), mask, budget)
-                spent = search.run(atoms[0])
+                spent = search.run(first)
                 assert spent.status is AtomStatus.EXHAUSTED
                 search.max_nodes = float("inf")
                 for atom in atoms:
-                    verdict = search.run(atom)
+                    verdict = search.run(pair_of(reference, atom))
                     assert (verdict.status, verdict.region) == reference_search(
                         reference, mask, atom
                     ), (budget, atom)
@@ -257,7 +264,7 @@ class TestSolveAtom:
 
         search = Capped(star, type_mask(frozenset(Interaction)), None)
         last = star.events[search.order[-1]].replace("e", "l")
-        search.run(("c", last))
+        search.run(pair_of(star, ("c", last)))
         assert len(held) > engine._CHECKPOINT_CAP
         assert max(held) <= engine._CHECKPOINT_CAP
 
@@ -319,7 +326,7 @@ class TestDecideSsp:
         ts = gen_nop_inp(example_formula()).ts
         mask = type_mask(NOP_INP)
         earlier = _AtomSearch(ts, mask, None)
-        earlier.run(("t_6_0", "t_7_0"))
+        earlier.run(pair_of(ts, ("t_6_0", "t_7_0")))
         assert earlier.descents
         built = []
 
@@ -456,11 +463,35 @@ class TestBruteForce:
             ((("s0", 1),), ()),
         ]
 
-    def test_cap_enforced(self):
+    @pytest.mark.parametrize(
+        "oracle", [brute_force_regions, brute_force_supports, brute_force_decide]
+    )
+    def test_cap_enforced(self, oracle):
         edges = [(f"s{i}", "x", f"s{i+1}") for i in range(17)]
         big = validate_ts(edges, "s0")
         with pytest.raises(OracleCapExceeded):
-            brute_force_regions(big, NOP_INP)
+            oracle(big, NOP_INP)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.randoms(use_true_random=False))
+    def test_finds_every_region_of_the_definition(self, rng):
+        # every support, and every signature over the type's members, that
+        # is_region accepts: the oracle lists each such region once, and
+        # the supports of those regions
+        ts = random_ts(rng, max_states=3, max_events=2)
+        tau = random_type(rng)
+        members = [i for i in INTERACTION_ORDER if i in tau]
+        keys, supports = set(), set()
+        for bits in product((0, 1), repeat=len(ts.states)):
+            for acts in product(members, repeat=len(ts.events)):
+                region = Region(dict(zip(ts.states, bits)), dict(zip(ts.events, acts)))
+                if is_region(ts, tau, region):
+                    keys.add(region.key())
+                    supports.add(bits)
+        found = [r.key() for r in brute_force_regions(ts, tau)]
+        assert len(found) == len(set(found))
+        assert set(found) == keys
+        assert brute_force_supports(ts, tau) == supports
 
     def test_decide_agrees_with_engine(self):
         rng = random.Random(31337)
@@ -543,7 +574,7 @@ def test_propagation_is_a_closure(ts, mask):
     # and every run its root with the atom added and each branch it tries
     search = ClosureCheckingSearch(ts, mask, None)
     for atom in ts.atoms():
-        search.run(atom)
+        search.run(pair_of(ts, atom))
 
 
 class EveryArcRoot(_AtomSearch):
@@ -592,7 +623,7 @@ def test_propagation_is_a_closure_on_larger_systems():
         ts = random_ts(rng, max_states=10, max_events=4)
         search = ClosureCheckingSearch(ts, rng.randrange(256), None)
         for atom in ts.atoms():
-            search.run(atom)
+            search.run(pair_of(ts, atom))
 
 
 def union_find_state(state):
@@ -736,10 +767,10 @@ class InvariantCheckingSearch(_AtomSearch):
         for _, _, mark in reversed(frames):
             self._rollback(mark)
 
-    def run(self, atom, base=None):
+    def run(self, pair, base=None):
         self.detached = []
         self.taken = []
-        result = super().run(atom, base)
+        result = super().run(pair, base)
         for state, _, frames in self.taken:
             self.climb(state, frames)
         for descent, when_copied in self.detached:
@@ -765,7 +796,7 @@ def check_union_find(ts, mask):
     """One checking search run on every atom, returned when done."""
     search = InvariantCheckingSearch(ts, mask, search_records())
     for atom in ts.atoms():
-        search.run(atom)
+        search.run(pair_of(ts, atom))
     return search
 
 
@@ -907,7 +938,7 @@ def check_resumed_searches(ts, rng):
     for mask, tau in enumerate(enumerate_types()):
         search = _AtomSearch(ts, mask, None)
         for atom in atoms:
-            verdict = search.run(atom)
+            verdict = search.run(pair_of(ts, atom))
             assert (verdict.status, verdict.region) == reference_search(
                 copy, mask, atom
             ), (mask, atom)
@@ -930,7 +961,7 @@ def sweep_by_region_scan(ts, tau, budget=DEFAULT_MAX_NODES):
         checked += 1
         if any(r.solves(atom) for r in regions):
             continue
-        verdict = search.run(atom)
+        verdict = search.run(pair_of(ts, atom))
         searched += 1
         nodes += verdict.nodes
         revisions += verdict.revisions
@@ -1186,7 +1217,7 @@ def sweep_with_repairs(search, ts):
     base, as a sweep does, and return how many it repaired."""
     base, repaired = None, 0
     for atom in ts.atoms():
-        verdict = search.run(atom, base)
+        verdict = search.run(pair_of(ts, atom), base)
         repaired += verdict.repaired
         if verdict.region is not None:
             base = verdict.region
@@ -1220,7 +1251,7 @@ def check_repair_budgets(ts, mask, atom, base):
     plain search, which alone decides it.  Returns whether the repair
     found the region."""
     def verdict(budget, base):
-        v = _AtomSearch(ts, mask, budget).run(atom, base)
+        v = _AtomSearch(ts, mask, budget).run(pair_of(ts, atom), base)
         return v.status, v.region, v.nodes, v.repaired
 
     unlimited = verdict(None, base)
@@ -1322,12 +1353,14 @@ def test_scan_yields_the_atoms_no_support_splits(inputs):
 )
 def test_state_codes_are_the_refine_fold_of_the_rows(rows):
     # the batch check's codes, read off the packed support rows at once,
-    # and the support ints of the scan, against the rows bit by bit
+    # and the support ints of the scan, against the rows bit by bit: the
+    # fold appends each state's bit under a row to its code, as the
+    # oracle's class codes do
     rows = [bytes(byte & 1 for byte in row) for row in rows]
     n = len(rows[0])
     cls = [0] * n
     for row in rows:
-        cls = _refine(cls, row)
+        cls = [c + c + bit for c, bit in zip(cls, row)]
     assert _state_codes(rows, n) == cls
     for row in rows:
         assert _support_int(row) == sum(bit << i for i, bit in enumerate(row))
@@ -1528,8 +1561,8 @@ def test_a_sweep_refuses_a_region_the_search_did_not_pack(monkeypatch):
     assert not _all_regions(ts, type_mask(tau), [unpacked])
     run = _AtomSearch.run
 
-    def run_unpacked(self, atom, base=None):
-        verdict = run(self, atom, base)
+    def run_unpacked(self, pair, base=None):
+        verdict = run(self, pair, base)
         support, signature = verdict.region
         return verdict._replace(region=Region(support, dict(signature)))
 
