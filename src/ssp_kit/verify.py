@@ -2,14 +2,15 @@
 
 The fixtures here are the small worked examples used across the test suite;
 the generators produce seeded random systems (general, and loop-free safe
-for extensions) plus exhaustive small-system families with canonical
-deduplication.  ``run_suites`` drives named check groups for the CLI.
+for extensions) plus exhaustive small-system families, each system generated
+once by an orderly walk over breadth-first-numbered tables.  ``run_suites``
+drives named check groups for the CLI.
 """
 
 from __future__ import annotations
 
 import random
-from itertools import permutations, product
+from itertools import permutations
 from typing import Callable, NamedTuple, Sequence
 
 from .classify import (
@@ -185,71 +186,59 @@ def enumerate_small_ts(
     max_events: int,
     table_budget: int = 5000,
 ) -> list[TransitionSystem]:
-    """All small systems up to state/event renaming.
+    """All small systems up to state/event renaming, each once.
 
-    Walks every partial transition table with n states and k events for
-    each (n, k) whose table count (n+1)^(n*k) stays within ``table_budget``,
-    keeps the reachable ones using every event, and dedupes by a canonical
-    key minimized over event permutations and breadth-first state order.
+    Takes each (n, k) whose raw table count (n+1)^(n*k) stays within
+    ``table_budget``.  Orderly generation (Read 1978; McKay 1998): only
+    breadth-first-numbered tables are walked, so every one is reachable, and
+    a table is kept iff it uses every event and no event permutation gives
+    a smaller canonical key than the identity.  A key compares as its table
+    does, so the kept table is the least raw table of its class, and the
+    systems come out in the order of a walk over every raw table.  The walk
+    recurses at most max_states*max_events + 1 deep.
     """
     out: list[TransitionSystem] = []
-    seen: set[tuple] = set()
     for n in range(1, max_states + 1):
-        for k in range(0, max_events + 1):
-            if n > 1 and k == 0:
-                continue
+        for k in range(max_events + 1):
             if (n + 1) ** (n * k) > table_budget:
                 continue
-            out.extend(_enumerate_tables(n, k, seen))
+            perms = list(permutations(range(k)))
+            for table in _bfs_tables(n, k):
+                if any(all(table[s * k + e] == n for s in range(n)) for e in range(k)):
+                    continue
+                key = _canonical_key(table, n, k, perms[0])
+                if all(key <= _canonical_key(table, n, k, perm) for perm in perms):
+                    _, _, canon_edges = key
+                    out.append(
+                        validate_ts(
+                            [(f"s{a}", f"e{b}", f"s{c}") for a, b, c in canon_edges],
+                            "s0",
+                        )
+                    )
     return out
 
 
-def _enumerate_tables(
-    n: int,
-    k: int,
-    seen: set[tuple],
-) -> list[TransitionSystem]:
-    found: list[TransitionSystem] = []
-    if k == 0:
-        if n == 1:
-            key = (1, 0, ())
-            if key not in seen:
-                seen.add(key)
-                found.append(validate_ts([], "s0"))
-        return found
-    perms = list(permutations(range(k)))
-    for table in product(range(n + 1), repeat=n * k):
-        # table[s*k + e] = target state, n meaning undefined
-        used_ok = True
-        for e in range(k):
-            if all(table[s * k + e] == n for s in range(n)):
-                used_ok = False
-                break
-        if not used_ok:
-            continue
-        reach = {0}
-        frontier = [0]
-        while frontier:
-            s = frontier.pop()
-            for e in range(k):
-                t = table[s * k + e]
-                if t != n and t not in reach:
-                    reach.add(t)
-                    frontier.append(t)
-        if len(reach) != n:
-            continue
-        key = min(_canonical_key(table, n, k, perm) for perm in perms)
-        if key in seen:
-            continue
-        seen.add(key)
-        _, _, canon_edges = key
-        found.append(
-            validate_ts(
-                [(f"s{a}", f"e{b}", f"s{c}") for a, b, c in canon_edges],
-                "s0",
-            )
-        )
-    return found
+def _bfs_tables(n: int, k: int):
+    """Transition tables over n states and k events, numbered breadth-first.
+
+    ``table[s*k + e]`` is the target of event e at state s, n meaning
+    undefined.  A cell names a state already reached, the next new state,
+    or n, in that order, so the tables come out in lexicographic order.  A
+    branch stops when a state's cells come up before it is reached, and a
+    table is whole only once all n states are reached (with k = 0, only
+    for n = 1).  The recursion is n*k + 1 deep.
+    """
+    table = [n] * (n * k)
+
+    def fill(cell: int, reached: int):
+        if cell == n * k and reached == n:
+            yield tuple(table)
+        elif cell < reached * k:
+            for t in [*range(min(reached + 1, n)), n]:
+                table[cell] = t
+                yield from fill(cell + 1, max(reached, t + 1) if t < n else reached)
+
+    return fill(0, 1)
 
 
 def _canonical_key(

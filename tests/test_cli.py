@@ -42,7 +42,7 @@ from ssp_kit.formats import (
     serialize_ts,
 )
 from ssp_kit.reductions import ExtensionKind, example_formula, gen_nop_inp
-from ssp_kit.verify import SUITES, random_ts, random_type
+from ssp_kit.verify import SUITES, CheckResult, random_ts, random_type
 
 CYCLE = "initial s0\ns0 a s1\ns1 a s0\n"
 FORK = "initial r0\nr0 b r1\nr0 c r1\n"
@@ -447,6 +447,23 @@ class TestVerifyAndDot:
         assert "PASS" in out
         assert "checks passed" in out
 
+    def test_verify_runs_every_suite(self, capsys):
+        code = main(["verify"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == EXIT_SEPARATED
+        assert [line.split()[0] for line in lines[:-1]] == ["PASS"] * 15
+        assert lines[-1] == "15/15 checks passed"
+
+    def test_verify_reports_a_failed_check(self, capsys, monkeypatch):
+        monkeypatch.setitem(
+            SUITES, "interactions", lambda: [CheckResult("broken", False, "why")]
+        )
+        code = main(["verify", "interactions", "fixtures"])
+        out = capsys.readouterr().out
+        assert code == EXIT_NOT_SEPARATED
+        assert "FAIL broken (why)\n" in out
+        assert out.endswith("\n4/5 checks passed\n")
+
     def test_verify_unknown_suite(self, capsys):
         assert main(["verify", "nosuchsuite"]) == EXIT_USAGE
 
@@ -493,6 +510,66 @@ class TestUsageErrors:
         assert code == EXIT_USAGE
         assert captured.out == ""
         assert captured.err.startswith("usage error: argument --budget")
+
+
+#: example_formula's six clauses with comments and blank lines between them
+COMMENTED_FORMULA = (
+    "# the example formula\n"
+    "X0 X1 X2\n\nX0 X2 X3  # the second clause\n"
+    "X0 X1 X3\nX2 X4 X5\n   \nX1 X4 X5\nX3 X4 X5\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text, argv, code, check",
+    [
+        ("", ["check-ssp", "--type", "swap"], EXIT_INVALID,
+         lambda out, err: "line 0: empty file" in err),
+        ("# nothing\n\n", ["check-ssp", "--type", "swap"], EXIT_INVALID,
+         lambda out, err: "line 0: empty file" in err),
+        (CYCLE, ["check-ssp", "--type", ""], EXIT_NOT_SEPARATED,
+         lambda out, err: "decision: lacks-ssp" in out),
+        ("X0 X1\n", ["gen", "nop-inp"], EXIT_INVALID,
+         lambda out, err: "line 1: expected three variable names" in err),
+        ("", ["gen", "nop-inp"], EXIT_INVALID,
+         lambda out, err: "empty formula file" in err),
+        ("# none\n\n", ["oracle"], EXIT_INVALID,
+         lambda out, err: "empty formula file" in err),
+        (COMMENTED_FORMULA, ["gen", "nop-inp"], EXIT_SEPARATED,
+         lambda out, err: len(parse_ts_text(out).states) == 45),
+        (CYCLE, ["solve-atom", "--type", "swap", "--atom", "s0"], EXIT_INVALID,
+         lambda out, err: "atom must be '<state>,<state>'" in err),
+        (CYCLE, ["solve-atom", "--type", "swap", "--atom", "s0,"], EXIT_INVALID,
+         lambda out, err: "atom must be '<state>,<state>'" in err),
+        (COMMENTED_FORMULA, ["witness", "nop-inp", "--model", "X0,X4"],
+         EXIT_SEPARATED, lambda out, err: len(json.loads(out)["regions"]) == 20),
+        (COMMENTED_FORMULA, ["witness", "nop-inp", "--model", "X0"], EXIT_INVALID,
+         lambda out, err: "meets the model 0 times" in err),
+    ],
+    ids=[
+        "empty-system",
+        "comment-only-system",
+        "empty-type",
+        "two-name-clause",
+        "empty-formula",
+        "comment-only-formula",
+        "commented-formula",
+        "one-state-atom",
+        "blank-second-state",
+        "given-model",
+        "model-missing-a-clause",
+    ],
+)
+def test_input_edge_cases_exit_as_documented(
+    tmp_path, capsys, text, argv, code, check
+):
+    # each path runs through main, so its exit code is the one a user sees
+    path = tmp_path / "input"
+    path.write_text(text)
+    got = main([*argv, str(path)])
+    captured = capsys.readouterr()
+    assert got == code
+    assert check(captured.out, captured.err)
 
 
 class TestHelp:

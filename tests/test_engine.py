@@ -1,5 +1,7 @@
 import copy
 import gc
+import hashlib
+import json
 import pickle
 import random
 import sys
@@ -1446,6 +1448,38 @@ def corrupt_packed(region, how, ts, tau, rng):
         PackedMap(sup_index, bytes(sup_row)),
         PackedSignature(sig_index, bytes(sig_row)),
     )
+
+
+@pytest.mark.parametrize(
+    "shape, size, digest",
+    [
+        (
+            (3, 2, 5000),
+            445,
+            "e67b8b89035a615bbcfae62c51c35b0c469e470e8c14359c85c562fe1423af3a",
+        ),
+        (
+            (4, 3, 5000),
+            536,
+            "2f9cf2875e8b050a5affba848ba1672a2020c2e8b33fb2c6da86a07ab1de9cd0",
+        ),
+        (
+            (4, 2, 400_000),
+            10_595,
+            "362a1bf6101d06f5ae0701e261d15d54fac3291b424988d827ffbb6d12f8f7d7",
+        ),
+    ],
+    ids=["n3-k2", "n4-k3", "n4-k2"],
+)
+def test_small_families_are_pinned(shape, size, digest):
+    # the corpus of the batch check below and of criteria 4 and 8, system
+    # by system and in order: a reordered family would silently pair the
+    # batch check's systems with other random types
+    max_states, max_events, table_budget = shape
+    family = enumerate_small_ts(max_states, max_events, table_budget=table_budget)
+    dump = json.dumps([[ts.initial, ts.edges] for ts in family])
+    assert len(family) == size
+    assert hashlib.sha256(dump.encode()).hexdigest() == digest
 
 
 def outcome(check):
