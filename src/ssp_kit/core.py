@@ -74,6 +74,9 @@ class Interaction(Enum):
     ``nop`` is the identity; ``inp``/``out`` consume/produce and are undefined
     at 0/1 respectively; ``res``/``set`` force 0/1; ``swap`` inverts; ``used``
     and ``free`` test for 1 and 0 without changing the value.
+
+    Each member carries its table pair, ``pair``: the exhaustive oracles in
+    ``engine`` read each member's pair, never the search's step ``cells``.
     """
 
     NOP = "nop"
@@ -85,14 +88,16 @@ class Interaction(Enum):
     USED = "used"
     FREE = "free"
 
-    #: the member's bit in a type mask, and its steps x -> apply(x) as
-    #: cells: bit 2x+y is set iff it is defined at x with value y
+    #: the member's bit in a type mask; its steps x -> apply(x) as cells:
+    #: bit 2x+y is set iff it is defined at x with value y; and its table
+    #: pair, (value at 0, value at 1) with None where undefined
     bit: int
     cells: int
+    pair: tuple[int | None, int | None]
 
     def apply(self, x: int) -> int | None:
         """Value of this interaction at ``x``, or None where undefined."""
-        return _APPLY[self][x]
+        return self.pair[x]
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
@@ -118,12 +123,14 @@ INTERACTION_ORDER: tuple[Interaction, ...] = tuple(Interaction)
 
 INTERACTION_BY_NAME: dict[str, Interaction] = {i.value: i for i in Interaction}
 
-# Each interaction also carries its type-mask bit and its step cells, so a
-# checker reads them as attributes instead of hashing the member per event.
+# Each interaction also carries its type-mask bit, its step cells and its
+# table pair, so a checker reads them as attributes instead of hashing the
+# member per event; ``_APPLY`` is read only here.
 for _bit, _interaction in enumerate(INTERACTION_ORDER):
     _interaction.bit = 1 << _bit
+    _interaction.pair = _APPLY[_interaction]
     _interaction.cells = sum(
-        1 << (2 * x + y) for x, y in enumerate(_APPLY[_interaction]) if y is not None
+        1 << (2 * x + y) for x, y in enumerate(_interaction.pair) if y is not None
     )
 
 
@@ -579,7 +586,7 @@ def propagate_region(
         raise PartialAssignment(f"signature missing events {missing!r}")
     if not _is_bit(initial_support):
         raise PartialAssignment("initial support must be 0 or 1")
-    steps = [_APPLY[signature[e]] for e in ts.events]
+    steps = [signature[e].pair for e in ts.events]
     bits: list[int | None] = [None] * len(ts.states)
     start = ts.sidx[ts.initial]
     bits[start] = initial_support

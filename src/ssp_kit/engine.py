@@ -584,7 +584,7 @@ class _AtomSearch:
 
     def _propagate(self) -> bool:
         """Revise the queued edges until none is left; False, with the
-        queue drained, when an event's domain empties or a union fails.
+        queue drained, when an event's domain empties.
 
         An edge stays marked as queued until its revision ends, so neither
         its domain change nor its unions queue it again: every cell it kept
@@ -623,14 +623,19 @@ class _AtomSearch:
                     if not inq[k2]:
                         inq[k2] = 1
                         queue.append(k2)
-            # the source values, target values and parities still feasible
+            # the source values, target values and parities still feasible.
+            # They are projections of one set of cells, so each union below
+            # joins two classes or agrees with one made before it in this
+            # revision: a failed one is a bug, not a dead branch.
             xs, ys, ps = _PROJ[_STEPS[new_mask] & allowed]
-            if ra != zero and xs in (1, 2) and not union(si, zero, xs >> 1):
-                break
-            if rb != zero and ys in (1, 2) and not union(ti, zero, ys >> 1):
-                break
-            if ra != rb and ps in (1, 2) and not union(si, ti, ps >> 1):
-                break
+            if (
+                ra != zero and xs in (1, 2) and not union(si, zero, xs >> 1)
+                or rb != zero and ys in (1, 2) and not union(ti, zero, ys >> 1)
+                or ra != rb and ps in (1, 2) and not union(si, ti, ps >> 1)
+            ):
+                raise InternalCheckFailed(
+                    f"edge {k} forced a value or parity its own revision contradicts"
+                )
             inq[k] = 0
         else:
             self.revisions += popped
@@ -1218,33 +1223,39 @@ def decide_ssp(
 # exhaustive oracles for small systems
 
 
+#: a member of the type with its table pair, (value at 0, value at 1)
+_Member = tuple[Interaction, tuple[int | None, int | None]]
+
+
 def _oracle_input(
     ts: TransitionSystem,
     tau: frozenset[Interaction],
-) -> tuple[range, list[list[tuple[int, int]]], list[Interaction]]:
+) -> tuple[range, list[list[tuple[int, int]]], list[_Member]]:
     """What the oracles scan: every support as an int, bit i the value of
     state i, in mask order; per event the (source, target) state ids of its
-    edges; and the members of ``tau`` in :data:`INTERACTION_ORDER`."""
+    edges; and the members of ``tau`` in :data:`INTERACTION_ORDER`, each
+    with its table pair :attr:`Interaction.pair`."""
     n = len(ts.states)
     if n > ORACLE_CAP:
         raise OracleCapExceeded(f"{n} states exceeds the oracle cap of {ORACLE_CAP}")
     pairs = [[(ts.arcs[k][0], ts.arcs[k][2]) for k in ks] for ks in ts.event_arcs]
-    return range(1 << n), pairs, [i for i in INTERACTION_ORDER if i in tau]
+    return range(1 << n), pairs, [(i, i.pair) for i in INTERACTION_ORDER if i in tau]
 
 
 def _carriers(
     pairs: list[list[tuple[int, int]]],
-    members: list[Interaction],
+    members: list[_Member],
     sup: int,
 ) -> list[list[Interaction]] | None:
     """Per event, the ``members`` carrying its edge ``pairs`` under the
-    support ``sup``, read through :meth:`Interaction.apply`; None at the
-    first event with none.  No events give ``[]``, not None."""
+    support ``sup``, read from each member's table pair, (value at 0,
+    value at 1); None at the first event with none.  No events give
+    ``[]``, not None."""
     per_event = []
     for edges in pairs:
         choices = [
-            i for i in members
-            if all(i.apply(sup >> s & 1) == sup >> t & 1 for s, t in edges)
+            i for i, pair in members
+            if all(pair[sup >> s & 1] == sup >> t & 1 for s, t in edges)
         ]
         if not choices:
             return None

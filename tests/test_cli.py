@@ -1,6 +1,7 @@
 import io
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -285,6 +286,35 @@ class TestCheckSspCommand:
             "internal error: InternalCheckFailed: "
             "search produced an invalid region\n"
         )
+
+    def test_a_failed_union_in_propagation_is_an_internal_error(
+        self, ts_file, capsys, monkeypatch
+    ):
+        # a revision's unions read one set of allowed cells, so none can
+        # fail; one that unites and then reports failure stops the search
+        # with InternalCheckFailed instead of pruning the branch.  Under
+        # nop,inp the chain's first edge, its source valued 0, leaves nop
+        # alone, which forces its target to 0 from inside _propagate
+        union = _AtomSearch._union
+        failed = []
+
+        def failing(search, x, y, parity):
+            united = union(search, x, y, parity)
+            if sys._getframe(1).f_code.co_name != "_propagate":
+                return united
+            failed.append((x, y))
+            return False
+
+        monkeypatch.setattr(_AtomSearch, "_union", failing)
+        with pytest.raises(InternalCheckFailed):
+            decide_ssp(parse_ts_text(CHAIN), parse_type_spec("nop,inp"))
+        assert len(failed) == 1
+        code = main(["check-ssp", "--type", "nop,inp", ts_file(CHAIN)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INTERNAL
+        assert captured.out == ""
+        assert captured.err.startswith("internal error: InternalCheckFailed: ")
+        assert len(failed) == 2
 
 
 class TestSolveAtomCommand:

@@ -42,6 +42,11 @@ APPLY_TABLE = {
 def test_interaction_table_all_sixteen_cells():
     for (interaction, x), expected in APPLY_TABLE.items():
         assert interaction.apply(x) == expected
+        assert interaction.pair[x] == expected
+    for interaction in Interaction:
+        assert interaction.pair == (
+            APPLY_TABLE[interaction, 0], APPLY_TABLE[interaction, 1]
+        )
 
 
 def test_type_name_canonical_order():

@@ -61,6 +61,8 @@ from ssp_kit.engine import (
     _TEACHES,
     _AtomSearch,
     _all_regions,
+    _carriers,
+    _oracle_input,
     _state_codes,
     _support_int,
     _unseparated,
@@ -494,6 +496,33 @@ class TestBruteForce:
         assert len(found) == len(set(found))
         assert set(found) == keys
         assert brute_force_supports(ts, tau) == supports
+
+    def test_carriers_read_each_edge_as_apply_does(self):
+        # per event, the members that carry every one of its edges, each
+        # edge read through Interaction.apply by state and event name, on
+        # every support of each system; None once an event has none
+        rng = random.Random(35)
+        systems = [random_ts(rng, max_states=5, max_events=3) for _ in range(40)]
+        types = [random_type(rng) for _ in range(12)]
+        for ts in systems:
+            for tau in types:
+                supports, pairs, members = _oracle_input(ts, tau)
+                acts = [i for i in INTERACTION_ORDER if i in tau]
+                for sup in supports:
+                    bit = {s: sup >> ts.sidx[s] & 1 for s in ts.states}
+                    want = [
+                        [
+                            i for i in acts
+                            if all(
+                                i.apply(bit[s]) == bit[t]
+                                for s, e2, t in ts.edges if e2 == e
+                            )
+                        ]
+                        for e in ts.events
+                    ]
+                    if not all(want):
+                        want = None
+                    assert _carriers(pairs, members, sup) == want
 
     def test_decide_agrees_with_engine(self):
         rng = random.Random(31337)
