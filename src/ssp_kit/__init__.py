@@ -8,8 +8,8 @@ with explicit witness families, system extensions transferring decisions
 between types, and exhaustive small-system oracles backing everything up.
 
 Importing the package loads no submodule.  A name in ``__all__``, or one of
-the submodules ``classify``, ``core``, ``engine`` and ``reductions`` that
-export them, is imported on first use (PEP 562).
+the submodules ``classify``, ``core``, ``engine``, ``oracle`` and
+``reductions`` that export them, is imported on first use (PEP 562).
 """
 
 __version__ = "0.1.0"
@@ -27,8 +27,10 @@ _EXPORTS = {
         "row_census",
     ),
     "core": (
+        "Decision",
         "Interaction",
         "Region",
+        "SeparationReport",
         "SspKitError",
         "TransitionSystem",
         "is_normalized",
@@ -42,15 +44,15 @@ _EXPORTS = {
     "engine": (
         "AtomStatus",
         "AtomVerdict",
-        "Decision",
-        "SeparationReport",
+        "decide_ssp",
+        "solve_atom",
+    ),
+    "oracle": (
         "brute_force_decide",
         "brute_force_regions",
         "brute_force_supports",
-        "decide_ssp",
         "embedding_certificate",
         "fast_path_swap_core",
-        "solve_atom",
     ),
     "reductions": (
         "CmFormula",

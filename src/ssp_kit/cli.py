@@ -13,18 +13,13 @@ import sys
 from typing import Sequence
 
 from . import formats
-from .core import InternalCheckFailed, SspKitError, type_name
-from .engine import (
-    DEFAULT_MAX_NODES,
-    AtomStatus,
-    Decision,
-    decide_ssp,
-    solve_atom,
-)
+from .core import Decision, InternalCheckFailed, SspKitError, type_name
+from .engine import DEFAULT_MAX_NODES, AtomStatus, decide_ssp, solve_atom
 
 # Each subcommand imports classify, reductions or verify only when it runs, so
-# check-ssp loads just formats, core and engine.  The parser's help therefore
-# spells out the values of reductions.ExtensionKind and verify.SUITES' keys.
+# check-ssp loads just formats, core, engine and the oracle engine re-exports.
+# The parser's help therefore spells out the values of
+# reductions.ExtensionKind and verify.SUITES' keys.
 _EXTENSION_KINDS = ("backward", "oneway-loop", "loop")
 _SUITE_NAMES = (
     "interactions", "classification", "fixtures", "engine", "reductions", "fast-path",

@@ -2,8 +2,8 @@
 
 This module holds the ground vocabulary of the package: the eight Boolean
 interactions (partial maps on {0,1}), Boolean types (sets of interactions),
-validated deterministic transition systems, and regions of a transition
-system together with propagation and normalization.
+validated deterministic transition systems, regions with propagation and
+normalization, and the report every decider returns.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ class Interaction(Enum):
     and ``free`` test for 1 and 0 without changing the value.
 
     Each member carries its table pair, ``pair``: the exhaustive oracles in
-    ``engine`` read each member's pair, never the search's step ``cells``.
+    ``oracle`` read each member's pair, never the search's step ``cells``.
     """
 
     NOP = "nop"
@@ -653,3 +653,80 @@ def is_normalized(ts: TransitionSystem, region: Region) -> bool:
         if (e in changing) == (sig is Interaction.NOP):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# separation reports
+
+
+class Decision(Enum):
+    HAS_SSP = "has-ssp"
+    LACKS_SSP = "lacks-ssp"
+    UNKNOWN = "unknown"
+
+
+class _Record:
+    """Equality and a ``Name(field=value, ...)`` repr over ``__slots__``, and
+    no hash: what a mutable dataclass gives, for the records a sweep fills in."""
+
+    __slots__ = ()
+    __hash__ = None  # type: ignore[assignment]
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()  # type: ignore[attr-defined]
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={value!r}" for name, value in zip(self.__slots__, self._values())
+        )
+        return f"{type(self).__name__}({fields})"
+
+
+class SearchStats(_Record):
+    __slots__ = (
+        "atoms_checked",
+        "atoms_searched",
+        "nodes_expanded",
+        "revisions",
+        "wall_ms",
+        "atoms_repaired",
+    )
+
+    def __init__(
+        self,
+        atoms_checked: int = 0,
+        atoms_searched: int = 0,
+        nodes_expanded: int = 0,
+        revisions: int = 0,
+        wall_ms: float = 0.0,
+        atoms_repaired: int = 0,
+    ) -> None:
+        self.atoms_checked = atoms_checked
+        self.atoms_searched = atoms_searched
+        self.nodes_expanded = nodes_expanded
+        self.revisions = revisions
+        self.wall_ms = wall_ms
+        #: of the atoms searched, those whose region a repair found
+        self.atoms_repaired = atoms_repaired
+
+
+class SeparationReport(_Record):
+    __slots__ = ("decision", "witness_atom", "regions", "stats")
+
+    def __init__(
+        self,
+        decision: Decision,
+        witness_atom: tuple[str, str] | None,
+        regions: list[Region] | None = None,
+        stats: SearchStats | None = None,
+    ) -> None:
+        self.decision = decision
+        self.witness_atom = witness_atom
+        #: a fresh list and fresh stats per report unless given
+        self.regions = [] if regions is None else regions
+        self.stats = SearchStats() if stats is None else stats

@@ -12,11 +12,11 @@ bit-parallel across regions.
 
 "No region splits s and t" is an equivalence relation, and a system has
 the SSP iff its partition is discrete.  ``decide_ssp`` refines it by one
-search per atom no region found so far splits, the oracle
-``brute_force_decide`` by every feasible support, and
-``fast_path_swap_core`` (swap plus inp/out) by a two-colouring.  All three
-hold supports as ints and name as witness the first atom in sorted order
-that no support splits, found by one scan, :func:`_unseparated`.
+search per atom no region found so far splits, and names as witness the
+first atom in sorted order that no support splits, found by one scan,
+:func:`_unseparated`.  The checkers it is tested against live in
+:mod:`ssp_kit.oracle`, which shares neither the search nor this scan;
+their names are importable from here as well.
 """
 
 from __future__ import annotations
@@ -24,45 +24,35 @@ from __future__ import annotations
 import time
 from enum import Enum
 from functools import cache
-from itertools import product
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .core import (
     INTERACTION_ORDER,
+    Decision,
     InternalCheckFailed,
     Interaction,
     PackedMap,
     PackedSignature,
     Region,
+    SearchStats,  # noqa: F401  (still importable from here)
+    SeparationReport,
     SspKitError,
     TransitionSystem,
     _packed_rows,
     is_region,
     type_mask,
 )
+from .oracle import (  # noqa: F401  (the checkers, still importable from here)
+    ORACLE_CAP, EmbeddingCertificate, OracleCapExceeded, WrongTypeFamily,
+    brute_force_decide, brute_force_regions, brute_force_supports,
+    embedding_certificate, fast_path_swap_core,
+)
 
 DEFAULT_MAX_NODES = 10_000_000
-
-#: The most states the exhaustive oracles enumerate the supports of.
-ORACLE_CAP = 16
-
-
-class OracleCapExceeded(SspKitError):
-    """The exhaustive enumerator refuses systems above its state cap."""
-
-
-class WrongTypeFamily(SspKitError):
-    """A specialized decision procedure was handed a type it does not cover."""
 
 
 class InvalidAtom(SspKitError):
     """An atom must name two distinct states of the system."""
-
-
-class Decision(Enum):
-    HAS_SSP = "has-ssp"
-    LACKS_SSP = "lacks-ssp"
-    UNKNOWN = "unknown"
 
 
 class AtomStatus(Enum):
@@ -80,73 +70,6 @@ class AtomVerdict(NamedTuple):
     revisions: int = 0
     #: whether the region is a repair of the sweep's last region
     repaired: bool = False
-
-
-class _Record:
-    """Equality and a ``Name(field=value, ...)`` repr over ``__slots__``, and
-    no hash: what a mutable dataclass gives, for the records a sweep fills in."""
-
-    __slots__ = ()
-    __hash__ = None  # type: ignore[assignment]
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()  # type: ignore[attr-defined]
-
-    def __repr__(self) -> str:
-        fields = ", ".join(
-            f"{name}={value!r}" for name, value in zip(self.__slots__, self._values())
-        )
-        return f"{type(self).__name__}({fields})"
-
-
-class SearchStats(_Record):
-    __slots__ = (
-        "atoms_checked",
-        "atoms_searched",
-        "nodes_expanded",
-        "revisions",
-        "wall_ms",
-        "atoms_repaired",
-    )
-
-    def __init__(
-        self,
-        atoms_checked: int = 0,
-        atoms_searched: int = 0,
-        nodes_expanded: int = 0,
-        revisions: int = 0,
-        wall_ms: float = 0.0,
-        atoms_repaired: int = 0,
-    ) -> None:
-        self.atoms_checked = atoms_checked
-        self.atoms_searched = atoms_searched
-        self.nodes_expanded = nodes_expanded
-        self.revisions = revisions
-        self.wall_ms = wall_ms
-        #: of the atoms searched, those whose region a repair found
-        self.atoms_repaired = atoms_repaired
-
-
-class SeparationReport(_Record):
-    __slots__ = ("decision", "witness_atom", "regions", "stats")
-
-    def __init__(
-        self,
-        decision: Decision,
-        witness_atom: tuple[str, str] | None,
-        regions: list[Region] | None = None,
-        stats: SearchStats | None = None,
-    ) -> None:
-        self.decision = decision
-        self.witness_atom = witness_atom
-        #: a fresh list and fresh stats per report unless given
-        self.regions = [] if regions is None else regions
-        self.stats = SearchStats() if stats is None else stats
 
 
 # ---------------------------------------------------------------------------
@@ -1011,7 +934,9 @@ def _unseparated(n: int, supports: list[int]) -> Iterator[tuple[int, int]]:
     the next atom is the lowest set bit of ``same >> j``, found in C.  The
     next first state folds in every support again, newest first, until
     ``same`` is 0: a sweep finds its newest supports for the atoms of the
-    latest first states, so they tend to split the next one off soonest."""
+    latest first states, so they tend to split the next one off soonest.
+    Only :func:`decide_ssp` runs this scan; the checkers in ``oracle`` name
+    their witness from their own codes."""
     full = (1 << n) - 1
     for i in range(n - 1):
         same = full >> (i + 1) << (i + 1)
@@ -1042,20 +967,6 @@ def _atoms_up_to(n: int, pair: tuple[int, int] | None) -> int:
     return i * n - i * (i + 1) // 2 + (j - i)
 
 
-def _partition_report(ts: TransitionSystem, supports: list[int]) -> SeparationReport:
-    """The decision of the final ``supports``, ints as :func:`_unseparated`
-    takes them: the first atom in sorted order that none of them splits is
-    the witness, and the atoms up to it are checked."""
-    n = len(ts.states)
-    report = SeparationReport(decision=Decision.HAS_SSP, witness_atom=None)
-    pair = next(_unseparated(n, supports), None)
-    if pair is not None:
-        report.decision = Decision.LACKS_SSP
-        report.witness_atom = (ts.states[pair[0]], ts.states[pair[1]])
-    report.stats.atoms_checked = _atoms_up_to(n, pair)
-    return report
-
-
 # checking all of a sweep's regions at once
 
 
@@ -1077,7 +988,7 @@ def _state_codes(rows: Sequence[bytes], n: int) -> list[int]:
     """Per state, its values under the supports ``rows`` of R, a byte per
     state each: bit R-1-k of state i's code is byte i of row k, the code
     that appending each row's bit in turn, ``c + c + bit``, builds, as
-    :func:`brute_force_decide` builds its class codes."""
+    ``oracle.brute_force_decide`` builds its class codes."""
     joined = b"".join(rows)
     return [int(joined[s::n].translate(_DIGITS), 2) for s in range(n)]
 
@@ -1217,187 +1128,3 @@ def decide_ssp(
         report.regions.clear()
     stats.wall_ms = (time.perf_counter() - t0) * 1000.0
     return report
-
-
-# ---------------------------------------------------------------------------
-# exhaustive oracles for small systems
-
-
-#: a member of the type with its table pair, (value at 0, value at 1)
-_Member = tuple[Interaction, tuple[int | None, int | None]]
-
-
-def _oracle_input(
-    ts: TransitionSystem,
-    tau: frozenset[Interaction],
-) -> tuple[range, list[list[tuple[int, int]]], list[_Member]]:
-    """What the oracles scan: every support as an int, bit i the value of
-    state i, in mask order; per event the (source, target) state ids of its
-    edges; and the members of ``tau`` in :data:`INTERACTION_ORDER`, each
-    with its table pair :attr:`Interaction.pair`."""
-    n = len(ts.states)
-    if n > ORACLE_CAP:
-        raise OracleCapExceeded(f"{n} states exceeds the oracle cap of {ORACLE_CAP}")
-    pairs = [[(ts.arcs[k][0], ts.arcs[k][2]) for k in ks] for ks in ts.event_arcs]
-    return range(1 << n), pairs, [(i, i.pair) for i in INTERACTION_ORDER if i in tau]
-
-
-def _carriers(
-    pairs: list[list[tuple[int, int]]],
-    members: list[_Member],
-    sup: int,
-) -> list[list[Interaction]] | None:
-    """Per event, the ``members`` carrying its edge ``pairs`` under the
-    support ``sup``, read from each member's table pair, (value at 0,
-    value at 1); None at the first event with none.  No events give
-    ``[]``, not None."""
-    per_event = []
-    for edges in pairs:
-        choices = [
-            i for i, pair in members
-            if all(pair[sup >> s & 1] == sup >> t & 1 for s, t in edges)
-        ]
-        if not choices:
-            return None
-        per_event.append(choices)
-    return per_event
-
-
-def brute_force_regions(
-    ts: TransitionSystem,
-    tau: frozenset[Interaction],
-) -> list[Region]:
-    """Every tau-region of ``ts``, by brute enumeration; small systems only."""
-    regions: list[Region] = []
-    supports, pairs, members = _oracle_input(ts, tau)
-    for sup in supports:
-        per_event = _carriers(pairs, members, sup)
-        if per_event is None:
-            continue
-        support = {s: sup >> k & 1 for k, s in enumerate(ts.states)}
-        for combo in product(*per_event):
-            regions.append(Region(dict(support), dict(zip(ts.events, combo))))
-    return regions
-
-
-def brute_force_supports(
-    ts: TransitionSystem,
-    tau: frozenset[Interaction],
-) -> set[tuple[int, ...]]:
-    """Supports (as bit tuples over sorted states) admitting a tau-region."""
-    supports, pairs, members = _oracle_input(ts, tau)
-    kept = [sup for sup in supports if _carriers(pairs, members, sup) is not None]
-    return {tuple(sup >> k & 1 for k in range(len(ts.states))) for sup in kept}
-
-
-def brute_force_decide(
-    ts: TransitionSystem,
-    tau: frozenset[Interaction],
-) -> SeparationReport:
-    """Oracle twin of :func:`decide_ssp` by exhaustive support enumeration.
-
-    Supports are scanned in mask order.  One that splits a class of the
-    partition so far and admits a region refines it, and its region, each
-    event on its first carrier, joins ``report.regions``.  Each state's
-    class code gets its bit under a kept support appended, ``c + c + bit``,
-    so two states share a code iff no kept support splits them, and a
-    support splits a class iff it makes more distinct codes.  The scan
-    stops once every class is a singleton; ``nodes_expanded`` counts the
-    supports scanned.
-    """
-    t0 = time.perf_counter()
-    n = len(ts.states)
-    supports, pairs, members = _oracle_input(ts, tau)
-    cls = [0] * n
-    kept: list[int] = []
-    regions: list[Region] = []
-    scanned = 0
-    classes = 1
-    for sup in supports:
-        scanned += 1
-        if classes == n:
-            break
-        refined = [c + c + (sup >> k & 1) for k, c in enumerate(cls)]
-        split = len(set(refined))
-        if split == classes:
-            continue
-        per_event = _carriers(pairs, members, sup)
-        if per_event is None:
-            continue
-        cls, classes = refined, split
-        kept.append(sup)
-        support = {s: sup >> k & 1 for k, s in enumerate(ts.states)}
-        signature = {e: c[0] for e, c in zip(ts.events, per_event)}
-        regions.append(Region(support, signature))
-    report = _partition_report(ts, kept)
-    report.regions = regions
-    report.stats.nodes_expanded = scanned
-    report.stats.wall_ms = (time.perf_counter() - t0) * 1000.0
-    return report
-
-
-# ---------------------------------------------------------------------------
-# the swap family: swap with optional inp/out
-
-
-def fast_path_swap_core(
-    ts: TransitionSystem,
-    tau: frozenset[Interaction],
-) -> SeparationReport:
-    """Decide SSP for types {swap} <= tau <= {swap, inp, out} by two-colouring.
-
-    Every member of such a type inverts the value wherever defined, so a
-    support admits a region iff it properly two-colours the undirected,
-    connected graph of the edges, and then every event can take ``swap``.
-    A loop or an odd cycle leaves no region and all states in one class;
-    otherwise the two colours are the classes.  The witness is the one
-    :func:`decide_ssp` and the oracle name, and a has-ssp report carries the
-    colouring as its region when there is one.
-    """
-    family = {Interaction.SWAP, Interaction.INP, Interaction.OUT}
-    if Interaction.SWAP not in tau or not tau <= family:
-        raise WrongTypeFamily(
-            "fast path covers exactly the types between {swap} and {swap,inp,out}"
-        )
-    colour = [0] + [-1] * (len(ts.states) - 1)
-    stack = [0]
-    while stack:
-        s = stack.pop()
-        for k in ts.state_arcs[s]:
-            si, _, ti = ts.arcs[k]
-            t = ti if si == s else si
-            if colour[t] < 0:
-                colour[t] = 1 - colour[s]
-                stack.append(t)
-            elif colour[t] == colour[s]:
-                return _partition_report(ts, [])
-    report = _partition_report(ts, [_support_int(bytes(colour))])
-    if report.decision is Decision.HAS_SSP:
-        swap = dict.fromkeys(ts.events, Interaction.SWAP)
-        report.regions.append(Region(dict(zip(ts.states, colour)), swap))
-    return report
-
-
-# ---------------------------------------------------------------------------
-# embeddings
-
-
-class EmbeddingCertificate(NamedTuple):
-    vectors: Mapping[str, tuple[int, ...]]
-    injective: bool
-
-
-def embedding_certificate(
-    ts: TransitionSystem,
-    regions: Sequence[Region],
-) -> EmbeddingCertificate:
-    """Per-state bit vectors over ``regions`` and whether they are distinct.
-
-    Distinct vectors mean the region set separates every pair, i.e. the map
-    from states into region space is injective.
-    """
-    vectors = {
-        s: tuple(r.support[s] for r in regions) for s in ts.states
-    }
-    injective = len(set(vectors.values())) == len(ts.states)
-    return EmbeddingCertificate(vectors=vectors, injective=injective)

@@ -17,6 +17,7 @@ from .core import (
     INTERACTION_ORDER,
     Interaction,
     Region,
+    SeparationReport,
     SspKitError,
     TransitionSystem,
     _packed_rows,
@@ -24,7 +25,6 @@ from .core import (
 )
 
 if TYPE_CHECKING:
-    from .engine import SeparationReport
     from .reductions import CmFormula
 
 

@@ -21,6 +21,7 @@ from .classify import (
     row_census,
 )
 from .core import (
+    Decision,
     Interaction,
     TransitionSystem,
     is_normalized,
@@ -29,13 +30,8 @@ from .core import (
     propagate_region,
     validate_ts,
 )
-from .engine import (
-    Decision,
-    brute_force_decide,
-    decide_ssp,
-    embedding_certificate,
-    fast_path_swap_core,
-)
+from .engine import decide_ssp
+from .oracle import brute_force_decide, embedding_certificate, fast_path_swap_core
 from .reductions import (
     cm_oracle,
     example_formula,

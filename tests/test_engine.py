@@ -37,17 +37,21 @@ from ssp_kit.engine import (
     AtomStatus,
     Decision,
     InvalidAtom,
-    OracleCapExceeded,
     SearchStats,
     SeparationReport,
+    decide_ssp,
+    solve_atom,
+)
+from ssp_kit.oracle import (
+    OracleCapExceeded,
     WrongTypeFamily,
+    _carriers,
+    _oracle_input,
     brute_force_decide,
     brute_force_regions,
     brute_force_supports,
-    decide_ssp,
     embedding_certificate,
     fast_path_swap_core,
-    solve_atom,
 )
 # the propagation tables and the search, for the white-box tests at the end
 from ssp_kit.engine import (
@@ -61,8 +65,6 @@ from ssp_kit.engine import (
     _TEACHES,
     _AtomSearch,
     _all_regions,
-    _carriers,
-    _oracle_input,
     _state_codes,
     _support_int,
     _unseparated,
@@ -1509,6 +1511,43 @@ def test_small_families_are_pinned(shape, size, digest):
     dump = json.dumps([[ts.initial, ts.edges] for ts in family])
     assert len(family) == size
     assert hashlib.sha256(dump.encode()).hexdigest() == digest
+
+
+def test_checkers_output_is_pinned():
+    # the oracle's and the fast path's records on every system of the
+    # (3, 2) family: decision, witness, atoms checked, supports scanned and
+    # regions.  A change to how either finds its classes or names its
+    # witness shows here
+    oracle_types = [
+        NOP_INP,
+        SWAP_FREE,
+        type_of(I.INP, I.OUT, I.SWAP),
+        type_of(I.NOP, I.RES, I.SET, I.USED, I.FREE),
+    ]
+    fast_types = [type_of(I.SWAP), type_of(I.INP, I.OUT, I.SWAP)]
+
+    def record(report):
+        regions = [
+            [list(r.support.items()), [(e, i.value) for e, i in r.signature.items()]]
+            for r in report.regions
+        ]
+        stats = report.stats
+        return [
+            report.decision.value,
+            report.witness_atom,
+            stats.atoms_checked,
+            stats.nodes_expanded,
+            regions,
+        ]
+
+    dump = []
+    for ts in enumerate_small_ts(3, 2):
+        dump += [record(brute_force_decide(ts, tau)) for tau in oracle_types]
+        dump += [record(fast_path_swap_core(ts, tau)) for tau in fast_types]
+    assert len(dump) == 445 * 6
+    assert hashlib.sha256(json.dumps(dump).encode()).hexdigest() == (
+        "0732af855755fcaff703b9c4bc83077ed1443db305b611389c4d52b1a6b2d3e4"
+    )
 
 
 def outcome(check):

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import json
@@ -12,6 +13,8 @@ import ssp_kit
 
 SRC = str(Path(ssp_kit.__file__).resolve().parents[1])
 OPTIONAL = ("ssp_kit.classify", "ssp_kit.reductions", "ssp_kit.verify")
+#: the search's step tables, which the independent checkers must not read
+SEARCH_TABLES = {"_STEPS", "_KEEPS", "_COVER", "_TEACHES", "_PROJ"}
 
 
 def _run(script: str, cwd) -> dict:
@@ -48,6 +51,16 @@ class TestImportFootprint:
         # dataclasses would cost each process about 10 ms, inspect included
         assert not {"dataclasses", "inspect"} & set(result["modules"])
 
+    def test_the_checkers_load_without_the_engine(self, tmp_path):
+        result = _run(
+            "import json, sys\n"
+            "from ssp_kit import brute_force_decide, fast_path_swap_core\n"
+            "print(json.dumps({'modules': sorted(sys.modules)}))\n",
+            tmp_path,
+        )
+        assert {"ssp_kit.core", "ssp_kit.oracle"} <= set(result["modules"])
+        assert "ssp_kit.engine" not in result["modules"]
+
     def test_importing_the_package_loads_no_submodule(self, tmp_path):
         result = _run(
             "import json, sys\n"
@@ -66,6 +79,73 @@ class TestImportFootprint:
             "engine": "ssp_kit.engine",
             "reductions": "ssp_kit.reductions",
         }
+
+
+def package_reach(source: str) -> tuple[set[str], set[str]]:
+    """The package modules ``source`` imports, relative or absolute, the
+    package itself as ``ssp_kit``, and the search tables and ``.cells``
+    attributes it names."""
+    modules, names, attrs = set(), set(), set()
+    for node in ast.walk(ast.parse(source)):
+        paths = []
+        if isinstance(node, ast.Import):
+            paths = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module
+            if node.level:
+                module = "ssp_kit" + (f".{module}" if module else "")
+            paths = [module]
+            if module == "ssp_kit":
+                paths = [f"ssp_kit.{alias.name}" for alias in node.names]
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            attrs.add(node.attr)
+        for path in paths:
+            if path == "ssp_kit" or path.startswith("ssp_kit."):
+                modules.add(path.split(".")[-1])
+    return modules, names & SEARCH_TABLES | attrs & (SEARCH_TABLES | {"cells"})
+
+
+class TestOracleIndependence:
+    def test_the_oracle_reaches_only_core(self):
+        # read, not imported: the exhaustive oracle and the fast path are
+        # the engine's reference only while they share none of its code
+        source = Path(ssp_kit.__file__).with_name("oracle.py").read_text()
+        assert package_reach(source) == ({"core"}, set())
+
+    @pytest.mark.parametrize(
+        "source, reach",
+        [
+            ("from .engine import decide_ssp", ({"engine"}, set())),
+            ("from . import engine", ({"engine"}, set())),
+            ("import ssp_kit.engine", ({"engine"}, set())),
+            ("from ssp_kit import engine", ({"engine"}, set())),
+            ("from ssp_kit.engine import _STEPS", ({"engine"}, {"_STEPS"})),
+            ("from .core import INTERACTION_ORDER", ({"core"}, set())),
+            ("x = _KEEPS[3] | _COVER[1]", (set(), {"_KEEPS", "_COVER"})),
+            ("y = engine._TEACHES, engine._PROJ", (set(), {"_TEACHES", "_PROJ"})),
+            ("z = [i.cells for i in members]", (set(), {"cells"})),
+            ("import ssp_kit", ({"ssp_kit"}, set())),
+            ("cells = 3", (set(), set())),
+        ],
+    )
+    def test_the_check_sees_each_way_in(self, source, reach):
+        assert package_reach(source) == reach
+
+    def test_the_engine_keeps_the_checkers_old_path(self):
+        from ssp_kit import engine, oracle
+
+        moved = (
+            *ssp_kit._EXPORTS["oracle"],
+            "ORACLE_CAP",
+            "EmbeddingCertificate",
+            "OracleCapExceeded",
+            "WrongTypeFamily",
+        )
+        for name in moved:
+            assert getattr(engine, name) is getattr(oracle, name), name
 
 
 class TestLazyNamespace:
